@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -213,6 +214,10 @@ def _parse_axis(raw, path: str) -> dict:
             values = list(np.geomspace(start, stop, num))
         else:
             values = list(np.linspace(start, stop, num))
+    if target == "incident.omega1":
+        for v in values:
+            if not v > 0.0:
+                raise ConfigError(f"{path}: incident.omega1 must be > 0 (got {float(v)})")
     return {"path": target, "values": [float(v) for v in values]}
 
 
@@ -327,10 +332,12 @@ def parse_config(text: str) -> RunConfig:
             taus = oracle["tau_list"]
             if not isinstance(taus, list) or len(taus) < 3:
                 raise ConfigError("config.oracle.tau_list: expected a list of >= 3 widths")
-            config = replace(
-                config,
-                tau_list=tuple(_as_number(v, "config.oracle.tau_list") for v in taus),
-            )
+            taus = tuple(_as_number(v, "config.oracle.tau_list") for v in taus)
+            if not all(math.isfinite(v) and v > 0.0 for v in taus):
+                raise ConfigError(f"config.oracle.tau_list: widths must be finite and > 0 (got {list(taus)})")
+            if any(b >= a for a, b in zip(taus, taus[1:])):
+                raise ConfigError(f"config.oracle.tau_list: widths must be strictly decreasing (got {list(taus)})")
+            config = replace(config, tau_list=taus)
     if "sweep" in raw:
         sweep = raw["sweep"]
         if not isinstance(sweep, dict):

@@ -210,9 +210,9 @@ class TemporalProfile:
     def switch_intervals(self):
         """Time intervals where the profile varies, as (t_lo, t_hi) pairs.
 
-        Used by integrators to keep steps from silently crossing a
-        transition region.  Step and periodic profiles report zero-width
-        intervals at their switch instants.
+        The oracle integrates only inside these and propagates exactly
+        between them.  Step profiles report a zero-width interval at
+        their switch instant.
         """
         if self.kind == "constant":
             return []
@@ -220,7 +220,7 @@ class TemporalProfile:
             return [(self.t0, self.t0)]
         if self.kind == "ramp":
             return [(self.t0 - 0.5 * self.tau, self.t0 + 0.5 * self.tau)]
-        return None  # periodic: unbounded switch set; callers clamp by period
+        return None  # periodic: unbounded switch set; callers enumerate by period
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,13 @@ Integrating a mode through a smooth ramp and projecting the final state
 onto the constant-medium eigenmodes yields numerical reflection and
 transmission coefficients that converge to the analytic step-interface
 values as the ramp width shrinks.
+
+:func:`integrate` takes each constant stretch in one exact step of the
+ODE's own propagator and runs an adaptive Dormand-Prince 5(4) pair only
+inside ramps.  Sharp switches (steps, periodic time crystals) need no
+limit at all: D and B pass through them unchanged.  None of this uses
+the interface formulas of :mod:`.scatter` or :mod:`.cascade`, so the
+oracle stays an independent check on them.
 """
 
 from __future__ import annotations
@@ -90,15 +97,28 @@ class ModeAmplitudes:
         object.__setattr__(self, "backward", complex(self.backward))
 
 
+def _cross_matrix(m: PhaseVector) -> np.ndarray:
+    """Matrix Mx with Mx @ v = m x v."""
+    mx, my, mz = m.m
+    return np.array([[0.0, -mz, my], [mz, 0.0, -mx], [-my, mx, 0.0]])
+
+
+def _rhs(y: np.ndarray, cross: np.ndarray, medium: MediumState) -> np.ndarray:
+    """d(D, B)/dt for the stacked state y = (D, B); ``cross`` is m's Mx."""
+    out = np.empty(6, dtype=np.complex128)
+    out[:3] = (1j / medium.mu) * (cross @ y[3:])
+    out[3:] = (-1j / medium.epsilon) * (cross @ y[:3])
+    return out
+
+
 def mode_rhs(state: ModeState, m: PhaseVector, medium: MediumState):
     """Time derivatives (dD/dt, dB/dt) of one spatial mode.
 
     Preserves the divergence constraints D.m = B.m = 0 exactly: both
     derivatives are cross products with m.
     """
-    dD = 1j * np.cross(m.m, state.B / medium.mu)
-    dB = -1j * np.cross(m.m, state.D / medium.epsilon)
-    return dD, dB
+    dy = _rhs(np.concatenate([state.D, state.B]), _cross_matrix(m), medium)
+    return dy[:3], dy[3:]
 
 
 # Dormand-Prince 5(4) tableau (FSAL).
@@ -119,107 +139,93 @@ _MAX_STEPS = 10_000_000
 _MIN_STEP_REL = 1e-14
 
 
-def _switch_intervals(profile, t_start: float, t_end: float):
-    """Transition intervals of the profile inside [t_start, t_end], sorted."""
-    getter = getattr(profile, "switch_intervals", None)
-    intervals = getter() if getter is not None else []
-    lo, hi = min(t_start, t_end), max(t_start, t_end)
-    if intervals is None:
-        # Unbounded switch set (periodic profile): enumerate instants in range.
-        intervals = []
-        n = max(0, math.floor((lo - profile.t0) / profile.period))
-        t = profile.t0 + n * profile.period
-        while t <= hi:
-            intervals.append((t, t))
-            intervals.append((t + profile.duty * profile.period,) * 2)
-            t += profile.period
-    kept = [(a, b) for a, b in intervals if b >= lo and a <= hi]
-    return sorted(kept)
+def _periodic_instants(profile, lo: float, hi: float):
+    """Zero-width switch intervals of a periodic profile from lo up to hi."""
+    n = max(0, math.floor((lo - profile.t0) / profile.period))
+    instants = []
+    while (start := profile.t0 + n * profile.period) <= hi:
+        instants += [(start, start), (start + profile.duty * profile.period,) * 2]
+        n += 1
+    return instants
 
 
-def integrate(
-    profile,
-    m: PhaseVector,
-    initial: ModeState,
-    t_end: float,
-    tol: float = DEFAULT_TOL,
-    max_step: float | None = None,
-) -> ModeState:
-    """Advance a mode state to t_end with an adaptive Dormand-Prince 5(4) pair.
+def _pieces(profile, lo: float, hi: float):
+    """Split [lo, hi] into (a, b, varying) pieces in increasing time.
 
-    The local error per unit time is held at or below ``tol``, scaled by
-    max(1, |state|).  ``profile`` is anything with a ``sample(t)`` method
-    whose parameters are continuous along the integration path (ramps,
-    constants, ramp sequences); steps are clamped so that no declared
-    transition interval is skipped over unresolved.  Integration runs in
-    either time direction.
+    Varying pieces are the nonzero-width switch intervals, merged where
+    they overlap and clipped to the span.  Between them the medium is
+    constant.  A zero-width switch only ends one constant piece and
+    starts the next.  A profile that declares no switch intervals at all
+    may vary anywhere, so its whole span is one varying piece.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    t = initial.t
-    if t_end == t:
-        return initial
+    getter = getattr(profile, "switch_intervals", None)
+    if getter is None:
+        return [(lo, hi, True)]
+    intervals = getter()
+    if intervals is None:
+        intervals = _periodic_instants(profile, lo, hi)
+    pieces = []
+    cursor = lo
+    for a, b in sorted(intervals):
+        if b < lo or a > hi:
+            continue
+        a, b = max(a, lo), min(b, hi)
+        if a < cursor:
+            # Overlaps the varying piece just before: extend it.
+            if b > cursor:
+                pieces[-1] = (pieces[-1][0], b, True)
+                cursor = b
+            continue
+        if a > cursor:
+            pieces.append((cursor, a, False))
+        if b > a:
+            pieces.append((a, b, True))
+        cursor = b
+    if hi > cursor:
+        pieces.append((cursor, hi, False))
+    return pieces
+
+
+def _propagate_exact(y: np.ndarray, cross: np.ndarray, mag: float, medium: MediumState, h: float):
+    """exp(hA) y for the constant-medium mode ODE dy/dt = A y.
+
+    A**3 = -w**2 A with w**2 = |m|**2 / (eps mu), so the exponential series
+    closes: exp(hA) = I + sin(wh)/w A + (1 - cos wh)/w**2 A**2.
+    """
+    w = mag * abs(wave_speed(medium))
+    if w == 0.0:
+        return y  # m = 0: A vanishes
+    Ay = _rhs(y, cross, medium)
+    half = math.sin(0.5 * w * h) / w  # (1 - cos wh)/w**2 = 2 half**2, without cancellation
+    return y + (math.sin(w * h) / w) * Ay + (2.0 * half * half) * _rhs(Ay, cross, medium)
+
+
+def _dormand_prince(sample, cross, mag, y, t, t_end, tol, max_step):
+    """Adaptive Dormand-Prince 5(4) from t to t_end through a varying medium.
+
+    Starts afresh, so the first stage is evaluated at t itself rather
+    than carried over (FSAL) from a step that ended on the other side of
+    a switch.
+    """
     direction = 1.0 if t_end > t else -1.0
     span = abs(t_end - t)
-
-    y = np.concatenate([initial.D, initial.B])
-
-    # dD/dt = (i/mu) Mx B and dB/dt = (-i/eps) Mx D with Mx the
-    # cross-product matrix of m; hoist the constant blocks out of the loop.
-    mx, my, mz = m.m
-    cross_mat = np.array([[0.0, -mz, my], [mz, 0.0, -mx], [-my, mx, 0.0]])
-    block_d = 1j * cross_mat
-    block_b = -1j * cross_mat
-    sample_fn = profile.sample
-
-    def rhs(time: float, state: np.ndarray) -> np.ndarray:
-        medium = sample_fn(time)
-        out = np.empty(6, dtype=np.complex128)
-        out[:3] = block_d @ state[3:] / medium.mu
-        out[3:] = block_b @ state[:3] / medium.epsilon
-        return out
-
-    # Features the stepper must not fly over: (start, end, internal cap).
-    features = []
-    for a, b in _switch_intervals(profile, t, t_end):
-        width = b - a
-        cap = max(width / 8.0, 1e-3 * span) if width > 0.0 else 1e-3 * span
-        features.append((a, b, cap))
-
-    ordered_features = features if direction > 0 else list(reversed(features))
-
-    def feature_cap(time: float, h_abs: float) -> float:
-        for a, b, cap in ordered_features:
-            lo, hi = (a, b) if direction > 0 else (b, a)
-            ahead_start = (lo - time) * direction
-            ahead_end = (hi - time) * direction
-            if ahead_end > 1e-14 * max(1.0, abs(time)):
-                if ahead_start > 1e-12 * max(1.0, abs(time)):
-                    # Not inside yet: step at most to the feature edge.
-                    h_abs = min(h_abs, ahead_start)
-                else:
-                    h_abs = min(h_abs, cap)
-                break
-        return h_abs
-
+    medium = sample(t)
     # Initial step: a fraction of the local oscillation period.
-    v0 = abs(wave_speed(profile.sample(t)))
-    omega0 = float(np.linalg.norm(m.m)) * v0
+    omega0 = mag * abs(wave_speed(medium))
     h = min(span, 0.1 / omega0 if omega0 > 0 else span)
     if max_step is not None:
         h = min(h, max_step)
     smallest = h
 
-    k1 = rhs(t, y)
+    k1 = _rhs(y, cross, medium)
     K = np.empty((7, 6), dtype=np.complex128)
     for _ in range(_MAX_STEPS):
         remaining = abs(t_end - t)
         if remaining <= 1e-14 * max(1.0, abs(t_end)):
-            break
+            return y
         h_abs = min(h, remaining)
         if max_step is not None:
             h_abs = min(h_abs, max_step)
-        h_abs = feature_cap(t, h_abs)
         if h_abs < _MIN_STEP_REL * max(abs(t), 1.0):
             raise StiffnessError(
                 f"step size underflow at t={t} (smallest step {smallest:.3e})",
@@ -231,7 +237,7 @@ def integrate(
         K[0] = k1
         for i in range(1, 7):
             yi = y + hs * (_DP_A[i] @ K[:i])
-            K[i] = rhs(t + _DP_C[i] * hs, yi)
+            K[i] = _rhs(yi, cross, sample(t + _DP_C[i] * hs))
         y_new = yi
         # k7 was evaluated at (t+h, y_new): the last stage row of the
         # tableau equals the 5th-order weights (FSAL).
@@ -245,11 +251,62 @@ def integrate(
             k1 = K[6].copy()
         factor = 0.9 * (budget / err) ** 0.2 if err > 0.0 else 5.0
         h = h_abs * min(5.0, max(0.2, factor))
-    else:
+    raise StiffnessError(
+        f"exceeded {_MAX_STEPS} steps (smallest step {smallest:.3e})",
+        smallest_step=smallest,
+    )
+
+
+def integrate(
+    profile,
+    m: PhaseVector,
+    initial: ModeState,
+    t_end: float,
+    tol: float = DEFAULT_TOL,
+    max_step: float | None = None,
+) -> ModeState:
+    """Advance a mode state to t_end, in either time direction.
+
+    ``profile`` is anything with a ``sample(t)`` method.  Its declared
+    ``switch_intervals()`` split the path into pieces:
+
+    * constant stretches advance in one step with the exact propagator
+      of the constant-coefficient ODE, for the medium sampled at the
+      stretch's midpoint;
+    * nonzero-width intervals (ramps) run an adaptive Dormand-Prince 5(4)
+      pair that holds the local error per unit time at or below ``tol``,
+      scaled by max(1, |state|); ``max_step`` caps its steps;
+    * zero-width switches (steps, periodic profiles) are break points
+      only: D and B are continuous across them, so the state passes
+      through unchanged and the two-valued instant is never sampled.
+
+    A profile without ``switch_intervals`` is integrated by Dormand-Prince
+    over the whole span.  A ``tol`` below float64 resolution cannot be met
+    by any step and raises :class:`StiffnessError` at once.
+    """
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    if tol < np.finfo(float).eps:
         raise StiffnessError(
-            f"exceeded {_MAX_STEPS} steps (smallest step {smallest:.3e})",
-            smallest_step=smallest,
+            f"tol={tol:.3e} is below float64 resolution; no step size can meet it",
+            smallest_step=0.0,
         )
+    t = initial.t
+    if t_end == t:
+        return initial
+    cross = _cross_matrix(m)
+    mag = float(np.linalg.norm(m.m))
+    pieces = _pieces(profile, min(t, t_end), max(t, t_end))
+    if t_end < t:
+        pieces = [(b, a, varying) for a, b, varying in reversed(pieces)]
+
+    y = np.concatenate([initial.D, initial.B])
+    for start, end, varying in pieces:
+        if varying:
+            y = _dormand_prince(profile.sample, cross, mag, y, start, end, tol, max_step)
+        else:
+            medium = profile.sample(0.5 * (start + end))
+            y = _propagate_exact(y, cross, mag, medium, end - start)
     return ModeState(y[:3], y[3:], t_end)
 
 

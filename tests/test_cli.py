@@ -44,6 +44,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="incident.omega1"):
             parse_config(bad)
 
+    def test_non_positive_tau_list_rejected(self):
+        bad = make_config(command="oracle", oracle={"tau_list": [0.1, 0.0, -0.1]})
+        with pytest.raises(ConfigError, match="tau_list.*> 0"):
+            parse_config(bad)
+
+    def test_increasing_tau_list_rejected(self):
+        bad = make_config(command="oracle", oracle={"tau_list": [0.001, 0.01, 0.1]})
+        with pytest.raises(ConfigError, match="tau_list.*strictly decreasing"):
+            parse_config(bad)
+
+    def test_non_positive_omega1_axis_rejected(self):
+        for axis in (
+            {"path": "incident.omega1", "values": [1.0, -1.0]},
+            {"path": "incident.omega1", "start": -1.0, "stop": 1.0, "num": 3},
+        ):
+            bad = make_config(command="sweep", sweep={"axes": [axis]})
+            with pytest.raises(ConfigError, match=r"axes\[0\]: incident.omega1 must be > 0"):
+                parse_config(bad)
+
     def test_unknown_keys_listed(self):
         with pytest.raises(ConfigError, match="bogus"):
             parse_config(make_config(bogus=1))
@@ -279,6 +298,15 @@ class TestMain:
         assert main([cfg]) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"]["code"] == 2
+
+    def test_bad_oracle_and_sweep_values_exit_2(self, tmp_path, capsys):
+        for config in (
+            make_config(command="oracle", oracle={"tau_list": [0.1, 0.0, -0.1]}),
+            make_config(command="sweep", sweep={"axes": [{"path": "incident.omega1", "values": [1.0, -1.0]}]}),
+        ):
+            assert main([self.write_config(tmp_path, config)]) == 2
+            error = json.loads(capsys.readouterr().err)
+            assert error["error"]["type"] == "ConfigError"
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["/does/not/exist.json"]) == 2

@@ -10,12 +10,16 @@ from timescatter import (
     ConstraintError,
     DomainError,
     MediumState,
+    ModeAmplitudes,
     ModeState,
     PlaneWave,
     RampSequence,
     StiffnessError,
     TemporalProfile,
+    TimelineSegment,
+    cascade_scatter,
     convergence_study,
+    floquet_exponent,
     integrate,
     mode_decompose,
     mode_reconstruct,
@@ -150,6 +154,17 @@ class TestIntegrate:
                 tol=0.0,
             )
 
+    def test_nan_tol_rejected(self):
+        wave = vacuum_wave()
+        with pytest.raises(DomainError):
+            integrate(
+                TemporalProfile.constant(VACUUM),
+                phase_vector(wave),
+                plane_wave_mode_state(wave, VACUUM, 0.0),
+                1.0,
+                tol=float("nan"),
+            )
+
     def test_smoothly_modulated_medium(self):
         # Continuously varying parameters away from any interface are exact
         # mode dynamics too: any object with a sample(t) method integrates.
@@ -276,3 +291,102 @@ class TestConvergenceStudy:
         study = convergence_study(VACUUM, MediumState(1, 1), vacuum_wave(), [0.5, 0.1, 0.02])
         assert all(err <= 1e-8 for err in study.R_errors)
         assert all(err <= 1e-8 for err in study.T_errors)
+
+
+def oracle_amplitudes(initial, final, before, after, m):
+    """Final (forward, backward) E-field scalars relative to the initial forward one.
+
+    These are the units of cascade_scatter: D-scaled mode coefficients
+    divided by the local epsilon, on the initial polarization.
+    """
+    first = mode_decompose(initial, before, m)
+    last = mode_decompose(final, after, m)
+    turn = np.vdot(first.polarization, last.polarization) / (first.forward / before.epsilon)
+    return np.array([last.forward, last.backward]) * turn / after.epsilon
+
+
+class TestSharpSwitches:
+    # Vacuum and eps = 4 alternate every unit of time from t = 0 on.
+    CRYSTAL = TemporalProfile.periodic(VACUUM, DENSE, period=2.0, duty=0.5)
+
+    def crystal_timeline(self, periods, lead):
+        timeline = [TimelineSegment(VACUUM, lead)]
+        for _ in range(periods):
+            timeline += [TimelineSegment(DENSE, 1.0), TimelineSegment(VACUUM, 1.0)]
+        timeline[-1] = TimelineSegment(VACUUM, 1.0 - lead)
+        return timeline
+
+    def test_periodic_profile_matches_cascade(self):
+        wave = vacuum_wave()
+        m = phase_vector(wave)
+        initial = plane_wave_mode_state(wave, VACUUM, -0.5)
+        final = integrate(self.CRYSTAL, m, initial, 5.5)
+        cascade = cascade_scatter(self.crystal_timeline(3, 0.5), wave).amplitudes
+        expected = np.array([cascade.forward, cascade.backward])
+        got = oracle_amplitudes(initial, final, VACUUM, VACUUM, m)
+        assert np.max(np.abs(got - expected)) <= 1e-9
+
+    def test_one_cell_monodromy_has_floquet_eigenvalues(self):
+        wave = vacuum_wave()
+        m = phase_vector(wave)
+        pol = Y_HAT.astype(complex)
+        columns = []
+        # One cell from just after a switch into vacuum: vacuum 1, then eps = 4 for 1.
+        for amps in ((1.0, 0.0), (0.0, 1.0)):
+            start = mode_reconstruct(ModeAmplitudes(*amps, pol), VACUUM, m, 1.0)
+            end = mode_decompose(integrate(self.CRYSTAL, m, start, 3.0), VACUUM, m)
+            turn = np.vdot(pol, end.polarization)
+            columns.append([end.forward * turn, end.backward * turn])
+        monodromy = np.array(columns).T
+        cell = [TimelineSegment(VACUUM, 1.0), TimelineSegment(DENSE, 1.0)]
+        expected = np.sort_complex(np.array(floquet_exponent(cell, wave.omega).eigenvalues))
+        assert_allclose(np.sort_complex(np.linalg.eigvals(monodromy)), expected, atol=1e-9)
+
+    def test_step_profile_integrates_across_t0(self):
+        wave = vacuum_wave()
+        m = phase_vector(wave)
+        profile = TemporalProfile.step(VACUUM, DENSE, t0=0.0)
+        initial = plane_wave_mode_state(wave, VACUUM, -1.0)
+        final = integrate(profile, m, initial, 1.0)
+        timeline = [TimelineSegment(VACUUM, 1.0), TimelineSegment(DENSE, 1.0)]
+        cascade = cascade_scatter(timeline, wave).amplitudes
+        got = oracle_amplitudes(initial, final, VACUUM, DENSE, m)
+        assert np.max(np.abs(got - [cascade.forward, cascade.backward])) <= 1e-9
+        # Stopping on the instant itself leaves the state continuous.
+        at_t0 = integrate(profile, m, initial, 0.0)
+        assert np.max(np.abs(at_t0.D - plane_wave_mode_state(wave, VACUUM, 0.0).D)) <= 1e-12
+
+    def test_backward_through_periodic_profile_returns_to_start(self):
+        wave = vacuum_wave()
+        m = phase_vector(wave)
+        initial = plane_wave_mode_state(wave, VACUUM, -0.5)
+        there = integrate(self.CRYSTAL, m, initial, 5.5)
+        back = integrate(self.CRYSTAL, m, there, -0.5)
+        assert back.t == initial.t
+        assert np.max(np.abs(back.D - initial.D)) <= 1e-12
+        assert np.max(np.abs(back.B - initial.B)) <= 1e-12
+
+
+class TestExactPropagation:
+    class SampleOnly:
+        """Hides switch_intervals, so integrate runs Dormand-Prince everywhere."""
+
+        def __init__(self, profile):
+            self.sample = profile.sample
+
+    @pytest.mark.parametrize(
+        "profile",
+        [TemporalProfile.constant(DENSE), TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=0.5)],
+        ids=["constant", "ramp"],
+    )
+    def test_agrees_with_dormand_prince_everywhere(self, profile):
+        start = profile.sample(-4.0)
+        wave = PlaneWave(Y_HAT.astype(complex), start.wave_speed, X_HAT, start.wave_speed)
+        m = phase_vector(wave)
+        initial = plane_wave_mode_state(wave, start, -4.0)
+        exact = integrate(profile, m, initial, 6.0)
+        stepped = integrate(self.SampleOnly(profile), m, initial, 6.0)
+        # tol bounds the local error per unit time, scaled by |state| (here 4).
+        bound = TOL * 10.0 * 4.0
+        assert np.max(np.abs(exact.D - stepped.D)) <= bound
+        assert np.max(np.abs(exact.B - stepped.B)) <= bound
