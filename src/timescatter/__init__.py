@@ -56,7 +56,9 @@ from .scatter import (
     coefficients,
     degenerate_amplitude,
     frequencies,
+    scatter_grid,
     scatter_interface,
+    scatter_kernel,
     swapped_coefficients,
     wave_vectors,
 )
@@ -145,7 +147,9 @@ __all__ = [
     "propagate",
     "refractive_index",
     "sample",
+    "scatter_grid",
     "scatter_interface",
+    "scatter_kernel",
     "sum_residual",
     "swapped_coefficients",
     "transversality_residual",

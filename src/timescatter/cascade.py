@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateCaseError, DomainError, NumericalDegeneracyWarning
 from .media import MediumState, wave_speed
 from .oracle import ModeAmplitudes
-from .scatter import DEFAULT_CONVENTION, amplitude_factors, frequencies
+from .scatter import scatter_kernel
 from .waves import PlaneWave
 
 __all__ = [
@@ -93,14 +93,18 @@ def interface_matrix(before: MediumState, after: MediumState) -> InterfaceMatrix
     formulas to backward incidence (the mirror image k -> -k), which
     swaps the roles of the two slots.  Identical media give the identity.
     """
-    v_minus = wave_speed(before)
-    v_plus = wave_speed(after)
-    omega2, omega3 = frequencies(1.0, v_minus, v_plus, DEFAULT_CONVENTION)
+    return _interface_step(before, after)[0]
+
+
+def _interface_step(before: MediumState, after: MediumState) -> tuple[InterfaceMatrix, float]:
+    """interface_matrix and the frequency factor |v+/v-| of the switch, from one kernel call."""
     try:
-        r, t = amplitude_factors(1.0, omega2, omega3, before.epsilon, after.epsilon)
+        _, factor, r, t = scatter_kernel(
+            1.0, before.epsilon, before.mu, before.branch, after.epsilon, after.mu, after.branch
+        )
     except DegenerateCaseError as exc:
         raise DegenerateCaseError(f"no unique interface matrix: {exc}") from exc
-    return InterfaceMatrix(np.array([[t, r], [r, t]], dtype=np.complex128))
+    return InterfaceMatrix(np.array([[t, r], [r, t]], dtype=np.complex128)), factor
 
 
 def propagate(omega: float, duration: float) -> InterfaceMatrix:
@@ -171,12 +175,12 @@ def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
         if j + 1 < len(segments):
             here, there = segment.medium, segments[j + 1].medium
             try:
-                step = interface_matrix(here, there)
+                step, factor = _interface_step(here, there)
             except DegenerateCaseError as exc:
                 raise DegenerateCaseError(f"interface {j} is degenerate: {exc}") from exc
             fwd, bwd = step.apply(fwd, bwd)
             net = step @ net
-            omega *= abs(wave_speed(there) / wave_speed(here))
+            omega *= factor
             trace.append(CascadeTraceStep("interface", j, omega, fwd, bwd))
 
     polarization = incident.amplitude / np.linalg.norm(incident.amplitude)
@@ -219,8 +223,9 @@ def one_period_matrix(cell, omega_in: float) -> tuple[InterfaceMatrix, float]:
         net = propagate(omega, segment.duration) @ net
         nxt = segments[(j + 1) % len(segments)].medium
         if j + 1 < len(segments) or nxt != segment.medium:
-            net = interface_matrix(segment.medium, nxt) @ net
-            omega *= abs(wave_speed(nxt) / wave_speed(segment.medium))
+            step, factor = _interface_step(segment.medium, nxt)
+            net = step @ net
+            omega *= factor
     return net, period
 
 

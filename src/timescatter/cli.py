@@ -25,8 +25,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -36,10 +35,11 @@ from .cascade import TimelineSegment, cascade_scatter, floquet_exponent
 from .errors import (
     ConfigError,
     DegenerateCaseError,
+    GridChecks,
     NoSolutionError,
     TimescatterError,
 )
-from .media import MediumState, TemporalProfile, wave_speed
+from .media import MediumState, TemporalProfile, check_medium, wave_speed
 from .oracle import DEFAULT_TOL, convergence_study, numeric_rt
 from .scatter import (
     DEFAULT_CONVENTION,
@@ -47,6 +47,7 @@ from .scatter import (
     ScatteringResult,
     boundary_residual,
     coefficients,
+    scatter_grid,
     scatter_interface,
 )
 from .verify import (
@@ -120,7 +121,13 @@ def _require(mapping: dict, key: str, path: str):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _parse_medium(raw, path: str) -> MediumState:
@@ -140,7 +147,7 @@ def _parse_medium(raw, path: str) -> MediumState:
 
 def _parse_complex(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_number(value, path))
     if isinstance(value, list) and len(value) == 2:
         return complex(_as_number(value[0], path), _as_number(value[1], path))
     if isinstance(value, dict) and set(value) <= {"re", "im"}:
@@ -446,36 +453,39 @@ def _scattering_json(result: ScatteringResult) -> dict:
     }
 
 
-def _medium_of(config: RunConfig, which: str) -> MediumState:
-    return config.before if which == "before" else config.after
+def _sweep_rows(config: RunConfig) -> list:
+    """One row per grid point, in row-major order, from one array evaluation.
 
-
-def _sweep_point(config: RunConfig, assignment: dict) -> dict:
-    before, after = config.before, config.after
+    A repeated axis path keeps its first place and its last axis's values.
+    Media are checked after each axis, as replacing one field at a time would.
+    """
+    names = [axis["path"] for axis in config.sweep_axes]
+    grids = np.meshgrid(*(axis["values"] for axis in config.sweep_axes), indexing="ij")
+    assignment = dict(zip(names, grids))
+    media = {"before": asdict(config.before), "after": asdict(config.after)}
     omega1 = config.incident.omega1
-    for target, value in assignment.items():
-        owner, attr = target.split(".")
+    checks = GridChecks()
+    for path, grid in assignment.items():
+        owner, attr = path.split(".")
         if owner == "incident":
-            omega1 = value
-        elif owner == "before":
-            before = replace(before, **{attr: value})
+            omega1 = grid
         else:
-            after = replace(after, **{attr: value})
-    incident = IncidentSpec(config.incident.amplitude, omega1, config.incident.k)
-    wave = incident.plane_wave(before)
-    profile = TemporalProfile.step(before, after, config.t0)
-    result = scatter_interface(wave, profile, config.convention)
-    row = dict(assignment)
-    row.update(
-        {
-            "omega2": result.omega2,
-            "omega3": result.omega3,
-            "R": result.R,
-            "T": result.T,
-            "energy_sum": result.energy_sum,
-        }
+            media[owner][attr] = grid
+            with np.errstate(all="ignore"):
+                check_medium(**media[owner], reject=checks.reject)
+    omega2, omega3, R, T = scatter_grid(
+        omega1,
+        config.incident.amplitude,
+        config.incident.k,
+        tuple(media["before"].values()),
+        tuple(media["after"].values()),
+        config.convention,
+        checks,
     )
-    return row
+    columns = [*assignment.values(), omega2, omega3, R, T, R + T]
+    keys = [*assignment, "omega2", "omega3", "R", "T", "energy_sum"]
+    values = zip(*(np.broadcast_to(c, grids[0].shape).ravel().tolist() for c in columns))
+    return [dict(zip(keys, row), index=i) for i, row in enumerate(values)]
 
 
 def execute(config: RunConfig) -> dict:
@@ -489,21 +499,9 @@ def execute(config: RunConfig) -> dict:
         payload["result"] = _scattering_json(result)
 
     elif config.command == "sweep":
-        axes = [(axis["path"], axis["values"]) for axis in config.sweep_axes]
-        assignments = [{}]
-        for target, values in axes:
-            assignments = [
-                {**assignment, target: value}
-                for assignment in assignments
-                for value in values
-            ]
-        workers = min(32, os.cpu_count() or 1, max(1, len(assignments)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda a: _sweep_point(config, a), assignments))
-        for i, row in enumerate(rows):
-            row["index"] = i
-        payload["columns"] = ["index", *[t for t, _ in axes], "omega2", "omega3", "R", "T", "energy_sum"]
-        payload["rows"] = rows
+        paths = [axis["path"] for axis in config.sweep_axes]
+        payload["columns"] = ["index", *paths, "omega2", "omega3", "R", "T", "energy_sum"]
+        payload["rows"] = _sweep_rows(config)
 
     elif config.command == "oracle":
         wave = config.incident.plane_wave(config.before)

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AmbiguityError, DomainError
+import numpy as np
+
+from .errors import AmbiguityError, DomainError, reject
 
 __all__ = [
     "MediumState",
@@ -20,10 +22,49 @@ __all__ = [
     "RampSequence",
     "VACUUM",
     "wave_speed",
+    "phase_speed",
+    "check_medium",
     "impedance",
     "refractive_index",
     "sample",
 ]
+
+
+def check_medium(epsilon, mu, branch, reject=reject):
+    """MediumState's invariants, for one medium or a grid of media.
+
+    ``reject`` raises at once; a GridChecks' ``reject`` records the checks
+    of a grid instead.
+    """
+    # x * 0 is NaN exactly where x is infinite or NaN, for numbers and arrays alike.
+    bad = (epsilon * 0.0 != 0.0) | (mu * 0.0 != 0.0)
+    if bad is not False:
+        reject(bad, DomainError, "epsilon and mu must be finite, got ({}, {})", epsilon, mu)
+    bad = epsilon * mu <= 0.0
+    if bad is not False:
+        reject(
+            bad,
+            DomainError,
+            "epsilon*mu must be positive (both positive or both negative), got epsilon={}, mu={}",
+            epsilon,
+            mu,
+        )
+    bad = (branch != 1) & (branch != -1)
+    if bad is not False:
+        reject(bad, DomainError, "branch must be +1 or -1, got {}", branch)
+    bad = (branch == -1) & ((epsilon >= 0.0) | (mu >= 0.0))
+    if bad is not False:
+        reject(bad, DomainError, "branch=-1 is reserved for double-negative media (epsilon<0 and mu<0)")
+
+
+def phase_speed(epsilon, mu, branch, reject=reject):
+    """Signed phase speed branch / sqrt(|epsilon*mu|) (c = 1) of numbers or ndarrays."""
+    product = epsilon * mu
+    bad = (product * 0.0 != 0.0) | (product == 0.0)  # infinite, NaN or zero
+    if bad is not False:
+        reject(bad, DomainError, "epsilon*mu must be finite and nonzero, got {}", product)
+    sqrt = np.sqrt if isinstance(product, np.ndarray) else math.sqrt
+    return branch / sqrt(abs(product))
 
 
 @dataclass(frozen=True)
@@ -42,19 +83,7 @@ class MediumState:
         eps, mu = float(self.epsilon), float(self.mu)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "mu", mu)
-        if not (math.isfinite(eps) and math.isfinite(mu)):
-            raise DomainError(f"epsilon and mu must be finite, got ({eps}, {mu})")
-        if eps * mu <= 0.0:
-            raise DomainError(
-                f"epsilon*mu must be positive (both positive or both negative), "
-                f"got epsilon={eps}, mu={mu}"
-            )
-        if self.branch not in (+1, -1):
-            raise DomainError(f"branch must be +1 or -1, got {self.branch}")
-        if self.branch == -1 and not (eps < 0.0 and mu < 0.0):
-            raise DomainError(
-                "branch=-1 is reserved for double-negative media (epsilon<0 and mu<0)"
-            )
+        check_medium(eps, mu, self.branch)
 
     @property
     def wave_speed(self) -> float:
@@ -74,10 +103,7 @@ VACUUM = MediumState(1.0, 1.0)
 
 def wave_speed(m: MediumState) -> float:
     """Signed phase speed branch / sqrt(|epsilon*mu|) (c = 1)."""
-    product = m.epsilon * m.mu
-    if not math.isfinite(product) or product == 0.0:
-        raise DomainError(f"epsilon*mu must be finite and nonzero, got {product}")
-    return m.branch / math.sqrt(abs(product))
+    return phase_speed(m.epsilon, m.mu, m.branch)
 
 
 def impedance(m: MediumState) -> float:

@@ -12,6 +12,11 @@ Amplitude bookkeeping uses B = A * exp(-i*omega*t0), the instantaneous
 complex amplitude at the interface; reflection and transmission
 coefficients are the moduli ratios |B_r|/|B_i| and |B_t|/|B_i|.  Their
 sum is not 1: switching the medium exchanges energy with the wave.
+
+The closed-form algebra lives in :func:`scatter_kernel`, which takes
+numbers or numpy arrays; ``frequencies``, ``amplitude_factors``,
+``coefficients`` and the other formula functions are views of it, and
+:func:`scatter_grid` evaluates a whole grid of interfaces in one call.
 """
 
 from __future__ import annotations
@@ -27,15 +32,18 @@ from .errors import (
     ConsistencyError,
     DegenerateCaseError,
     DomainError,
+    GridChecks,
     NoSolutionError,
+    reject,
 )
-from .media import MediumState, TemporalProfile, wave_speed
+from .media import MediumState, TemporalProfile, phase_speed, wave_speed
 from .waves import PlaneWave, evaluate_E, magnetic_from_electric
 
 __all__ = [
     "FrequencyConvention",
     "DEFAULT_CONVENTION",
     "ScatteringResult",
+    "scatter_kernel",
     "frequencies",
     "wave_vectors",
     "amplitudes",
@@ -43,10 +51,15 @@ __all__ = [
     "coefficients",
     "swapped_coefficients",
     "scatter_interface",
+    "scatter_grid",
     "boundary_residual",
 ]
 
 _SCALE_TOL = 1e-9  # |scale| = 1 consistency tolerance in wave_vectors
+_SCALE_MESSAGE = (
+    "{} wave-vector scale has modulus {!r}, expected 1 within "
+    f"{_SCALE_TOL}; frequencies inconsistent with speeds"
+)
 _DEGENERATE_RTOL = 1e-12
 _TRANSVERSALITY_RTOL = 1e-9
 
@@ -76,6 +89,100 @@ class FrequencyConvention:
 
 
 DEFAULT_CONVENTION = FrequencyConvention()
+_BACKWARD = FrequencyConvention(transmitted="backward")
+
+
+def scatter_kernel(
+    omega1,
+    eps_minus,
+    mu_minus,
+    branch_minus,
+    eps_plus,
+    mu_plus,
+    branch_plus,
+    conv: FrequencyConvention = DEFAULT_CONVENTION,
+    reject=reject,
+):
+    """Closed-form (omega2, omega3, r, t) of one temporal interface or a grid of them.
+
+    The one implementation of the interface algebra: |omega2| = |omega3| =
+    |v+/v-| * omega1 with v = branch / sqrt(eps*mu), signed by ``conv``,
+    and the amplitude factors r = B_r/B_i, t = B_t/B_i.  Under the
+    degenerate convention r = 0 and t = eps-/eps+ is the merged wave's
+    factor.  Python numbers give Python floats; ndarrays broadcast.  A
+    failed check goes to ``reject``, which raises at once (for arrays, at
+    the first failing point) unless it is a GridChecks' (see scatter_grid).
+    """
+    v_minus = phase_speed(eps_minus, mu_minus, branch_minus, reject)
+    v_plus = phase_speed(eps_plus, mu_plus, branch_plus, reject)
+    omega2, omega3 = _frequencies(omega1, v_minus, v_plus, conv, reject)
+    _scales(omega1, omega2, omega3, v_minus, v_plus, reject)
+    if conv.reflected == "positive":  # degenerate: omega2 = omega3
+        t = _merged_factor(omega1, omega2, eps_minus, eps_plus, reject)
+        return omega2, omega3, 0.0 * t, t
+    r, t = _factors(omega1, omega2, omega3, eps_minus, eps_plus, reject)
+    return omega2, omega3, r, t
+
+
+def _frequencies(omega1, v_minus, v_plus, conv, reject):
+    bad = (omega1 <= 0.0) | (omega1 * 0.0 != 0.0)  # not positive, or not finite
+    if bad is not False:
+        reject(bad, DomainError, "omega1 must be positive, got {}", omega1)
+    bad = (v_minus == 0.0) | (v_plus == 0.0)
+    if bad is not False:
+        reject(bad, DomainError, "phase speeds must be nonzero")
+    mag = abs(v_plus / v_minus) * omega1
+    omega3 = mag if conv.transmitted == "forward" else -mag
+    omega2 = -omega3 if conv.reflected == "negative" else omega3
+    return omega2, omega3
+
+
+def _scales(omega1, omega2, omega3, v_minus, v_plus, reject):
+    """Wave-vector scale factors k_r/k_i and k_t/k_i; only their signs are free."""
+    speed_ratio = v_plus / v_minus
+    scale_t = (omega1 / omega3) * speed_ratio
+    scale_r = (omega1 / omega2) * speed_ratio
+    bad = abs(abs(scale_t) - 1.0) > _SCALE_TOL
+    if bad is not False:
+        reject(bad, ConsistencyError, _SCALE_MESSAGE, "transmitted", abs(scale_t))
+    bad = abs(abs(scale_r) - 1.0) > _SCALE_TOL
+    if bad is not False:
+        reject(bad, ConsistencyError, _SCALE_MESSAGE, "reflected", abs(scale_r))
+    return scale_r, scale_t
+
+
+def _factors(omega1, omega2, omega3, eps_minus, eps_plus, reject):
+    bad = eps_plus == 0.0
+    if bad is not False:
+        reject(bad, DomainError, "eps_plus must be nonzero")
+    bad = abs(omega2 - omega3) <= _DEGENERATE_RTOL * 0.5 * (abs(omega2) + abs(omega3))
+    if bad is not False:
+        reject(
+            bad,
+            DegenerateCaseError,
+            "omega2 = omega3 = {}: amplitude split is not unique; use degenerate_amplitude",
+            omega2,
+        )
+    eps_ratio = eps_minus / eps_plus
+    q2 = omega1 / omega2
+    q3 = omega1 / omega3
+    denom = q2 - q3
+    return (1.0 - q3 * eps_ratio) / denom, (q2 * eps_ratio - 1.0) / denom
+
+
+def _merged_factor(omega1, omega2, eps_minus, eps_plus, reject):
+    lhs = eps_minus * omega1
+    rhs = eps_plus * omega2
+    gap = abs(lhs - rhs)
+    reject(
+        (gap > 1e-12 * abs(lhs)) & (gap > 1e-12 * abs(rhs)),
+        NoSolutionError,
+        "compatibility eps_minus*omega1 = eps_plus*omega2 violated ({} != {}); "
+        "the matching system has no solution",
+        lhs,
+        rhs,
+    )
+    return eps_minus / eps_plus
 
 
 def frequencies(
@@ -89,14 +196,7 @@ def frequencies(
     |omega3| = |omega2| = |v_plus / v_minus| * omega1; the signs follow the
     convention.  The default yields omega3 > 0, omega2 = -omega3.
     """
-    if not (omega1 > 0.0 and math.isfinite(omega1)):
-        raise DomainError(f"omega1 must be positive, got {omega1}")
-    if v_minus == 0.0 or v_plus == 0.0:
-        raise DomainError("phase speeds must be nonzero")
-    mag = abs(v_plus / v_minus) * omega1
-    omega3 = mag if conv.transmitted == "forward" else -mag
-    omega2 = -omega3 if conv.reflected == "negative" else omega3
-    return omega2, omega3
+    return _frequencies(omega1, v_minus, v_plus, conv, reject)
 
 
 def wave_vectors(
@@ -114,17 +214,8 @@ def wave_vectors(
     speed ratio), leaving only a sign.
     """
     k_i = np.asarray(k_i, dtype=np.float64)
-    scale_t = (omega1 / omega3) * (v_plus / v_minus)
-    scale_r = (omega1 / omega2) * (v_plus / v_minus)
-    for name, scale in (("transmitted", scale_t), ("reflected", scale_r)):
-        if abs(abs(scale) - 1.0) > _SCALE_TOL:
-            raise ConsistencyError(
-                f"{name} wave-vector scale has modulus {abs(scale)!r}, expected 1 "
-                f"within {_SCALE_TOL}; frequencies inconsistent with speeds"
-            )
-    k_t = math.copysign(1.0, scale_t) * k_i
-    k_r = math.copysign(1.0, scale_r) * k_i
-    return k_r, k_t
+    scale_r, scale_t = _scales(omega1, omega2, omega3, v_minus, v_plus, reject)
+    return math.copysign(1.0, scale_r) * k_i, math.copysign(1.0, scale_t) * k_i
 
 
 def amplitudes(
@@ -159,20 +250,7 @@ def amplitude_factors(
     eps_plus: float,
 ) -> tuple[float, float]:
     """Scalar multipliers (B_r/B_i, B_t/B_i) of the amplitude formulas."""
-    if eps_plus == 0.0:
-        raise DomainError("eps_plus must be nonzero")
-    if abs(omega2 - omega3) <= _DEGENERATE_RTOL * 0.5 * (abs(omega2) + abs(omega3)):
-        raise DegenerateCaseError(
-            f"omega2 = omega3 = {omega2}: amplitude split is not unique; "
-            "use degenerate_amplitude"
-        )
-    eps_ratio = eps_minus / eps_plus
-    q2 = omega1 / omega2
-    q3 = omega1 / omega3
-    denom = q2 - q3
-    r_factor = (1.0 - q3 * eps_ratio) / denom
-    t_factor = (q2 * eps_ratio - 1.0) / denom
-    return r_factor, t_factor
+    return _factors(omega1, omega2, omega3, eps_minus, eps_plus, reject)
 
 
 def degenerate_amplitude(
@@ -189,16 +267,16 @@ def degenerate_amplitude(
     merge into one with combined amplitude (eps_minus/eps_plus) * B_i, and
     the split into transmitted and reflected parts is not unique.
     """
-    lhs = eps_minus * omega1
-    rhs = eps_plus * omega2
-    scale = max(abs(lhs), abs(rhs))
-    if abs(lhs - rhs) > 1e-12 * scale:
-        raise NoSolutionError(
-            f"compatibility eps_minus*omega1 = eps_plus*omega2 violated "
-            f"({lhs} != {rhs}); the matching system has no solution"
-        )
-    B_i = np.asarray(B_i, dtype=np.complex128)
-    return (eps_minus / eps_plus) * B_i
+    factor = _merged_factor(omega1, omega2, eps_minus, eps_plus, reject)
+    return factor * np.asarray(B_i, dtype=np.complex128)
+
+
+def _media_kernel(
+    before: MediumState, after: MediumState, conv: FrequencyConvention = DEFAULT_CONVENTION
+):
+    return scatter_kernel(
+        1.0, before.epsilon, before.mu, before.branch, after.epsilon, after.mu, after.branch, conv
+    )
 
 
 def coefficients(before: MediumState, after: MediumState) -> tuple[float, float, float]:
@@ -207,27 +285,23 @@ def coefficients(before: MediumState, after: MediumState) -> tuple[float, float,
         R = 1/2 |e-/e+ - sqrt(e- mu-) / sqrt(e+ mu+)|
         T = 1/2 (e-/e+ + sqrt(e- mu-) / sqrt(e+ mu+))
 
-    The sum obeys the impedance-ordered identity: e-/e+ when Z1 < Z2,
+    These are |r| and the signed t of :func:`scatter_kernel`.  The sum
+    obeys the impedance-ordered identity: e-/e+ when Z1 < Z2,
     sqrt(e- mu- / (e+ mu+)) when Z1 > Z2 (both when Z1 = Z2, where R = 0).
     """
-    eps_ratio = before.epsilon / after.epsilon
-    index_ratio = math.sqrt(before.epsilon * before.mu) / math.sqrt(after.epsilon * after.mu)
-    R = 0.5 * abs(eps_ratio - index_ratio)
-    T = 0.5 * (eps_ratio + index_ratio)
-    return R, T, R + T
+    _, _, r, t = _media_kernel(before, after)
+    R = abs(r)
+    return R, t, R + t
 
 
 def swapped_coefficients(before: MediumState, after: MediumState) -> tuple[float, float]:
     """(R, T) for the backward-transmitted branch (omega3 < 0, omega2 = -omega3).
 
     The two coefficient formulas exchange roles relative to the default
-    branch.
+    branch: R is the signed r and T = |t| of :func:`scatter_kernel`.
     """
-    eps_ratio = before.epsilon / after.epsilon
-    index_ratio = math.sqrt(before.epsilon * before.mu) / math.sqrt(after.epsilon * after.mu)
-    R = 0.5 * (eps_ratio + index_ratio)
-    T = 0.5 * abs(eps_ratio - index_ratio)
-    return R, T
+    _, _, r, t = _media_kernel(before, after, _BACKWARD)
+    return r, abs(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,6 +348,14 @@ class ScatteringResult:
         return self._b_amplitude(self.transmitted)
 
 
+def _check_transversal(amplitude, k, reject):
+    reject(
+        bool(abs(np.dot(amplitude, k)) > _TRANSVERSALITY_RTOL * float(np.linalg.norm(amplitude))),
+        DomainError,
+        "incident wave is not transversal (A.k != 0)",
+    )
+
+
 def scatter_interface(
     incident: PlaneWave,
     profile: TemporalProfile,
@@ -296,17 +378,17 @@ def scatter_interface(
             f"incident wave speed {incident.v} does not match the before medium "
             f"({v_minus})"
         )
-    amp_norm = float(np.linalg.norm(incident.amplitude))
-    if abs(np.dot(incident.amplitude, incident.k)) > _TRANSVERSALITY_RTOL * amp_norm:
-        raise DomainError("incident wave is not transversal (A.k != 0)")
+    _check_transversal(incident.amplitude, incident.k, reject)
 
     omega1 = incident.omega
-    omega2, omega3 = frequencies(omega1, v_minus, v_plus, conv)
+    omega2, omega3, r, t = scatter_kernel(
+        omega1, before.epsilon, before.mu, before.branch, after.epsilon, after.mu, after.branch, conv
+    )
     k_r, k_t = wave_vectors(incident.k, omega1, omega2, omega3, v_minus, v_plus)
     B_i = incident.amplitude * cmath.exp(-1j * omega1 * t0)
 
     if conv.is_degenerate:
-        combined = degenerate_amplitude(B_i, omega1, omega2, before.epsilon, after.epsilon)
+        combined = t * B_i
         A_t = combined * cmath.exp(1j * omega3 * t0)
         transmitted = PlaneWave(A_t, omega3, k_t, v_plus)
         T = float(np.linalg.norm(combined) / np.linalg.norm(B_i))
@@ -325,7 +407,7 @@ def scatter_interface(
             t0=t0,
         )
 
-    B_r, B_t = amplitudes(B_i, omega1, omega2, omega3, before.epsilon, after.epsilon)
+    B_r, B_t = r * B_i, t * B_i
     norm_i = float(np.linalg.norm(B_i))
     R = float(np.linalg.norm(B_r) / norm_i)
     T = float(np.linalg.norm(B_t) / norm_i)
@@ -349,6 +431,42 @@ def scatter_interface(
         after=after,
         t0=t0,
     )
+
+
+def scatter_grid(
+    omega1,
+    amplitude,
+    k,
+    before: tuple,
+    after: tuple,
+    conv: FrequencyConvention = DEFAULT_CONVENTION,
+    checks: Optional[GridChecks] = None,
+):
+    """(omega2, omega3, R, T) of :func:`scatter_interface` over a grid of step interfaces.
+
+    ``before`` and ``after`` are (epsilon, mu, branch) triples whose entries
+    and ``omega1`` broadcast together; ``amplitude`` and ``k`` are the
+    incident wave's.  R = |r| and T = |t|.  Each point gets
+    scatter_interface's checks in its order, after those already in
+    ``checks``; the first failing point raises scatter_interface's error,
+    and a point whose r or t overflows raises DomainError, as its wave would.
+    """
+    checks = GridChecks() if checks is None else checks
+    # Arrays throughout: a point that fails a check is still computed.
+    omega1 = np.asarray(omega1)
+    before = tuple(np.asarray(x) for x in before)
+    after = tuple(np.asarray(x) for x in after)
+    with np.errstate(all="ignore"):
+        # scatter_interface checks both speeds before the incident wave; the
+        # kernel checks them again, too late for that order.
+        phase_speed(*before, checks.reject)
+        phase_speed(*after, checks.reject)
+        _check_transversal(np.asarray(amplitude), np.asarray(k), checks.reject)
+        omega2, omega3, r, t = scatter_kernel(omega1, *before, *after, conv, checks.reject)
+        R, T = abs(r), abs(t)
+        checks.reject(~(R + T < np.inf), DomainError, "amplitude must be finite")
+    checks.raise_first()
+    return omega2, omega3, R, T
 
 
 def boundary_residual(result: ScatteringResult, x_samples) -> tuple[float, float]:

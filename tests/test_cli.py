@@ -1,12 +1,24 @@
 """Config parsing, command execution, serialization, and exit codes."""
 
 import csv
+import dataclasses
 import io
+import itertools
 import json
 
+import numpy as np
 import pytest
 
-from timescatter import ConfigError
+from timescatter import (
+    ConfigError,
+    DomainError,
+    FrequencyConvention,
+    MediumState,
+    NoSolutionError,
+    PlaneWave,
+    TemporalProfile,
+    scatter_interface,
+)
 from timescatter.cli import (
     OUTPUT_DIR_ENV,
     execute,
@@ -359,3 +371,197 @@ class TestMain:
         cfg = self.write_config(tmp_path, make_config(output={"path": "result.json"}))
         assert main([cfg]) == 0
         assert (outdir / "result.json").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+VERIFY_TERMS = [{"amplitude": [1.0], "omega": 1.0}, {"amplitude": [-1.0], "omega": 2.0}]
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "config, path",
+        [
+            (make_config(command="oracle", oracle={"tau": NAN}), "config.oracle.tau"),
+            (make_config(command="oracle", oracle={"tol": NAN}), "config.oracle.tol"),
+            (make_config(command="oracle", oracle={"tol": INF}), "config.oracle.tol"),
+            (make_config(t0=NAN), "config.t0"),
+            (json.dumps({"command": "verify", "verify": {"terms": VERIFY_TERMS, "tol": NAN}}), "config.verify.tol"),
+            (
+                make_config(command="sweep", sweep={"axes": [{"path": "after.epsilon", "values": [1.0, NAN]}]}),
+                "config.sweep.axes[0].values",
+            ),
+            (
+                make_config(incident={"amplitude": [0, INF, 0], "omega1": 1.0, "k": [1, 0, 0]}),
+                "config.incident.amplitude[1]",
+            ),
+        ],
+        ids=[
+            "oracle.tau-nan",
+            "oracle.tol-nan",
+            "oracle.tol-inf",
+            "t0-nan",
+            "verify.tol-nan",
+            "sweep-axis-nan",
+            "amplitude-inf",
+        ],
+    )
+    def test_rejected_with_exit_2(self, tmp_path, capsys, config, path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config, encoding="utf-8")
+        assert main([str(config_path)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith(f"{path}: expected a finite number")
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(ConfigError, match="config.t0: expected a finite number"):
+            parse_config(make_config(t0=10**400))
+
+
+def sweep_config(axes, **overrides):
+    return make_config(command="sweep", sweep={"axes": axes}, **overrides)
+
+
+def per_point_rows(config):
+    """The sweep computed point by point through scatter_interface."""
+    paths = [axis["path"] for axis in config.sweep_axes]
+    rows = []
+    for values in itertools.product(*(axis["values"] for axis in config.sweep_axes)):
+        assignment = dict(zip(paths, values))
+        media = {"before": config.before, "after": config.after}
+        omega1 = config.incident.omega1
+        for path, value in assignment.items():
+            owner, attr = path.split(".")
+            if owner == "incident":
+                omega1 = value
+            else:
+                media[owner] = dataclasses.replace(media[owner], **{attr: value})
+        incident = dataclasses.replace(config.incident, omega1=omega1)
+        profile = TemporalProfile.step(media["before"], media["after"], config.t0)
+        result = scatter_interface(incident.plane_wave(media["before"]), profile, config.convention)
+        rows.append(
+            {
+                **assignment,
+                "omega2": result.omega2,
+                "omega3": result.omega3,
+                "R": result.R,
+                "T": result.T,
+                "energy_sum": result.energy_sum,
+                "index": len(rows),
+            }
+        )
+    return rows
+
+
+def assert_rows_match(rows, expected):
+    """Same keys in the same order; R, T and energy_sum within 4 ulp, the rest exact."""
+    assert [list(row) for row in rows] == [list(row) for row in expected]
+    tol = 4 * np.finfo(float).eps
+    for row, ref in zip(rows, expected):
+        for key in row:
+            if key in ("R", "T", "energy_sum"):
+                assert abs(row[key] - ref[key]) <= tol * abs(ref[key])
+            else:
+                assert row[key] == ref[key]
+
+
+def run_main(tmp_path, config_text):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config_text, encoding="utf-8")
+    return main([str(config_path), "--no-timestamp"])
+
+
+LOG_AXES = [
+    {"path": "after.epsilon", "start": 0.1, "stop": 30.0, "num": 23, "spacing": "log"},
+    {"path": "after.mu", "start": 0.1, "stop": 30.0, "num": 11, "spacing": "log"},
+]
+
+
+class TestSweepGrid:
+    @pytest.mark.parametrize(
+        "config_text",
+        [
+            sweep_config(LOG_AXES),
+            sweep_config(LOG_AXES, convention={"transmitted": "backward"}),
+            sweep_config(
+                [
+                    {"path": "after.epsilon", "values": [-0.2, -1.0, -3.5, -12.0]},
+                    {"path": "after.mu", "values": [-0.3, -2.0, -7.0]},
+                ],
+                media={"before": {"epsilon": 2.0, "mu": 1.5}, "after": {"epsilon": -1, "mu": -1, "branch": -1}},
+            ),
+            sweep_config(
+                [
+                    {"path": "before.epsilon", "start": 0.2, "stop": 9.0, "num": 13, "spacing": "log"},
+                    {"path": "incident.omega1", "start": 0.1, "stop": 10.0, "num": 7, "spacing": "log"},
+                ],
+                t0=0.4,
+                incident={"amplitude": [[0, 0], [0.3, 0.4], [1, -2]], "omega1": 1.0, "k": [1, 0, 0]},
+            ),
+        ],
+        ids=["forward", "backward", "double-negative", "before.epsilon-x-omega1"],
+    )
+    def test_rows_match_per_point_solves(self, config_text):
+        config = parse_config(config_text)
+        assert_rows_match(execute(config)["rows"], per_point_rows(config))
+
+    def test_output_byte_identical_between_runs(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(sweep_config(LOG_AXES), encoding="utf-8")
+        outputs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for out in outputs:
+            assert main([str(config_path), "--out", str(out), "--no-timestamp"]) == 0
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+    def test_repeated_axis_path_last_wins(self):
+        config = parse_config(
+            sweep_config(
+                [
+                    {"path": "after.epsilon", "values": [1.0, 2.0]},
+                    {"path": "after.mu", "values": [3.0]},
+                    {"path": "after.epsilon", "values": [4.0, 9.0]},
+                ]
+            )
+        )
+        payload = execute(config)
+        columns = ["index", "after.epsilon", "after.mu", "after.epsilon", "omega2", "omega3", "R", "T", "energy_sum"]
+        assert payload["columns"] == columns
+        rows = payload["rows"]
+        assert [row["after.epsilon"] for row in rows] == [4.0, 9.0, 4.0, 9.0]
+        assert list(rows[0]) == ["after.epsilon", "after.mu", "omega2", "omega3", "R", "T", "energy_sum", "index"]
+        assert_rows_match(rows, per_point_rows(config))
+
+    def expect_error(self, tmp_path, capsys, config_text, code, error_type, message):
+        assert run_main(tmp_path, config_text) == code
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["type"], error["message"]) == (error_type, message)
+
+    def test_after_epsilon_crossing_zero(self, tmp_path, capsys):
+        axes = [{"path": "after.epsilon", "start": 2.0, "stop": -2.0, "num": 9}]
+        with pytest.raises(DomainError) as point:
+            MediumState(0.0, 1.0)
+        self.expect_error(tmp_path, capsys, sweep_config(axes), 3, "DomainError", str(point.value))
+
+    def test_positive_reflected_convention_fails_at_first_bad_point(self, tmp_path, capsys):
+        # Point 0 meets the compatibility condition, point 1 does not and
+        # point 2 is not a valid medium: point 1 decides the error.
+        media = {"before": {"epsilon": 1, "mu": 1}, "after": {"epsilon": 2, "mu": 2}}
+        conv = {"reflected": "positive"}
+        axes = [{"path": "after.epsilon", "values": [2.0, 4.0, -1.0]}]
+        wave = PlaneWave(np.array([0, 1, 0], dtype=complex), 1.0, np.array([1.0, 0, 0]), 1.0)
+        with pytest.raises(NoSolutionError) as point:
+            scatter_interface(
+                wave,
+                TemporalProfile.step(MediumState(1, 1), MediumState(4.0, 2.0)),
+                FrequencyConvention(reflected="positive"),
+            )
+        config_text = sweep_config(axes, media=media, convention=conv)
+        self.expect_error(tmp_path, capsys, config_text, 4, "NoSolutionError", str(point.value))
+
+    def test_non_transversal_incident(self, tmp_path, capsys):
+        incident = {"amplitude": [1, 1, 0], "omega1": 1.0, "k": [1, 0, 0]}
+        axes = [{"path": "after.epsilon", "values": [2.0, 4.0]}]
+        self.expect_error(
+            tmp_path, capsys, sweep_config(axes, incident=incident), 3,
+            "DomainError", "incident wave is not transversal (A.k != 0)",
+        )

@@ -7,9 +7,10 @@ import hypothesis as hyp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_max_ulp
 
 from timescatter import (
+    DEFAULT_CONVENTION,
     ConsistencyError,
     DegenerateCaseError,
     DomainError,
@@ -25,10 +26,12 @@ from timescatter import (
     frequencies,
     phase_vector,
     scatter_interface,
+    scatter_kernel,
     swapped_coefficients,
     transversality_residual,
     wave_vectors,
 )
+from timescatter.scatter import amplitude_factors
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -357,3 +360,54 @@ class TestBoundaryResidual:
         res_E, _ = boundary_residual(bad, self.samples)
         scale = float(np.linalg.norm(result.B_incident)) * result.after.epsilon
         assert res_E > 0.01 * scale
+
+
+class TestScatterKernel:
+    BACKWARD = FrequencyConvention(transmitted="backward")
+
+    def random_points(self, n=300, seed=31):
+        rng = np.random.default_rng(seed)
+        eps_m, mu_m, eps_p, mu_p = 10.0 ** rng.uniform(-1, 1, size=(4, n))
+        double_negative = rng.uniform(size=n) < 0.3
+        sign = np.where(double_negative, -1.0, 1.0)
+        branch_p = np.where(double_negative, -1, 1)
+        omega1 = 10.0 ** rng.uniform(-1, 1, size=n)
+        return omega1, eps_m, mu_m, 1, sign * eps_p, sign * mu_p, branch_p
+
+    @pytest.mark.parametrize("conv", [DEFAULT_CONVENTION, BACKWARD])
+    def test_array_call_matches_scalar_calls(self, conv):
+        args = self.random_points()
+        grid = scatter_kernel(*args, conv)
+        columns = np.broadcast_arrays(*args)
+        points = [
+            scatter_kernel(*(c[i].item() for c in columns), conv)
+            for i in range(len(args[0]))
+        ]
+        for k, values in enumerate(zip(*points)):
+            assert_array_max_ulp(grid[k], np.array(values), maxulp=1)
+
+    def test_scalar_calls_return_python_floats(self):
+        double_negative = MediumState(-1.0, -4.0, branch=-1)
+        outputs = [
+            *scatter_kernel(1.0, 1.0, 1.0, 1, -1.0, -4.0, -1),
+            *scatter_kernel(1.0, 1.0, 1.0, 1, 2.0, 2.0, 1, FrequencyConvention(reflected="positive")),
+            *frequencies(1.0, 1.0, 0.5),
+            *amplitude_factors(1.0, -0.5, 0.5, 1.0, 4.0),
+            *coefficients(VACUUM, double_negative),
+            *swapped_coefficients(VACUUM, double_negative),
+        ]
+        assert all(type(x) is float for x in outputs)
+
+    def test_signed_coefficients_for_mixed_sign_media(self):
+        double_negative = MediumState(-1.0, -4.0, branch=-1)
+        R, T, total = coefficients(VACUUM, double_negative)
+        assert (R, T, total) == (0.75, -0.25, 0.5)
+        assert swapped_coefficients(VACUUM, double_negative) == (-0.25, 0.75)
+
+    def test_array_call_raises_at_first_bad_point(self):
+        eps_p = np.array([4.0, 2.0, 0.0, -3.0])
+        with pytest.raises(DomainError) as grid_error:
+            scatter_kernel(1.0, 1.0, 1.0, 1, eps_p, 1.0, 1)
+        with pytest.raises(DomainError) as point_error:
+            scatter_kernel(1.0, 1.0, 1.0, 1, 0.0, 1.0, 1)
+        assert str(grid_error.value) == str(point_error.value)
