@@ -77,10 +77,10 @@ from .oracle import (
 from .cascade import (
     CascadeResult,
     FloquetResult,
-    InterfaceMatrix,
     TimelineSegment,
     cascade_scatter,
     floquet_exponent,
+    floquet_from_net,
     interface_matrix,
     propagate,
 )
@@ -107,7 +107,6 @@ __all__ = [
     "ExponentialSum",
     "FloquetResult",
     "FrequencyConvention",
-    "InterfaceMatrix",
     "MediumState",
     "ModeAmplitudes",
     "ModeState",
@@ -133,6 +132,7 @@ __all__ = [
     "degenerate_amplitude",
     "evaluate_E",
     "floquet_exponent",
+    "floquet_from_net",
     "frequencies",
     "impedance",
     "integrate",

@@ -3,9 +3,9 @@
 Each interface maps the instantaneous (forward, backward) mode amplitude
 pair just before the switch to the pair just after; free propagation
 between switches advances the phases.  Because every operation in scope
-preserves the polarization vector, the cascade works with 2x2 complex
-matrices acting on scalar amplitude pairs (E-field amplitudes relative
-to the incident wave); the polarization rides along unchanged.
+preserves the polarization vector, the cascade works with read-only
+(2, 2) complex arrays acting on scalar amplitude pairs (E-field amplitudes
+relative to the incident wave); the polarization rides along unchanged.
 
 Chaining one-period cells gives photonic-time-crystal diagnostics: the
 eigenvalues of the period matrix decide between phase evolution
@@ -27,7 +27,6 @@ from .scatter import scatter_kernel
 from .waves import PlaneWave
 
 __all__ = [
-    "InterfaceMatrix",
     "TimelineSegment",
     "CascadeTraceStep",
     "CascadeResult",
@@ -36,40 +35,10 @@ __all__ = [
     "propagate",
     "cascade_scatter",
     "floquet_exponent",
+    "floquet_from_net",
 ]
 
 _DEGENERACY_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class InterfaceMatrix:
-    """2x2 complex map of (forward, backward) amplitudes across one step.
-
-    Also used for the diagonal free-propagation factors, so products of
-    these matrices describe whole timelines.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.complex128)
-        if entries.shape != (2, 2):
-            raise DomainError(f"entries must be 2x2, got shape {entries.shape}")
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    def __matmul__(self, other):
-        if isinstance(other, InterfaceMatrix):
-            return InterfaceMatrix(self.entries @ other.entries)
-        return self.entries @ np.asarray(other)
-
-    def apply(self, forward: complex, backward: complex) -> tuple[complex, complex]:
-        out = self.entries @ np.array([forward, backward])
-        return complex(out[0]), complex(out[1])
-
-    @classmethod
-    def identity(cls) -> "InterfaceMatrix":
-        return cls(np.eye(2, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -85,7 +54,12 @@ class TimelineSegment:
             raise DomainError(f"duration must be finite and >= 0, got {self.duration}")
 
 
-def interface_matrix(before: MediumState, after: MediumState) -> InterfaceMatrix:
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.setflags(write=False)
+    return matrix
+
+
+def interface_matrix(before: MediumState, after: MediumState) -> np.ndarray:
     """Amplitude transfer matrix of one temporal interface (default convention).
 
     The first column is the (transmitted, reflected) scalar pair for
@@ -96,7 +70,7 @@ def interface_matrix(before: MediumState, after: MediumState) -> InterfaceMatrix
     return _interface_step(before, after)[0]
 
 
-def _interface_step(before: MediumState, after: MediumState) -> tuple[InterfaceMatrix, float]:
+def _interface_step(before: MediumState, after: MediumState) -> tuple[np.ndarray, float]:
     """interface_matrix and the frequency factor |v+/v-| of the switch, from one kernel call."""
     try:
         _, factor, r, t = scatter_kernel(
@@ -104,20 +78,16 @@ def _interface_step(before: MediumState, after: MediumState) -> tuple[InterfaceM
         )
     except DegenerateCaseError as exc:
         raise DegenerateCaseError(f"no unique interface matrix: {exc}") from exc
-    return InterfaceMatrix(np.array([[t, r], [r, t]], dtype=np.complex128)), factor
+    return _read_only(np.array([[t, r], [r, t]], dtype=np.complex128)), factor
 
 
-def propagate(omega: float, duration: float) -> InterfaceMatrix:
+def propagate(omega: float, duration: float) -> np.ndarray:
     """Free-propagation phases diag(exp(-i|w|d), exp(+i|w|d))."""
     if duration < 0.0:
         raise DomainError(f"duration must be >= 0, got {duration}")
     phase = abs(omega) * duration
-    return InterfaceMatrix(
-        np.array(
-            [[cmath.exp(-1j * phase), 0.0], [0.0, cmath.exp(1j * phase)]],
-            dtype=np.complex128,
-        )
-    )
+    diagonal = [[cmath.exp(-1j * phase), 0.0], [0.0, cmath.exp(1j * phase)]]
+    return _read_only(np.array(diagonal, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -138,7 +108,33 @@ class CascadeResult:
     amplitudes: ModeAmplitudes
     omega_final: float
     trace: tuple
-    net_matrix: InterfaceMatrix
+    net_matrix: np.ndarray
+
+
+def _timeline_product(segments, omega: float, trace=None) -> tuple[np.ndarray, float]:
+    """Product of a timeline's dwell and interface matrices, and the final frequency.
+
+    ``omega`` drives the phases and is rescaled by |v_next/v_prev| at each
+    interface.  A ``trace`` list gets each event's CascadeTraceStep, for
+    amplitudes starting at (1, 0).
+    """
+    net = np.eye(2, dtype=np.complex128)
+    amps = np.array([1.0, 0.0], dtype=np.complex128)
+    for j, segment in enumerate(segments):
+        events = [("propagate", propagate(omega, segment.duration), omega)]
+        if j + 1 < len(segments):
+            try:
+                step, factor = _interface_step(segment.medium, segments[j + 1].medium)
+            except DegenerateCaseError as exc:
+                raise DegenerateCaseError(f"interface {j} is degenerate: {exc}") from exc
+            omega *= factor
+            events.append(("interface", step, omega))
+        for kind, step, at in events:
+            net = step @ net
+            if trace is not None:
+                amps = step @ amps
+                trace.append(CascadeTraceStep(kind, j, at, complex(amps[0]), complex(amps[1])))
+    return _read_only(net), omega
 
 
 def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
@@ -162,29 +158,10 @@ def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
     if incident.omega <= 0.0:
         raise DomainError("incident frequency must be positive")
 
-    omega = incident.omega
-    fwd, bwd = 1.0 + 0.0j, 0.0j
-    net = InterfaceMatrix.identity()
     trace = []
-
-    for j, segment in enumerate(segments):
-        step = propagate(omega, segment.duration)
-        fwd, bwd = step.apply(fwd, bwd)
-        net = step @ net
-        trace.append(CascadeTraceStep("propagate", j, omega, fwd, bwd))
-        if j + 1 < len(segments):
-            here, there = segment.medium, segments[j + 1].medium
-            try:
-                step, factor = _interface_step(here, there)
-            except DegenerateCaseError as exc:
-                raise DegenerateCaseError(f"interface {j} is degenerate: {exc}") from exc
-            fwd, bwd = step.apply(fwd, bwd)
-            net = step @ net
-            omega *= factor
-            trace.append(CascadeTraceStep("interface", j, omega, fwd, bwd))
-
+    net, omega = _timeline_product(segments, incident.omega, trace)
     polarization = incident.amplitude / np.linalg.norm(incident.amplitude)
-    amps = ModeAmplitudes(fwd, bwd, polarization)
+    amps = ModeAmplitudes(trace[-1].forward, trace[-1].backward, polarization)
     return CascadeResult(
         amplitudes=amps, omega_final=omega, trace=tuple(trace), net_matrix=net
     )
@@ -198,11 +175,27 @@ class FloquetResult:
     eigenvalues: tuple
     half_trace: complex
     momentum_gap: bool
-    period_matrix: InterfaceMatrix
+    period_matrix: np.ndarray
     period: float
 
 
-def one_period_matrix(cell, omega_in: float) -> tuple[InterfaceMatrix, float]:
+def _cell_period(segments) -> float:
+    if not segments:
+        raise DomainError("cell must contain at least one segment")
+    period = sum(s.duration for s in segments)
+    if period <= 0.0:
+        raise DomainError("cell total duration must be positive")
+    return period
+
+
+def _closed(segments, net: np.ndarray) -> np.ndarray:
+    """``net`` followed by the interface from the last segment's medium back to the first's."""
+    if segments[-1].medium == segments[0].medium:
+        return net
+    return _read_only(interface_matrix(segments[-1].medium, segments[0].medium) @ net)
+
+
+def one_period_matrix(cell, omega_in: float) -> tuple[np.ndarray, float]:
     """Transfer matrix over one period of a cell, wrapping back to its start.
 
     The cell is a sequence of :class:`TimelineSegment`; after the last
@@ -210,23 +203,11 @@ def one_period_matrix(cell, omega_in: float) -> tuple[InterfaceMatrix, float]:
     period, so the matrix can be iterated.
     """
     segments = list(cell)
-    if not segments:
-        raise DomainError("cell must contain at least one segment")
-    period = sum(s.duration for s in segments)
-    if period <= 0.0:
-        raise DomainError("cell total duration must be positive")
+    period = _cell_period(segments)
     omega = abs(float(omega_in))
     if omega == 0.0:
         raise DomainError("omega_in must be nonzero")
-    net = InterfaceMatrix.identity()
-    for j, segment in enumerate(segments):
-        net = propagate(omega, segment.duration) @ net
-        nxt = segments[(j + 1) % len(segments)].medium
-        if j + 1 < len(segments) or nxt != segment.medium:
-            step, factor = _interface_step(segment.medium, nxt)
-            net = step @ net
-            omega *= factor
-    return net, period
+    return _closed(segments, _timeline_product(segments, omega)[0]), period
 
 
 def floquet_exponent(cell, omega_in: float) -> FloquetResult:
@@ -237,23 +218,36 @@ def floquet_exponent(cell, omega_in: float) -> FloquetResult:
     defective matrix within tolerance triggers
     :class:`NumericalDegeneracyWarning`.
     """
-    matrix, period = one_period_matrix(cell, omega_in)
-    entries = matrix.entries
-    tr = complex(entries[0, 0] + entries[1, 1])
-    det = complex(entries[0, 0] * entries[1, 1] - entries[0, 1] * entries[1, 0])
+    return _floquet(*one_period_matrix(cell, omega_in))
+
+
+def floquet_from_net(cell, net_matrix: np.ndarray) -> FloquetResult:
+    """floquet_exponent(cell, omega) from the net_matrix of cascade_scatter(cell) at omega.
+
+    That product lacks only the closing interface, so it is not rebuilt.
+    """
+    segments = list(cell)
+    period = _cell_period(segments)
+    return _floquet(_closed(segments, net_matrix), period)
+
+
+def _floquet(matrix: np.ndarray, period: float) -> FloquetResult:
+    """The eigen-step shared by floquet_exponent and floquet_from_net."""
+    tr = complex(matrix[0, 0] + matrix[1, 1])
+    det = complex(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
     disc_sq = tr * tr - 4.0 * det
     disc = cmath.sqrt(disc_sq)
     lam1 = 0.5 * (tr + disc)
     lam2 = 0.5 * (tr - disc)
     scale = max(abs(tr), abs(det), 1.0)
     if abs(disc_sq) <= _DEGENERACY_TOL * scale**2 and np.linalg.norm(
-        entries - 0.5 * tr * np.eye(2)
+        matrix - 0.5 * tr * np.eye(2)
     ) > _DEGENERACY_TOL * scale:
         warnings.warn(
             "one-period matrix is defective within tolerance; "
             "Floquet exponents may be inaccurate",
             NumericalDegeneracyWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     exponents = (cmath.log(lam1), cmath.log(lam2))
     return FloquetResult(

@@ -31,7 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cascade import TimelineSegment, cascade_scatter, floquet_exponent
+# floquet_exponent is not called here; bench/tracing.py wraps it under this module's name.
+from .cascade import TimelineSegment, cascade_scatter, floquet_exponent, floquet_from_net  # noqa: F401
 from .errors import (
     ConfigError,
     DegenerateCaseError,
@@ -457,28 +458,26 @@ def _sweep_rows(config: RunConfig) -> list:
     """One row per grid point, in row-major order, from one array evaluation.
 
     A repeated axis path keeps its first place and its last axis's values.
-    Media are checked after each axis, as replacing one field at a time would.
+    Each point's before and after media are checked once all axes are set.
     """
     names = [axis["path"] for axis in config.sweep_axes]
     grids = np.meshgrid(*(axis["values"] for axis in config.sweep_axes), indexing="ij")
     assignment = dict(zip(names, grids))
-    media = {"before": asdict(config.before), "after": asdict(config.after)}
-    omega1 = config.incident.omega1
-    checks = GridChecks()
+    fields = {"before": asdict(config.before), "after": asdict(config.after)}
+    fields["incident"] = {"omega1": config.incident.omega1}
     for path, grid in assignment.items():
         owner, attr = path.split(".")
-        if owner == "incident":
-            omega1 = grid
-        else:
-            media[owner][attr] = grid
-            with np.errstate(all="ignore"):
-                check_medium(**media[owner], reject=checks.reject)
+        fields[owner][attr] = grid
+    checks = GridChecks()
+    with np.errstate(all="ignore"):
+        check_medium(**fields["before"], reject=checks.reject)
+        check_medium(**fields["after"], reject=checks.reject)
     omega2, omega3, R, T = scatter_grid(
-        omega1,
+        fields["incident"]["omega1"],
         config.incident.amplitude,
         config.incident.k,
-        tuple(media["before"].values()),
-        tuple(media["after"].values()),
+        tuple(fields["before"].values()),
+        tuple(fields["after"].values()),
         config.convention,
         checks,
     )
@@ -545,7 +544,7 @@ def execute(config: RunConfig) -> dict:
             "forward_modulus": abs(result.amplitudes.forward),
             "backward_modulus": abs(result.amplitudes.backward),
             "omega_final": result.omega_final,
-            "net_matrix": [_vector_json(row) for row in result.net_matrix.entries],
+            "net_matrix": [_vector_json(row) for row in result.net_matrix],
         }
         payload["trace"] = {
             "columns": ["step", "kind", "index", "omega", "forward_re", "forward_im", "backward_re", "backward_im"],
@@ -564,7 +563,7 @@ def execute(config: RunConfig) -> dict:
             ],
         }
         if config.floquet:
-            fl = floquet_exponent(config.timeline, config.incident.omega1)
+            fl = floquet_from_net(config.timeline, result.net_matrix)
             payload["floquet"] = {
                 "exponents": [_complex_json(e) for e in fl.exponents],
                 "eigenvalues": [_complex_json(e) for e in fl.eigenvalues],

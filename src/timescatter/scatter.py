@@ -140,8 +140,11 @@ def _frequencies(omega1, v_minus, v_plus, conv, reject):
 def _scales(omega1, omega2, omega3, v_minus, v_plus, reject):
     """Wave-vector scale factors k_r/k_i and k_t/k_i; only their signs are free."""
     speed_ratio = v_plus / v_minus
-    scale_t = (omega1 / omega3) * speed_ratio
-    scale_r = (omega1 / omega2) * speed_ratio
+    try:
+        scale_t = (omega1 / omega3) * speed_ratio
+        scale_r = (omega1 / omega2) * speed_ratio
+    except ZeroDivisionError:  # a float frequency underflowed to 0; arrays give inf
+        scale_t = scale_r = math.inf
     bad = abs(abs(scale_t) - 1.0) > _SCALE_TOL
     if bad is not False:
         reject(bad, ConsistencyError, _SCALE_MESSAGE, "transmitted", abs(scale_t))
@@ -313,8 +316,8 @@ class ScatteringResult:
     degenerate convention (omega2 = omega3) the non-unique combined wave is
     stored under ``transmitted`` and ``degenerate`` is set.
 
-    R and T are |B_r|/|B_i| and |B_t|/|B_i| with B = A*exp(-i*omega*t0)
-    taken from the stored waves.
+    R and T are |B_r|/|B_i| and |B_t|/|B_i| with B = A*exp(-i*omega*t0),
+    computed as |r| and |t| of :func:`scatter_kernel`.
     """
 
     incident: PlaneWave
@@ -384,6 +387,8 @@ def scatter_interface(
     omega2, omega3, r, t = scatter_kernel(
         omega1, before.epsilon, before.mu, before.branch, after.epsilon, after.mu, after.branch, conv
     )
+    R, T = abs(r), abs(t)
+    reject(not (R + T < math.inf), DomainError, "amplitude must be finite")
     k_r, k_t = wave_vectors(incident.k, omega1, omega2, omega3, v_minus, v_plus)
     B_i = incident.amplitude * cmath.exp(-1j * omega1 * t0)
 
@@ -391,7 +396,6 @@ def scatter_interface(
         combined = t * B_i
         A_t = combined * cmath.exp(1j * omega3 * t0)
         transmitted = PlaneWave(A_t, omega3, k_t, v_plus)
-        T = float(np.linalg.norm(combined) / np.linalg.norm(B_i))
         return ScatteringResult(
             incident=incident,
             reflected=None,
@@ -408,9 +412,6 @@ def scatter_interface(
         )
 
     B_r, B_t = r * B_i, t * B_i
-    norm_i = float(np.linalg.norm(B_i))
-    R = float(np.linalg.norm(B_r) / norm_i)
-    T = float(np.linalg.norm(B_t) / norm_i)
     reflected = None
     if R > 0.0:
         reflected = PlaneWave(B_r * cmath.exp(1j * omega2 * t0), omega2, k_r, v_plus)
@@ -448,8 +449,7 @@ def scatter_grid(
     and ``omega1`` broadcast together; ``amplitude`` and ``k`` are the
     incident wave's.  R = |r| and T = |t|.  Each point gets
     scatter_interface's checks in its order, after those already in
-    ``checks``; the first failing point raises scatter_interface's error,
-    and a point whose r or t overflows raises DomainError, as its wave would.
+    ``checks``; the first failing point raises scatter_interface's error.
     """
     checks = GridChecks() if checks is None else checks
     # Arrays throughout: a point that fails a check is still computed.

@@ -67,7 +67,7 @@ class PlaneWave:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "v", float(self.v))
-        if np.linalg.norm(amp) == 0.0:
+        if not amp.any():  # a norm would overflow for huge amplitudes
             raise DomainError("zero amplitude rejected at construction")
         if abs(np.linalg.norm(k) - 1.0) > _UNIT_TOL:
             raise DomainError(f"|k| must be 1 within {_UNIT_TOL}, got {np.linalg.norm(k)}")

@@ -313,8 +313,8 @@ def test_criterion_10_cascade_consistency():
             TimelineSegment(last, 0.0),
         ]
         result = cascade_scatter(timeline, vacuum_wave())
-        net = interface_matrix(middle, last).entries @ interface_matrix(VACUUM, middle).entries
-        assert_allclose(result.net_matrix.entries, net, atol=1e-12)
+        net = interface_matrix(middle, last) @ interface_matrix(VACUUM, middle)
+        assert_allclose(result.net_matrix, net, atol=1e-12)
         applied = net @ np.array([1.0, 0.0])
         assert abs(result.amplitudes.forward - applied[0]) <= 1e-12
         assert abs(result.amplitudes.backward - applied[1]) <= 1e-12

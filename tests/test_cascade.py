@@ -16,6 +16,7 @@ from timescatter import (
     TimelineSegment,
     cascade_scatter,
     floquet_exponent,
+    floquet_from_net,
     interface_matrix,
     propagate,
     scatter_interface,
@@ -27,6 +28,7 @@ Y_HAT = np.array([0.0, 1.0, 0.0])
 VACUUM = MediumState(1, 1)
 DENSE = MediumState(4, 1)
 STRONG = MediumState(9, 1)
+DOUBLE_NEGATIVE = MediumState(-4, -1, -1)
 
 
 def vacuum_wave(omega=1.0):
@@ -35,15 +37,15 @@ def vacuum_wave(omega=1.0):
 
 class TestInterfaceMatrix:
     def test_identity_media(self):
-        assert_allclose(interface_matrix(VACUUM, MediumState(1, 1)).entries, np.eye(2))
+        assert_allclose(interface_matrix(VACUUM, MediumState(1, 1)), np.eye(2))
 
     def test_worked_example_column(self):
         matrix = interface_matrix(VACUUM, DENSE)
-        assert_allclose(matrix.entries[:, 0], [0.375, -0.125], rtol=1e-15)
+        assert_allclose(matrix[:, 0], [0.375, -0.125], rtol=1e-15)
 
     def test_matches_single_interface_solver(self):
         matrix = interface_matrix(VACUUM, DENSE)
-        out = matrix.entries @ np.array([1.0, 0.0])
+        out = matrix @ np.array([1.0, 0.0])
         result = scatter_interface(vacuum_wave(), TemporalProfile.step(VACUUM, DENSE))
         B_i = result.B_incident
         ratio_t = result.B_transmitted[1] / B_i[1]
@@ -52,20 +54,20 @@ class TestInterfaceMatrix:
         assert out[1] == pytest.approx(ratio_r, rel=1e-14)
 
     def test_symmetric_structure(self):
-        matrix = interface_matrix(VACUUM, DENSE).entries
+        matrix = interface_matrix(VACUUM, DENSE)
         assert matrix[0, 0] == matrix[1, 1]
         assert matrix[0, 1] == matrix[1, 0]
 
 
 class TestPropagate:
     def test_zero_duration_is_identity(self):
-        assert_allclose(propagate(1.0, 0.0).entries, np.eye(2))
+        assert_allclose(propagate(1.0, 0.0), np.eye(2))
 
     def test_full_period_is_identity(self):
-        assert_allclose(propagate(1.0, 2 * math.pi).entries, np.eye(2), atol=1e-15)
+        assert_allclose(propagate(1.0, 2 * math.pi), np.eye(2), atol=1e-15)
 
     def test_half_period_negates(self):
-        assert_allclose(propagate(1.0, math.pi).entries, -np.eye(2), atol=1e-15)
+        assert_allclose(propagate(1.0, math.pi), -np.eye(2), atol=1e-15)
 
     def test_negative_duration_rejected(self):
         with pytest.raises(DomainError):
@@ -93,8 +95,8 @@ class TestCascadeScatter:
             TimelineSegment(third, 0.0),
         ]
         result = cascade_scatter(timeline, vacuum_wave())
-        net = interface_matrix(DENSE, third).entries @ interface_matrix(VACUUM, DENSE).entries
-        assert_allclose(result.net_matrix.entries, net, atol=1e-12)
+        net = interface_matrix(DENSE, third) @ interface_matrix(VACUUM, DENSE)
+        assert_allclose(result.net_matrix, net, atol=1e-12)
         applied = net @ np.array([1.0, 0.0])
         assert result.amplitudes.forward == pytest.approx(applied[0], rel=1e-12)
         assert result.amplitudes.backward == pytest.approx(applied[1], rel=1e-12)
@@ -106,7 +108,7 @@ class TestCascadeScatter:
             TimelineSegment(MediumState(1, 1), 0.0),
         ]
         result = cascade_scatter(timeline, vacuum_wave())
-        assert_allclose(result.net_matrix.entries, np.eye(2), atol=1e-12)
+        assert_allclose(result.net_matrix, np.eye(2), atol=1e-12)
 
     def test_repeated_cells_equal_matrix_power(self):
         cell = [TimelineSegment(VACUUM, 1.0), TimelineSegment(DENSE, 0.7)]
@@ -114,7 +116,7 @@ class TestCascadeScatter:
         timeline = (cell * n) + [TimelineSegment(VACUUM, 0.0)]
         result = cascade_scatter(timeline, vacuum_wave())
         single = cascade_scatter(cell + [TimelineSegment(VACUUM, 0.0)], vacuum_wave())
-        power = np.linalg.matrix_power(single.net_matrix.entries, n)
+        power = np.linalg.matrix_power(single.net_matrix, n)
         applied = power @ np.array([1.0, 0.0])
         assert result.amplitudes.forward == pytest.approx(applied[0], rel=1e-11)
         assert result.amplitudes.backward == pytest.approx(applied[1], rel=1e-11)
@@ -181,7 +183,7 @@ class TestFloquet:
     def test_closed_cell_has_unit_determinant(self):
         cell = [TimelineSegment(VACUUM, 2.0), TimelineSegment(STRONG, 1.5)]
         result = floquet_exponent(cell, 1.0)
-        det = np.linalg.det(result.period_matrix.entries)
+        det = np.linalg.det(result.period_matrix)
         assert abs(det - 1.0) <= 1e-9
         product = result.eigenvalues[0] * result.eigenvalues[1]
         assert abs(product - 1.0) <= 1e-9
@@ -206,7 +208,7 @@ class TestFloquet:
         def half_trace_excess(duration):
             cell = [TimelineSegment(VACUUM, duration), TimelineSegment(STRONG, 1.5)]
             matrix, _ = __import__("timescatter.cascade", fromlist=["one_period_matrix"]).one_period_matrix(cell, 1.0)
-            tr = matrix.entries[0, 0] + matrix.entries[1, 1]
+            tr = matrix[0, 0] + matrix[1, 1]
             return abs(tr) / 2.0 - 1.0
 
         lo, hi = 1.0, 2.0  # excess changes sign in between
@@ -224,3 +226,61 @@ class TestFloquet:
     def test_zero_duration_cell_rejected(self):
         with pytest.raises(DomainError):
             floquet_exponent([TimelineSegment(VACUUM, 0.0)], 1.0)
+
+
+class TestPlainArrays:
+    def test_matrices_are_read_only_complex_arrays(self):
+        cell = [TimelineSegment(VACUUM, 1.0), TimelineSegment(DOUBLE_NEGATIVE, 0.7)]
+        matrices = [
+            interface_matrix(VACUUM, DENSE),
+            propagate(1.0, 0.3),
+            cascade_scatter(cell, vacuum_wave()).net_matrix,
+            floquet_exponent(cell, 1.0).period_matrix,
+        ]
+        for matrix in matrices:
+            assert type(matrix) is np.ndarray
+            assert (matrix.shape, matrix.dtype) == ((2, 2), np.complex128)
+            assert not matrix.flags.writeable
+
+    @pytest.mark.parametrize("last", [VACUUM, STRONG, DOUBLE_NEGATIVE], ids=["closed", "open", "open-double-negative"])
+    def test_floquet_from_net_equals_floquet_exponent(self, last):
+        timeline = [TimelineSegment(VACUUM, 0.9), TimelineSegment(DOUBLE_NEGATIVE, 0.4)] * 3
+        timeline.append(TimelineSegment(last, 0.5))
+        net = cascade_scatter(timeline, vacuum_wave(1.3)).net_matrix
+        from_net = floquet_from_net(timeline, net)
+        direct = floquet_exponent(timeline, 1.3)
+        closed = net if last == VACUUM else interface_matrix(last, VACUUM) @ net
+        assert np.array_equal(direct.period_matrix, closed)
+        assert np.array_equal(from_net.period_matrix, direct.period_matrix)
+        assert from_net.eigenvalues == direct.eigenvalues
+        assert from_net.exponents == direct.exponents
+        assert (from_net.half_trace, from_net.momentum_gap, from_net.period) == (
+            direct.half_trace,
+            direct.momentum_gap,
+            direct.period,
+        )
+
+
+class TestDoubleNegativeFloquet:
+    """Cells with a (-eps, -mu, branch=-1) segment keep the invariants |tr/2| > 1 relies on.
+
+    In a pass band |lambda| = 1 exactly, and rounding leaves max|lambda| within
+    a few ulp of 1 on either side (1 + 2.2e-16 for the first cell), so the
+    moduli are compared with 1 to the same 1e-9 as the determinant.
+    """
+
+    @pytest.mark.parametrize(
+        "durations, gap",
+        [((0.5, 0.3), False), ((2.0, 0.7), False), ((0.5, 0.7), True), ((1.0, 1.5), True)],
+        ids=["pass-band", "pass-band-centre", "gap-edge", "gap"],
+    )
+    def test_unit_determinant_and_gap_from_moduli(self, durations, gap):
+        cell = [TimelineSegment(VACUUM, durations[0]), TimelineSegment(DOUBLE_NEGATIVE, durations[1])]
+        result = floquet_exponent(cell, 1.0)
+        assert abs(np.linalg.det(result.period_matrix) - 1.0) <= 1e-9
+        lam1, lam2 = result.eigenvalues
+        assert abs(lam1 * lam2 - 1.0) <= 1e-9
+        top = max(abs(lam1), abs(lam2))
+        assert result.momentum_gap == (top > 1.0 + 1e-9) == gap
+        if not gap:
+            assert abs(top - 1.0) <= 1e-9

@@ -17,6 +17,8 @@ from timescatter import (
     NoSolutionError,
     PlaneWave,
     TemporalProfile,
+    coefficients,
+    floquet_exponent,
     scatter_interface,
 )
 from timescatter.cli import (
@@ -242,6 +244,32 @@ class TestExecute:
         assert "floquet" in payload
         assert len(payload["floquet"]["eigenvalues"]) == 2
 
+    @pytest.mark.parametrize(
+        "second",
+        [{"epsilon": 4, "mu": 1}, {"epsilon": -4, "mu": -1, "branch": -1}],
+        ids=["positive", "double-negative"],
+    )
+    def test_cascade_floquet_record_equals_floquet_exponent(self, second):
+        cell = [{"epsilon": 1, "mu": 1, "duration": 1.0}, dict(second, duration=0.7)]
+        timeline = cell * 3 + [{"epsilon": 2.25, "mu": 1, "duration": 0.4}]
+        incident = {"amplitude": [0, 1, 0], "omega1": 1.3, "k": [1, 0, 0]}
+        config = parse_config(
+            json.dumps({"command": "cascade", "timeline": timeline, "incident": incident, "floquet": True})
+        )
+        expected = floquet_exponent(config.timeline, config.incident.omega1)
+
+        def pair(z):
+            return {"re": z.real, "im": z.imag}
+
+        assert execute(config)["floquet"] == {
+            "exponents": [pair(e) for e in expected.exponents],
+            "eigenvalues": [pair(e) for e in expected.eigenvalues],
+            "eigenvalue_moduli": [abs(e) for e in expected.eigenvalues],
+            "half_trace": pair(expected.half_trace),
+            "momentum_gap": expected.momentum_gap,
+            "period": expected.period,
+        }
+
     def test_verify_command_non_cancelling(self):
         config = parse_config(
             json.dumps(
@@ -371,6 +399,40 @@ class TestMain:
         cfg = self.write_config(tmp_path, make_config(output={"path": "result.json"}))
         assert main([cfg]) == 0
         assert (outdir / "result.json").exists()
+
+
+class TestSolveExtremeMagnitudes:
+    def test_huge_coefficients_stay_finite(self, tmp_path, capsys):
+        media = {"before": {"epsilon": 1e200, "mu": 1e-200}, "after": {"epsilon": 1, "mu": 1}}
+        assert run_main(tmp_path, make_config(media=media)) == 0
+
+        def non_finite(name):
+            raise ValueError(f"output holds {name}")
+
+        result = json.loads(capsys.readouterr().out, parse_constant=non_finite)["result"]
+        R, T, _ = coefficients(MediumState(1e200, 1e-200), MediumState(1, 1))
+        assert (result["R"], result["T"]) == (R, T) == (5e199, 5e199)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_amplitude_exits_3_before_any_wave_is_built(self, tmp_path, capsys):
+        # eps-/eps+ overflows, so r and t are infinite.
+        media = {"before": {"epsilon": 1e200, "mu": 1e-200}, "after": {"epsilon": 1e-200, "mu": 1e200}}
+        assert run_main(tmp_path, make_config(media=media)) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["type"], error["message"]) == ("DomainError", "amplitude must be finite")
+        assert run_main(tmp_path, sweep_config([{"path": "after.mu", "values": [1e200]}], media=media)) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
+    def test_underflowing_frequency_exits_3_as_the_sweep_does(self, tmp_path, capsys):
+        media = {"before": {"epsilon": 1e-150, "mu": 1e-150}, "after": {"epsilon": 1e150, "mu": 1e150}}
+        incident = {"amplitude": [0, 1, 0], "omega1": 1e-30, "k": [1, 0, 0]}
+        assert run_main(tmp_path, make_config(media=media, incident=incident)) == 3
+        solve_error = json.loads(capsys.readouterr().err)["error"]
+        axes = [{"path": "after.mu", "values": [1e150]}]
+        assert run_main(tmp_path, sweep_config(axes, media=media, incident=incident)) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == solve_error
+        assert solve_error["type"] == "ConsistencyError"
+        assert solve_error["message"].startswith("transmitted wave-vector scale has modulus inf")
 
 
 NAN, INF = float("nan"), float("inf")
@@ -557,6 +619,24 @@ class TestSweepGrid:
             )
         config_text = sweep_config(axes, media=media, convention=conv)
         self.expect_error(tmp_path, capsys, config_text, 4, "NoSolutionError", str(point.value))
+
+    def test_only_final_media_are_checked(self, tmp_path, capsys):
+        # After the first axis alone, before = (-2, 1.2) is not a medium;
+        # every point's final before medium is double-negative and valid.
+        media = {"before": {"epsilon": 1.5, "mu": 1.2}, "after": {"epsilon": 1, "mu": 1}}
+        axes = [{"path": "before.epsilon", "values": [-2, -3]}, {"path": "before.mu", "values": [-1, -4]}]
+        config_text = sweep_config(axes, media=media)
+        assert run_main(tmp_path, config_text) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert [(row["before.epsilon"], row["before.mu"]) for row in rows] == [
+            (-2.0, -1.0), (-2.0, -4.0), (-3.0, -1.0), (-3.0, -4.0)
+        ]
+        config = parse_config(config_text)
+        for row in rows:
+            before = MediumState(row["before.epsilon"], row["before.mu"])
+            profile = TemporalProfile.step(before, config.after)
+            result = scatter_interface(config.incident.plane_wave(before), profile)
+            assert (row["omega3"], row["R"], row["T"]) == (result.omega3, result.R, result.T)
 
     def test_non_transversal_incident(self, tmp_path, capsys):
         incident = {"amplitude": [1, 1, 0], "omega1": 1.0, "k": [1, 0, 0]}
