@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _DEGENERACY_TOL = 1e-9
+_GAP_TOL = 1e-9  # |lambda| of a pass band is 1 to a few ulp either side
 
 
 @dataclass(frozen=True)
@@ -214,9 +215,10 @@ def floquet_exponent(cell, omega_in: float) -> FloquetResult:
     """Eigen-exponents of the one-period matrix of a periodic cell.
 
     Returns the principal logarithms of the two eigenvalues (per period)
-    and flags |trace/2| > 1 as a momentum-gap (amplifying) cell.  A
-    defective matrix within tolerance triggers
-    :class:`NumericalDegeneracyWarning`.
+    and flags max|eigenvalue| > 1 + 1e-9 as a momentum-gap (amplifying)
+    cell.  A defective matrix within tolerance triggers
+    :class:`NumericalDegeneracyWarning`; a matrix without finite
+    eigenvalues raises :class:`DomainError`.
     """
     return _floquet(*one_period_matrix(cell, omega_in))
 
@@ -232,15 +234,24 @@ def floquet_from_net(cell, net_matrix: np.ndarray) -> FloquetResult:
 
 
 def _floquet(matrix: np.ndarray, period: float) -> FloquetResult:
-    """The eigen-step shared by floquet_exponent and floquet_from_net."""
+    """The eigen-step shared by floquet_exponent and floquet_from_net.
+
+    A closed cell has det = 1, so the eigenvalues are the roots of
+    lam**2 - tr*lam + 1; lam1 is (tr + sqrt(tr**2 - 4)) / 2.  The root of
+    larger modulus is taken without cancellation and the other is its
+    reciprocal, so lam1 * lam2 = 1 however large the trace.
+    """
     tr = complex(matrix[0, 0] + matrix[1, 1])
-    det = complex(matrix[0, 0] * matrix[1, 1] - matrix[0, 1] * matrix[1, 0])
-    disc_sq = tr * tr - 4.0 * det
-    disc = cmath.sqrt(disc_sq)
-    lam1 = 0.5 * (tr + disc)
-    lam2 = 0.5 * (tr - disc)
-    scale = max(abs(tr), abs(det), 1.0)
-    if abs(disc_sq) <= _DEGENERACY_TOL * scale**2 and np.linalg.norm(
+    # sqrt(tr**2 - 4) / 2, with a large trace scaled by a power of two (exact) so tr**2 stays finite.
+    exponent = max(math.frexp(abs(tr))[1], 0)
+    scaled = math.ldexp(1.0, -exponent) * tr
+    half_disc = math.ldexp(1.0, exponent - 1) * cmath.sqrt(scaled * scaled - math.ldexp(4.0, -2 * exponent))
+    lam1, lam2 = 0.5 * tr + half_disc, 0.5 * tr - half_disc
+    lam1, lam2 = (lam1, 1.0 / lam1) if abs(lam1) >= abs(lam2) else (1.0 / lam2, lam2)
+    if not (cmath.isfinite(lam1) and cmath.isfinite(lam2)) or 0.0 in (lam1, lam2):
+        raise DomainError(f"one-period matrix has no finite nonzero Floquet eigenvalues (trace {tr})")
+    scale = max(abs(tr), 1.0)
+    if 2.0 * abs(half_disc) <= math.sqrt(_DEGENERACY_TOL) * scale and np.linalg.norm(
         matrix - 0.5 * tr * np.eye(2)
     ) > _DEGENERACY_TOL * scale:
         warnings.warn(
@@ -249,12 +260,11 @@ def _floquet(matrix: np.ndarray, period: float) -> FloquetResult:
             NumericalDegeneracyWarning,
             stacklevel=3,
         )
-    exponents = (cmath.log(lam1), cmath.log(lam2))
     return FloquetResult(
-        exponents=exponents,
+        exponents=(cmath.log(lam1), cmath.log(lam2)),
         eigenvalues=(lam1, lam2),
         half_trace=0.5 * tr,
-        momentum_gap=bool(abs(0.5 * tr) > 1.0),
+        momentum_gap=bool(max(abs(lam1), abs(lam2)) > 1.0 + _GAP_TOL),
         period_matrix=matrix,
         period=period,
     )

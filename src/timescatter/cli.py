@@ -25,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -36,6 +36,7 @@ from .cascade import TimelineSegment, cascade_scatter, floquet_exponent, floquet
 from .errors import (
     ConfigError,
     DegenerateCaseError,
+    DomainError,
     GridChecks,
     NoSolutionError,
     TimescatterError,
@@ -107,307 +108,272 @@ class RunConfig:
     timestamp: bool = True
 
 
-def _check_keys(mapping: dict, allowed, path: str):
-    unknown = sorted(set(mapping) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
+# Config parsing.  A check maps (value, path) to the parsed value or raises
+# a ConfigError that names the path.  _object makes the check of a JSON
+# object from rows (key, field, check[, default]), one per key, in the
+# order the keys are checked.
+
+_REQUIRED = object()  # default of a key that must be present
+_ABSENT = object()  # default of a key whose field stays unset when it is missing
 
 
-def _require(mapping: dict, key: str, path: str):
-    if key not in mapping:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    return mapping[key]
+def _fail(path: str, message: str):
+    raise ConfigError(f"{path}: {message}")
 
 
-def _as_number(value, path: str) -> float:
+def _raw(value, path: str):
+    return value
+
+
+def _number(value, path: str) -> float:
+    if type(value) is float and math.isfinite(value):  # most config numbers
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        _fail(path, f"expected a number, got {value!r}")
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        _fail(path, f"expected a finite number, got {value!r}")
     return number
 
 
-def _parse_medium(raw, path: str) -> MediumState:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object with epsilon/mu")
-    _check_keys(raw, {"epsilon", "mu", "branch"}, path)
-    eps = _as_number(_require(raw, "epsilon", path), f"{path}.epsilon")
-    mu = _as_number(_require(raw, "mu", path), f"{path}.mu")
-    branch = raw.get("branch", 1)
-    if branch not in (1, -1):
-        raise ConfigError(f"{path}.branch: must be 1 or -1, got {branch!r}")
-    try:
-        return MediumState(eps, mu, branch)
-    except TimescatterError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_complex(value, path: str) -> complex:
+def _complex(value, path: str) -> complex:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(_as_number(value, path))
+        return complex(_number(value, path))
     if isinstance(value, list) and len(value) == 2:
-        return complex(_as_number(value[0], path), _as_number(value[1], path))
+        return complex(_number(value[0], path), _number(value[1], path))
     if isinstance(value, dict) and set(value) <= {"re", "im"}:
-        return complex(
-            _as_number(value.get("re", 0.0), path), _as_number(value.get("im", 0.0), path)
-        )
-    raise ConfigError(f"{path}: expected number, [re, im] or {{re, im}}, got {value!r}")
+        return complex(_number(value.get("re", 0.0), path), _number(value.get("im", 0.0), path))
+    _fail(path, f"expected number, [re, im] or {{re, im}}, got {value!r}")
 
 
-def _parse_incident(raw, path: str) -> IncidentSpec:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _check_keys(raw, {"amplitude", "omega1", "k"}, path)
-    amp_raw = _require(raw, "amplitude", path)
-    if not isinstance(amp_raw, list) or len(amp_raw) != 3:
-        raise ConfigError(f"{path}.amplitude: expected a 3-element list")
-    amplitude = tuple(_parse_complex(v, f"{path}.amplitude[{i}]") for i, v in enumerate(amp_raw))
-    if all(abs(a) == 0.0 for a in amplitude):
-        raise ConfigError(f"{path}.amplitude: must be nonzero")
-    omega1 = _as_number(_require(raw, "omega1", path), f"{path}.omega1")
-    if omega1 <= 0.0:
-        raise ConfigError(f"{path}.omega1: must be > 0 (got {omega1})")
-    k_raw = _require(raw, "k", path)
-    if not isinstance(k_raw, list) or len(k_raw) != 3:
-        raise ConfigError(f"{path}.k: expected a 3-element list")
-    k = np.array([_as_number(v, f"{path}.k[{i}]") for i, v in enumerate(k_raw)])
+def _where(parse, ok, message: str):
+    """``parse``, then fail with ``message.format(parsed)`` unless ``ok(parsed)``."""
+
+    def check(value, path):
+        parsed = parse(value, path)
+        if not ok(parsed):
+            _fail(path, message.format(parsed))
+        return parsed
+
+    return check
+
+
+def _one_of(options, message: str):
+    return _where(_raw, lambda value: value in options, message)
+
+
+def _list(item, message: str, min_size=1, max_size=math.inf, indexed=True):
+    """A JSON list of min_size to max_size entries, as a tuple of ``item``-checked entries."""
+
+    def check(value, path):
+        if not isinstance(value, list) or not min_size <= len(value) <= max_size:
+            _fail(path, message)
+        return tuple(item(v, f"{path}[{i}]" if indexed else path) for i, v in enumerate(value))
+
+    return check
+
+
+def _object(*rows, message: str = "expected an object"):
+    """The check of a JSON object with one row per key; unknown keys fail first.
+
+    A missing key fails if its default is _REQUIRED, leaves its field unset
+    if it is _ABSENT (the default) and otherwise stands in for the value.
+    A row with field None is a section: its check returns fields to merge.
+    A row with key None builds its field as ``check(**fields so far)``, and
+    a TimescatterError it raises becomes a ConfigError at the object's path;
+    if it is the last row, that field is the object's value, else all fields are.
+    """
+    rows = [row if len(row) == 4 else (*row, _ABSENT) for row in rows]
+    keys = frozenset(row[0] for row in rows if row[0] is not None)
+    allowed = sorted(keys)
+    value_field = rows[-1][1] if rows[-1][0] is None else None
+
+    def walk(raw, path):
+        if not isinstance(raw, dict):
+            _fail(path, message)
+        if not keys.issuperset(raw):
+            _fail(path, f"unknown keys {sorted(set(raw) - keys)}; allowed keys are {allowed}")
+        fields = {}
+        for key, field, check, default in rows:
+            if key is None:
+                try:
+                    fields[field] = check(**fields)
+                except TimescatterError as exc:
+                    raise ConfigError(f"{path}: {exc}") from exc
+                continue
+            if key in raw:
+                value = raw[key]
+            elif default is _REQUIRED:
+                _fail(path, f"missing required key {key!r}")
+            elif default is _ABSENT:
+                continue
+            else:
+                value = default
+            parsed = check(value, f"{path}.{key}")
+            if field is None:
+                fields.update(parsed)
+            else:
+                fields[field] = parsed
+        return fields if value_field is None else fields[value_field]
+
+    return walk
+
+
+def _unit_vector(value, path: str) -> tuple:
+    k = np.array(_list(_number, "expected a 3-element list", 3, 3)(value, path))
     norm = float(np.linalg.norm(k))
     if norm == 0.0:
-        raise ConfigError(f"{path}.k: must be nonzero")
+        _fail(path, "must be nonzero")
     if abs(norm - 1.0) > 1e-6:
-        raise ConfigError(f"{path}.k: must be a unit vector (|k| = {norm})")
-    return IncidentSpec(amplitude, omega1, tuple(k / norm))
+        _fail(path, f"must be a unit vector (|k| = {norm})")
+    return tuple(k / norm)
 
 
-def _parse_convention(raw, path: str) -> FrequencyConvention:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _check_keys(raw, {"transmitted", "reflected"}, path)
-    try:
-        return FrequencyConvention(
-            raw.get("transmitted", "forward"), raw.get("reflected", "negative")
-        )
-    except TimescatterError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _widths(value, path: str) -> tuple:
+    taus = _list(_number, "expected a list of >= 3 widths", 3, indexed=False)(value, path)
+    if not all(v > 0.0 for v in taus):
+        _fail(path, f"widths must be finite and > 0 (got {list(taus)})")
+    if any(b >= a for a, b in zip(taus, taus[1:])):
+        _fail(path, f"widths must be strictly decreasing (got {list(taus)})")
+    return taus
 
 
-def _parse_axis(raw, path: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _check_keys(raw, {"path", "values", "start", "stop", "num", "spacing"}, path)
-    target = _require(raw, "path", path)
-    allowed_paths = {"before.epsilon", "before.mu", "after.epsilon", "after.mu", "incident.omega1"}
-    if target not in allowed_paths:
-        raise ConfigError(f"{path}.path: {target!r} not in {sorted(allowed_paths)}")
-    if "values" in raw:
-        values = [_as_number(v, f"{path}.values") for v in raw["values"]]
-        if len(values) < 1:
-            raise ConfigError(f"{path}.values: must be non-empty")
-    else:
-        start = _as_number(_require(raw, "start", path), f"{path}.start")
-        stop = _as_number(_require(raw, "stop", path), f"{path}.stop")
-        num = raw.get("num")
-        if not isinstance(num, int) or num < 1:
-            raise ConfigError(f"{path}.num: expected a positive integer")
-        spacing = raw.get("spacing", "linear")
-        if spacing not in ("linear", "log"):
-            raise ConfigError(f"{path}.spacing: must be 'linear' or 'log'")
-        if spacing == "log":
-            if start <= 0.0 or stop <= 0.0:
-                raise ConfigError(f"{path}: log spacing needs positive start/stop")
-            values = list(np.geomspace(start, stop, num))
-        else:
-            values = list(np.linspace(start, stop, num))
-    if target == "incident.omega1":
+def _axis_values(path, values=None, start=None, stop=None, num=None, spacing=None) -> dict:
+    if values is None:
+        if spacing == "log" and (start <= 0.0 or stop <= 0.0):
+            raise DomainError("log spacing needs positive start/stop")
+        values = (np.geomspace if spacing == "log" else np.linspace)(start, stop, num)
+    if path == "incident.omega1":
         for v in values:
             if not v > 0.0:
-                raise ConfigError(f"{path}: incident.omega1 must be > 0 (got {float(v)})")
-    return {"path": target, "values": [float(v) for v in values]}
+                raise DomainError(f"incident.omega1 must be > 0 (got {float(v)})")
+    return {"path": path, "values": [float(v) for v in values]}
 
 
-def _parse_timeline(raw, path: str) -> tuple:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected a non-empty list of segments")
-    segments = []
-    for i, seg in enumerate(raw):
-        seg_path = f"{path}[{i}]"
-        if not isinstance(seg, dict):
-            raise ConfigError(f"{seg_path}: expected an object")
-        _check_keys(seg, {"epsilon", "mu", "branch", "duration"}, seg_path)
-        medium = _parse_medium(
-            {k: v for k, v in seg.items() if k != "duration"}, seg_path
-        )
-        duration = _as_number(_require(seg, "duration", seg_path), f"{seg_path}.duration")
-        if duration < 0.0:
-            raise ConfigError(f"{seg_path}.duration: must be >= 0")
-        segments.append(TimelineSegment(medium, duration))
-    return tuple(segments)
+_POSITIVE = _where(_number, lambda x: x > 0.0, "must be > 0")
+_FLAG = _where(_raw, lambda v: isinstance(v, bool), "expected true or false")
+_MEDIUM_ROWS = (
+    ("epsilon", "epsilon", _number, _REQUIRED),
+    ("mu", "mu", _number, _REQUIRED),
+    ("branch", "branch", _one_of((1, -1), "must be 1 or -1, got {!r}")),
+    (None, "medium", MediumState),
+)
+_MEDIUM = _object(*_MEDIUM_ROWS, message="expected an object with epsilon/mu")
+_SEGMENT = _object(
+    *_MEDIUM_ROWS,
+    ("duration", "duration", _where(_number, lambda d: d >= 0.0, "must be >= 0"), _REQUIRED),
+    (None, "segment", lambda medium, duration, **_: TimelineSegment(medium, duration)),
+)
+_AMPLITUDE = _where(_list(_complex, "expected a 3-element list", 3, 3), any, "must be nonzero")
+_INCIDENT = _object(
+    ("amplitude", "amplitude", _AMPLITUDE, _REQUIRED),
+    ("omega1", "omega1", _where(_number, lambda w: w > 0.0, "must be > 0 (got {})"), _REQUIRED),
+    ("k", "k", _unit_vector, _REQUIRED),
+    (None, "incident", IncidentSpec),
+)
+_CONVENTION = _object(
+    ("transmitted", "transmitted", _raw),
+    ("reflected", "reflected", _raw),
+    (None, "convention", FrequencyConvention),
+)
+_AXIS_PATHS = ["after.epsilon", "after.mu", "before.epsilon", "before.mu", "incident.omega1"]
+_AXIS_PATH = ("path", "path", _one_of(_AXIS_PATHS, f"{{!r}} not in {_AXIS_PATHS}"), _REQUIRED)
+_VALUES = _where(_list(_number, "expected a list of numbers", 0, indexed=False), len, "must be non-empty")
+_POSITIVE_INT = _where(_raw, lambda n: isinstance(n, int) and n >= 1, "expected a positive integer")
+_SPACING = _one_of(("linear", "log"), "must be 'linear' or 'log'")
+# An axis lists its values or spans a range; given values, the range keys go unread.
+_VALUES_AXIS = _object(
+    _AXIS_PATH,
+    ("values", "values", _VALUES),
+    *((key, key, _raw) for key in ("start", "stop", "num", "spacing")),
+    (None, "axis", _axis_values),
+)
+_RANGE_AXIS = _object(
+    _AXIS_PATH,
+    ("values", "values", _raw),  # never present: this table is for axes without values
+    ("start", "start", _number, _REQUIRED),
+    ("stop", "stop", _number, _REQUIRED),
+    ("num", "num", _POSITIVE_INT, None),
+    ("spacing", "spacing", _SPACING, "linear"),
+    (None, "axis", _axis_values),
+)
+_TERMS = _where(
+    _list(
+        _object(
+            ("amplitude", "amplitude", _list(_complex, "expected a non-empty list"), _REQUIRED),
+            ("omega", "omega", _number, _REQUIRED),
+            (None, "term", lambda amplitude, omega: (np.array(amplitude), omega)),
+        ),
+        "expected a non-empty list of terms",
+    ),
+    lambda terms: len({len(amplitude) for amplitude, _ in terms}) == 1,
+    "all amplitude vectors must have the same length",
+)
 
 
-def _parse_verify_terms(raw, path: str) -> tuple:
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected a non-empty list of terms")
-    terms = []
-    for i, term in enumerate(raw):
-        term_path = f"{path}[{i}]"
-        if not isinstance(term, dict):
-            raise ConfigError(f"{term_path}: expected an object")
-        _check_keys(term, {"amplitude", "omega"}, term_path)
-        amp_raw = _require(term, "amplitude", term_path)
-        if not isinstance(amp_raw, list) or not amp_raw:
-            raise ConfigError(f"{term_path}.amplitude: expected a non-empty list")
-        amp = np.array(
-            [_parse_complex(v, f"{term_path}.amplitude[{j}]") for j, v in enumerate(amp_raw)]
-        )
-        omega = _as_number(_require(term, "omega", term_path), f"{term_path}.omega")
-        terms.append((amp, omega))
-    lengths = {len(a) for a, _ in terms}
-    if len(lengths) != 1:
-        raise ConfigError(f"{path}: all amplitude vectors must have the same length")
-    return tuple(terms)
+def _axis(value, path: str) -> dict:
+    values_given = isinstance(value, dict) and "values" in value
+    return (_VALUES_AXIS if values_given else _RANGE_AXIS)(value, path)
 
 
-def parse_config(text: str) -> RunConfig:
-    """Validate a JSON configuration document into a RunConfig."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
+# (config path, RunConfig field, check[, default]); a section nests its own rows.
+_CONFIG = _object(
+    ("command", "command", _one_of(COMMANDS, f"{{!r}} not in {list(COMMANDS)}"), _REQUIRED),
+    ("media", None, _object(
+        ("before", "before", _MEDIUM, _REQUIRED),
+        ("after", "after", _MEDIUM, _REQUIRED),
+    )),
+    ("incident", "incident", _INCIDENT),
+    ("t0", "t0", _number),
+    ("convention", "convention", _CONVENTION),
+    ("timeline", "timeline", _list(_SEGMENT, "expected a non-empty list of segments")),
+    ("floquet", "floquet", _FLAG),
+    ("oracle", None, _object(
+        ("tau", "oracle_tau", _POSITIVE),
+        ("tol", "oracle_tol", _POSITIVE),
+        ("tau_list", "tau_list", _widths),
+    )),
+    ("sweep", None, _object(("axes", "sweep_axes", _list(_axis, "expected a non-empty list"), _REQUIRED))),
+    ("verify", None, _object(("terms", "verify_terms", _TERMS, _REQUIRED), ("tol", "verify_tol", _POSITIVE))),
+    ("output", None, _object(
+        ("path", "output_path", _where(_raw, lambda p: isinstance(p, str), "expected a string")),
+        ("format", "output_format", _one_of(("json", "csv"), "must be 'json' or 'csv'")),
+        ("timestamp", "timestamp", _FLAG),
+    )),
+)
+# The sections each command needs, in the order they are checked.
+_NEEDS = {
+    "solve": ("media", "incident"),
+    "sweep": ("media", "incident", "sweep"),
+    "oracle": ("media", "incident"),
+    "cascade": ("incident", "timeline"),
+    "verify": ("verify.terms",),
+}
+
+
+def _document(config) -> dict:
+    """The config document as a dict, decoded first if it is JSON text."""
+    if isinstance(config, (str, bytes, bytearray)):
+        try:
+            config = json.loads(config)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
         raise ConfigError("config root must be an object")
-    allowed = {
-        "command",
-        "media",
-        "timeline",
-        "incident",
-        "t0",
-        "convention",
-        "oracle",
-        "sweep",
-        "floquet",
-        "verify",
-        "output",
-    }
-    _check_keys(raw, allowed, "config")
-    command = _require(raw, "command", "config")
-    if command not in COMMANDS:
-        raise ConfigError(f"config.command: {command!r} not in {list(COMMANDS)}")
-
-    config = RunConfig(command=command)
-
-    if "media" in raw:
-        media = raw["media"]
-        if not isinstance(media, dict):
-            raise ConfigError("config.media: expected an object")
-        _check_keys(media, {"before", "after"}, "config.media")
-        config = replace(
-            config,
-            before=_parse_medium(_require(media, "before", "config.media"), "config.media.before"),
-            after=_parse_medium(_require(media, "after", "config.media"), "config.media.after"),
-        )
-    if "incident" in raw:
-        config = replace(config, incident=_parse_incident(raw["incident"], "config.incident"))
-    if "t0" in raw:
-        config = replace(config, t0=_as_number(raw["t0"], "config.t0"))
-    if "convention" in raw:
-        config = replace(config, convention=_parse_convention(raw["convention"], "config.convention"))
-    if "timeline" in raw:
-        config = replace(config, timeline=_parse_timeline(raw["timeline"], "config.timeline"))
-    if "floquet" in raw:
-        if not isinstance(raw["floquet"], bool):
-            raise ConfigError("config.floquet: expected true or false")
-        config = replace(config, floquet=raw["floquet"])
-    if "oracle" in raw:
-        oracle = raw["oracle"]
-        if not isinstance(oracle, dict):
-            raise ConfigError("config.oracle: expected an object")
-        _check_keys(oracle, {"tau", "tol", "tau_list"}, "config.oracle")
-        if "tau" in oracle:
-            tau = _as_number(oracle["tau"], "config.oracle.tau")
-            if tau <= 0.0:
-                raise ConfigError("config.oracle.tau: must be > 0")
-            config = replace(config, oracle_tau=tau)
-        if "tol" in oracle:
-            tol = _as_number(oracle["tol"], "config.oracle.tol")
-            if tol <= 0.0:
-                raise ConfigError("config.oracle.tol: must be > 0")
-            config = replace(config, oracle_tol=tol)
-        if "tau_list" in oracle:
-            taus = oracle["tau_list"]
-            if not isinstance(taus, list) or len(taus) < 3:
-                raise ConfigError("config.oracle.tau_list: expected a list of >= 3 widths")
-            taus = tuple(_as_number(v, "config.oracle.tau_list") for v in taus)
-            if not all(math.isfinite(v) and v > 0.0 for v in taus):
-                raise ConfigError(f"config.oracle.tau_list: widths must be finite and > 0 (got {list(taus)})")
-            if any(b >= a for a, b in zip(taus, taus[1:])):
-                raise ConfigError(f"config.oracle.tau_list: widths must be strictly decreasing (got {list(taus)})")
-            config = replace(config, tau_list=taus)
-    if "sweep" in raw:
-        sweep = raw["sweep"]
-        if not isinstance(sweep, dict):
-            raise ConfigError("config.sweep: expected an object")
-        _check_keys(sweep, {"axes"}, "config.sweep")
-        axes_raw = _require(sweep, "axes", "config.sweep")
-        if not isinstance(axes_raw, list) or not axes_raw:
-            raise ConfigError("config.sweep.axes: expected a non-empty list")
-        axes = tuple(
-            _parse_axis(axis, f"config.sweep.axes[{i}]") for i, axis in enumerate(axes_raw)
-        )
-        config = replace(config, sweep_axes=axes)
-    if "verify" in raw:
-        verify = raw["verify"]
-        if not isinstance(verify, dict):
-            raise ConfigError("config.verify: expected an object")
-        _check_keys(verify, {"terms", "tol"}, "config.verify")
-        config = replace(
-            config,
-            verify_terms=_parse_verify_terms(
-                _require(verify, "terms", "config.verify"), "config.verify.terms"
-            ),
-        )
-        if "tol" in verify:
-            tol = _as_number(verify["tol"], "config.verify.tol")
-            if tol <= 0.0:
-                raise ConfigError("config.verify.tol: must be > 0")
-            config = replace(config, verify_tol=tol)
-    if "output" in raw:
-        output = raw["output"]
-        if not isinstance(output, dict):
-            raise ConfigError("config.output: expected an object")
-        _check_keys(output, {"path", "format", "timestamp"}, "config.output")
-        if "path" in output:
-            if not isinstance(output["path"], str):
-                raise ConfigError("config.output.path: expected a string")
-            config = replace(config, output_path=output["path"])
-        if "format" in output:
-            if output["format"] not in ("json", "csv"):
-                raise ConfigError("config.output.format: must be 'json' or 'csv'")
-            config = replace(config, output_format=output["format"])
-        if "timestamp" in output:
-            if not isinstance(output["timestamp"], bool):
-                raise ConfigError("config.output.timestamp: expected true or false")
-            config = replace(config, timestamp=output["timestamp"])
-
-    _validate_command_fields(config)
     return config
 
 
-def _validate_command_fields(config: RunConfig):
-    need_media = config.command in ("solve", "sweep", "oracle")
-    if need_media and (config.before is None or config.after is None):
-        raise ConfigError(f"config.media: required for command {config.command!r}")
-    if config.command in ("solve", "sweep", "oracle", "cascade") and config.incident is None:
-        raise ConfigError(f"config.incident: required for command {config.command!r}")
-    if config.command == "sweep" and not config.sweep_axes:
-        raise ConfigError("config.sweep: required for command 'sweep'")
-    if config.command == "cascade" and not config.timeline:
-        raise ConfigError("config.timeline: required for command 'cascade'")
-    if config.command == "verify" and not config.verify_terms:
-        raise ConfigError("config.verify.terms: required for command 'verify'")
+def parse_config(config) -> RunConfig:
+    """Validate a configuration document, as JSON text or decoded, into a RunConfig."""
+    raw = _document(config)
+    fields = _CONFIG(raw, "config")
+    for section in _NEEDS[fields["command"]]:
+        if section.split(".")[0] not in raw:
+            raise ConfigError(f"config.{section}: required for command {fields['command']!r}")
+    return RunConfig(**fields)
 
 
 def _complex_json(z: complex) -> dict:
@@ -714,29 +680,25 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(_error_payload(2, exc) + "\n")
         return 2
 
     try:
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
+        raw = _document(text)
         for override in args.set:
             if "=" not in override:
                 raise ConfigError(f"--set expects PATH=VALUE, got {override!r}")
             dotted, value_text = override.split("=", 1)
             _apply_override(raw, dotted, value_text)
-        if args.out is not None:
-            raw.setdefault("output", {})["path"] = args.out
-        if args.format is not None:
-            raw.setdefault("output", {})["format"] = args.format
-        if args.no_timestamp:
-            raw.setdefault("output", {})["timestamp"] = False
-        config = parse_config(json.dumps(raw))
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(_error_payload(2, ConfigError(f"config is not valid JSON: {exc}")) + "\n")
-        return 2
+        flags = {"path": args.out, "format": args.format, "timestamp": False if args.no_timestamp else None}
+        flags = {key: value for key, value in flags.items() if value is not None}
+        if flags:
+            output = raw.setdefault("output", {})
+            if not isinstance(output, dict):
+                raise ConfigError("config.output: expected an object")
+            output.update(flags)
+        config = parse_config(raw)
     except ConfigError as exc:
         sys.stderr.write(_error_payload(2, exc) + "\n")
         return 2

@@ -36,7 +36,7 @@ from .errors import (
     NoSolutionError,
     reject,
 )
-from .media import MediumState, TemporalProfile, phase_speed, wave_speed
+from .media import MediumState, TemporalProfile, phase_speed
 from .waves import PlaneWave, evaluate_E, magnetic_from_electric
 
 __all__ = [
@@ -115,13 +115,18 @@ def scatter_kernel(
     """
     v_minus = phase_speed(eps_minus, mu_minus, branch_minus, reject)
     v_plus = phase_speed(eps_plus, mu_plus, branch_plus, reject)
+    return _algebra(omega1, v_minus, v_plus, eps_minus, eps_plus, conv, reject)[:4]
+
+
+def _algebra(omega1, v_minus, v_plus, eps_minus, eps_plus, conv, reject):
+    """scatter_kernel after the phase speeds, plus the wave-vector scales (k_r/k_i, k_t/k_i)."""
     omega2, omega3 = _frequencies(omega1, v_minus, v_plus, conv, reject)
-    _scales(omega1, omega2, omega3, v_minus, v_plus, reject)
+    scales = _scales(omega1, omega2, omega3, v_minus, v_plus, reject)
     if conv.reflected == "positive":  # degenerate: omega2 = omega3
         t = _merged_factor(omega1, omega2, eps_minus, eps_plus, reject)
-        return omega2, omega3, 0.0 * t, t
+        return omega2, omega3, 0.0 * t, t, scales
     r, t = _factors(omega1, omega2, omega3, eps_minus, eps_plus, reject)
-    return omega2, omega3, r, t
+    return omega2, omega3, r, t, scales
 
 
 def _frequencies(omega1, v_minus, v_plus, conv, reject):
@@ -351,12 +356,26 @@ class ScatteringResult:
         return self._b_amplitude(self.transmitted)
 
 
-def _check_transversal(amplitude, k, reject):
-    reject(
-        bool(abs(np.dot(amplitude, k)) > _TRANSVERSALITY_RTOL * float(np.linalg.norm(amplitude))),
-        DomainError,
-        "incident wave is not transversal (A.k != 0)",
-    )
+def _interface(omega1, amplitude, k, before: tuple, after: tuple, conv, reject, incident_speed=None):
+    """The checked algebra of one step interface or a grid of them, each check once.
+
+    ``before`` and ``after`` are (epsilon, mu, branch).  The checks run in
+    this order: both phase speeds, the incident speed (when given), the
+    incident wave's transversality, then scatter_kernel's frequency,
+    wave-vector-scale and factor checks, and finally a finite amplitude.
+    Returns (v_plus, omega2, omega3, r, t, (scale_r, scale_t)).
+    """
+    v_minus = phase_speed(*before, reject)
+    v_plus = phase_speed(*after, reject)
+    if incident_speed is not None:
+        bad = abs(incident_speed - v_minus) > 1e-9 * abs(v_minus)
+        message = "incident wave speed {} does not match the before medium ({})"
+        reject(bad, DomainError, message, incident_speed, v_minus)
+    bad = abs(np.dot(amplitude, k)) > _TRANSVERSALITY_RTOL * float(np.linalg.norm(amplitude))
+    reject(bool(bad), DomainError, "incident wave is not transversal (A.k != 0)")
+    omega2, omega3, r, t, scales = _algebra(omega1, v_minus, v_plus, before[0], after[0], conv, reject)
+    reject((abs(r) + abs(t)) * 0.0 != 0.0, DomainError, "amplitude must be finite")
+    return v_plus, omega2, omega3, r, t, scales
 
 
 def scatter_interface(
@@ -374,60 +393,29 @@ def scatter_interface(
     if profile.kind != "step":
         raise DomainError(f"scatter_interface needs a step profile, got {profile.kind!r}")
     before, after, t0 = profile.before, profile.after, profile.t0
-    v_minus = wave_speed(before)
-    v_plus = wave_speed(after)
-    if abs(incident.v - v_minus) > 1e-9 * abs(v_minus):
-        raise DomainError(
-            f"incident wave speed {incident.v} does not match the before medium "
-            f"({v_minus})"
-        )
-    _check_transversal(incident.amplitude, incident.k, reject)
-
     omega1 = incident.omega
-    omega2, omega3, r, t = scatter_kernel(
-        omega1, before.epsilon, before.mu, before.branch, after.epsilon, after.mu, after.branch, conv
+    media = [(medium.epsilon, medium.mu, medium.branch) for medium in (before, after)]
+    v_plus, omega2, omega3, r, t, (scale_r, scale_t) = _interface(
+        omega1, incident.amplitude, incident.k, *media, conv, reject, incident.v
     )
     R, T = abs(r), abs(t)
-    reject(not (R + T < math.inf), DomainError, "amplitude must be finite")
-    k_r, k_t = wave_vectors(incident.k, omega1, omega2, omega3, v_minus, v_plus)
     B_i = incident.amplitude * cmath.exp(-1j * omega1 * t0)
+    k_i = np.asarray(incident.k, dtype=np.float64)
 
-    if conv.is_degenerate:
-        combined = t * B_i
-        A_t = combined * cmath.exp(1j * omega3 * t0)
-        transmitted = PlaneWave(A_t, omega3, k_t, v_plus)
-        return ScatteringResult(
-            incident=incident,
-            reflected=None,
-            transmitted=transmitted,
-            R=0.0,
-            T=T,
-            energy_sum=T,
-            omega2=omega2,
-            omega3=omega3,
-            degenerate=True,
-            before=before,
-            after=after,
-            t0=t0,
-        )
+    def scattered(factor, omega, scale):
+        A = factor * B_i * cmath.exp(1j * omega * t0)
+        return PlaneWave(A, omega, math.copysign(1.0, scale) * k_i, v_plus)
 
-    B_r, B_t = r * B_i, t * B_i
-    reflected = None
-    if R > 0.0:
-        reflected = PlaneWave(B_r * cmath.exp(1j * omega2 * t0), omega2, k_r, v_plus)
-    transmitted = None
-    if T > 0.0:
-        transmitted = PlaneWave(B_t * cmath.exp(1j * omega3 * t0), omega3, k_t, v_plus)
     return ScatteringResult(
         incident=incident,
-        reflected=reflected,
-        transmitted=transmitted,
+        reflected=scattered(r, omega2, scale_r) if R > 0.0 else None,
+        transmitted=scattered(t, omega3, scale_t) if T > 0.0 else None,
         R=R,
         T=T,
         energy_sum=R + T,
         omega2=omega2,
         omega3=omega3,
-        degenerate=False,
+        degenerate=conv.is_degenerate,
         before=before,
         after=after,
         t0=t0,
@@ -453,20 +441,14 @@ def scatter_grid(
     """
     checks = GridChecks() if checks is None else checks
     # Arrays throughout: a point that fails a check is still computed.
-    omega1 = np.asarray(omega1)
     before = tuple(np.asarray(x) for x in before)
     after = tuple(np.asarray(x) for x in after)
     with np.errstate(all="ignore"):
-        # scatter_interface checks both speeds before the incident wave; the
-        # kernel checks them again, too late for that order.
-        phase_speed(*before, checks.reject)
-        phase_speed(*after, checks.reject)
-        _check_transversal(np.asarray(amplitude), np.asarray(k), checks.reject)
-        omega2, omega3, r, t = scatter_kernel(omega1, *before, *after, conv, checks.reject)
-        R, T = abs(r), abs(t)
-        checks.reject(~(R + T < np.inf), DomainError, "amplitude must be finite")
+        _, omega2, omega3, r, t, _ = _interface(
+            np.asarray(omega1), np.asarray(amplitude), np.asarray(k), before, after, conv, checks.reject
+        )
     checks.raise_first()
-    return omega2, omega3, R, T
+    return omega2, omega3, abs(r), abs(t)
 
 
 def boundary_residual(result: ScatteringResult, x_samples) -> tuple[float, float]:

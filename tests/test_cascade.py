@@ -2,9 +2,12 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from timescatter import (
@@ -14,6 +17,7 @@ from timescatter import (
     PlaneWave,
     TemporalProfile,
     TimelineSegment,
+    TimescatterError,
     cascade_scatter,
     floquet_exponent,
     floquet_from_net,
@@ -284,3 +288,67 @@ class TestDoubleNegativeFloquet:
         assert result.momentum_gap == (top > 1.0 + 1e-9) == gap
         if not gap:
             assert abs(top - 1.0) <= 1e-9
+
+
+GAP_CELL = [TimelineSegment(VACUUM, 2.0), TimelineSegment(STRONG, 1.5)]
+
+
+def assert_floquet_invariants(result):
+    """lambda1 * lambda2 = 1, lambda1 + lambda2 = tr, and the gap flag from max|lambda|."""
+    lam1, lam2 = result.eigenvalues
+    assert abs(lam1 * lam2 - 1.0) <= 1e-9
+    tr = 2.0 * result.half_trace
+    assert abs(lam1 + lam2 - tr) <= 1e-9 * max(1.0, abs(tr))
+    assert abs(sum(result.exponents).real) <= 1e-9
+    assert result.momentum_gap == (max(abs(lam1), abs(lam2)) > 1.0 + 1e-9)
+
+
+class TestFloquetUnitDeterminant:
+    """A closed cell has det = 1; the eigenvalues rely on it, not on the matrix entries."""
+
+    @pytest.mark.parametrize("repeats", [50, 200])
+    def test_strongly_amplifying_cell(self, repeats):
+        # The entries reach 1e9 (50 cells) and 1e36 (200 cells); det from
+        # them gave |lambda1 * lambda2| = 625 and then log(0).
+        result = floquet_exponent(GAP_CELL * repeats, 1.0)
+        assert_floquet_invariants(result)
+        assert result.momentum_gap
+        assert abs(result.eigenvalues[0]) > 1e9
+
+    def test_lambda1_is_the_plus_root(self):
+        result = floquet_exponent(GAP_CELL, 1.0)
+        tr = 2.0 * result.half_trace
+        assert result.eigenvalues[0] == pytest.approx(0.5 * (tr + cmath.sqrt(tr * tr - 4.0)), rel=1e-12)
+        assert abs(result.eigenvalues[0]) < 1.0 < abs(result.eigenvalues[1])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_period_matrix_rejected(self):
+        with pytest.raises(TimescatterError, match="no finite nonzero Floquet eigenvalues"):
+            floquet_exponent(GAP_CELL * 2000, 1.0)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        segments=st.lists(
+            st.tuples(
+                st.floats(0.2, 10.0), st.floats(0.2, 10.0), st.booleans(), st.floats(0.05, 3.0)
+            ),
+            min_size=2,
+            max_size=4,
+        ),
+        repeats=st.integers(1, 60),
+        omega=st.floats(0.3, 3.0),
+    )
+    @example(segments=[(1.0, 1.0, False, 2.0), (9.0, 1.0, False, 1.5)], repeats=50, omega=1.0)
+    def test_random_closed_cells(self, segments, repeats, omega):
+        # Positive and double-negative media; repeating a gap cell amplifies strongly.
+        cell = [
+            TimelineSegment(MediumState(-eps, -mu, -1) if negative else MediumState(eps, mu), duration)
+            for eps, mu, negative, duration in segments
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericalDegeneracyWarning)
+            result = floquet_exponent(cell * repeats, omega)
+        assert_floquet_invariants(result)
+        matrix = result.period_matrix
+        scale = float(np.max(np.abs(matrix)))
+        assert abs(np.linalg.det(matrix) - 1.0) <= 1e-9 + 1e-12 * scale**2

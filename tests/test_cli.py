@@ -351,6 +351,12 @@ class TestMain:
     def test_missing_file_exit_2(self, capsys):
         assert main(["/does/not/exist.json"]) == 2
 
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"command": "\xff"}')
+        assert main([str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "UnicodeDecodeError"
+
     def test_degenerate_case_exit_4(self, tmp_path, capsys):
         cfg = self.write_config(
             tmp_path,
@@ -645,3 +651,79 @@ class TestSweepGrid:
             tmp_path, capsys, sweep_config(axes, incident=incident), 3,
             "DomainError", "incident wave is not transversal (A.k != 0)",
         )
+
+
+class TestTableParser:
+    def test_decoded_document_parses_like_its_text(self):
+        document = json.loads(sweep_config(LOG_AXES, convention={"transmitted": "backward"}, t0=0.4))
+        before = json.dumps(document)
+        from_dict, from_text = parse_config(document), parse_config(json.dumps(document))
+        assert json.dumps(document) == before
+        assert from_dict.sweep_axes == from_text.sweep_axes
+        assert dataclasses.replace(from_dict, sweep_axes=()) == dataclasses.replace(from_text, sweep_axes=())
+
+    def test_root_must_be_an_object(self):
+        for document in ([1, 2], 5, None, "[1, 2]"):
+            with pytest.raises(ConfigError, match="^config root must be an object$"):
+                parse_config(document)
+
+    @pytest.mark.parametrize(
+        "axis, message",
+        [
+            ({"path": "after.mu", "values": 5}, "config.sweep.axes[0].values: expected a list of numbers"),
+            ({"path": "after.mu", "values": "12"}, "config.sweep.axes[0].values: expected a list of numbers"),
+            (
+                {"path": ["x"], "values": [1]},
+                "config.sweep.axes[0].path: ['x'] not in "
+                "['after.epsilon', 'after.mu', 'before.epsilon', 'before.mu', 'incident.omega1']",
+            ),
+            (
+                {"path": {"after": "mu"}, "values": [1]},
+                "config.sweep.axes[0].path: {'after': 'mu'} not in "
+                "['after.epsilon', 'after.mu', 'before.epsilon', 'before.mu', 'incident.omega1']",
+            ),
+        ],
+        ids=["values-number", "values-string", "path-list", "path-object"],
+    )
+    def test_malformed_sweep_axis_exits_2(self, tmp_path, capsys, axis, message):
+        assert run_main(tmp_path, sweep_config([axis])) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["type"], error["message"]) == ("ConfigError", message)
+
+    @pytest.mark.parametrize("flags", [["--no-timestamp"], ["--format", "csv"], ["--out", "result.json"]])
+    def test_output_flags_need_an_output_object(self, tmp_path, capsys, flags):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(make_config(output="result.json"), encoding="utf-8")
+        assert main([str(config_path), *flags]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["type"], error["message"]) == ("ConfigError", "config.output: expected an object")
+
+
+GAP_CELL = [{"epsilon": 1, "mu": 1, "duration": 2.0}, {"epsilon": 9, "mu": 1, "duration": 1.5}]
+
+
+class TestCascadeFloquetUnitDeterminant:
+    @pytest.mark.parametrize("repeats", [50, 200])
+    def test_amplifying_timeline_exits_0(self, tmp_path, capsys, repeats):
+        config = json.dumps(
+            {"command": "cascade", "timeline": GAP_CELL * repeats, "incident": make_incident(), "floquet": True}
+        )
+        assert run_main(tmp_path, config) == 0
+        floquet = json.loads(capsys.readouterr().out)["floquet"]
+        lam1, lam2 = (complex(z["re"], z["im"]) for z in floquet["eigenvalues"])
+        assert abs(lam1 * lam2 - 1.0) <= 1e-9
+        assert floquet["momentum_gap"] is True
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_timeline_exits_3(self, tmp_path, capsys):
+        config = json.dumps(
+            {"command": "cascade", "timeline": GAP_CELL * 2000, "incident": make_incident(), "floquet": True}
+        )
+        assert run_main(tmp_path, config) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].startswith("one-period matrix has no finite nonzero Floquet eigenvalues")
+
+
+def make_incident():
+    return {"amplitude": [0, 1, 0], "omega1": 1.0, "k": [1, 0, 0]}

@@ -411,3 +411,20 @@ class TestScatterKernel:
         with pytest.raises(DomainError) as point_error:
             scatter_kernel(1.0, 1.0, 1.0, 1, 0.0, 1.0, 1)
         assert str(grid_error.value) == str(point_error.value)
+
+
+def test_one_solve_checks_each_speed_and_scale_once(monkeypatch):
+    import timescatter.scatter as scatter_mod
+
+    calls = {"phase_speed": 0, "_scales": 0}
+    for name in calls:
+        original = getattr(scatter_mod, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(scatter_mod, name, counted)
+    wave = PlaneWave(np.array([0, 1, 0], dtype=complex), 1.0, np.array([1.0, 0, 0]), 1.0)
+    scatter_interface(wave, TemporalProfile.step(MediumState(1, 1), MediumState(4, 1)))
+    assert calls == {"phase_speed": 2, "_scales": 1}
