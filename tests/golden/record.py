@@ -220,6 +220,11 @@ CHECK_ORDER = [
     ("order-oracle-tau-before-tol", edit(ORACLE, ("oracle", {"tau": -1, "tol": -1})), []),
     ("order-verify-terms-before-tol", edit(VERIFY, ("verify.terms", []), ("verify.tol", -1)), []),
     ("order-sections-before-required", edit(SWEEP, ("sweep", DELETE), ("output", {"format": "xml"})), []),
+    ("order-sweep-needs-media-first", edit(SWEEP, ("media", DELETE), ("incident", DELETE), ("sweep", DELETE)), []),
+    ("order-sweep-needs-incident-before-sweep", edit(SWEEP, ("incident", DELETE), ("sweep", DELETE)), []),
+    ("order-solve-needs-media-first", edit(SOLVE, ("media", DELETE), ("incident", DELETE)), []),
+    ("order-oracle-needs-media-first", edit(ORACLE, ("media", DELETE), ("incident", DELETE)), []),
+    ("order-cascade-needs-incident-first", edit(CASCADE, ("incident", DELETE), ("timeline", DELETE)), []),
     ("order-axis-values-ignore-range", axis(path="after.mu", values=[2.0], start="x", num=-1), ["--no-timestamp"]),
     ("order-axis-path-before-values", axis(path="x", values=[]), []),
     ("order-axis-values-before-omega1", axis(path="incident.omega1", values=[-1.0, "x"]), []),

@@ -306,10 +306,11 @@ def assert_floquet_invariants(result):
 class TestFloquetUnitDeterminant:
     """A closed cell has det = 1; the eigenvalues rely on it, not on the matrix entries."""
 
-    @pytest.mark.parametrize("repeats", [50, 200])
+    @pytest.mark.parametrize("repeats", [50, 200, 1000])
     def test_strongly_amplifying_cell(self, repeats):
         # The entries reach 1e9 (50 cells) and 1e36 (200 cells); det from
-        # them gave |lambda1 * lambda2| = 625 and then log(0).
+        # them gave |lambda1 * lambda2| = 625 and then log(0).  At 1000
+        # cells the trace is 5e184, so tr**2 overflows unless it is scaled.
         result = floquet_exponent(GAP_CELL * repeats, 1.0)
         assert_floquet_invariants(result)
         assert result.momentum_gap
