@@ -186,6 +186,8 @@ def _cell_period(segments) -> float:
     period = sum(s.duration for s in segments)
     if period <= 0.0:
         raise DomainError("cell total duration must be positive")
+    if period == math.inf:
+        raise DomainError("cell total duration overflows")
     return period
 
 

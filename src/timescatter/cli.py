@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Optional
@@ -420,7 +421,111 @@ def _scattering_json(result: ScatteringResult) -> dict:
     }
 
 
-def _sweep_rows(config: RunConfig) -> list:
+# Row tables.  The rows of a sweep, a cascade trace or a convergence study
+# are kept as columns.  They render to the bytes json.dumps(indent=2) and
+# csv.DictWriter give for the same row dicts: each column's texts are made
+# once and interleaved with the separators of the row shape.  The rest of
+# a JSON document still goes through json.dumps.
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_TABLE_MARK = "\0row table\0"  # stands in for a table's rows in the json.dumps text
+
+
+def _csv_field(value) -> str:
+    """One field as csv.writer writes it in a row of several."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\r\n").writerow([value, None])
+    return buffer.getvalue()[:-3]
+
+
+def _texts(values, as_json: bool) -> list:
+    """Each value as json.dumps (as_json) or csv.writer writes it."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, values))
+        if as_json and not math.isfinite(sum(values)):  # NaN and +-inf, or a sum that overflows
+            texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
+        return texts
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    encode = json.dumps if as_json else _csv_field
+    if kinds == {str}:
+        known = {value: encode(value) for value in set(values)}
+        return [known[value] for value in values]
+    return [encode(value) for value in values]
+
+
+class RowTable(Sequence):
+    """Read-only rows, one dict per row, kept as columns.
+
+    ``columns`` maps each key to a full column.  ``axes`` lists the
+    (key, values) axes of a row-major grid, whose keys come first: each
+    value of an axis is stored once and repeats for every point of the
+    axes after it.  A repeated axis key keeps its first place and takes
+    its last axis's values.
+    """
+
+    def __init__(self, columns: dict, axes=()):
+        if axes:
+            self._length = math.prod(len(values) for _, values in axes)
+        else:
+            self._length = len(next(iter(columns.values())))
+        self._columns = {}  # key -> (values, repeat): row i holds values[i // repeat % len(values)]
+        repeat = self._length
+        for key, values in axes:
+            repeat //= len(values)
+            self._columns[key] = (values, repeat)
+        self._columns.update((key, (values, 1)) for key, values in columns.items())
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._length))]
+        if not -self._length <= i < self._length:
+            raise IndexError("row index out of range")
+        i %= self._length
+        return {key: values[i // repeat % len(values)] for key, (values, repeat) in self._columns.items()}
+
+    def _column_texts(self, key: str, as_json: bool) -> list:
+        values, repeat = self._columns[key]
+        texts = _texts(values, as_json)
+        if repeat > 1:
+            texts = [text for text in texts for _ in range(repeat)]
+        if len(texts) < self._length:  # an axis before the last repeats as a whole
+            texts *= self._length // len(texts)
+        return texts
+
+    def _rows(self, keys: list, separators: list, as_json: bool) -> list:
+        """Each row as separators[0], its text under keys[0], separators[1], ..., separators[-1]."""
+        texts = {key: self._column_texts(key, as_json) for key in dict.fromkeys(keys)}
+        stride = 2 * len(keys) + 1
+        parts = [None] * (stride * self._length)
+        for j, separator in enumerate(separators):
+            parts[2 * j::stride] = [separator] * self._length
+        for j, key in enumerate(keys):
+            parts[2 * j + 1::stride] = texts[key]
+        return parts
+
+    def json_parts(self, pad: str, out: list):
+        """Append the rows as json.dumps(indent=2) writes a list at indent ``pad``."""
+        if not self._length:
+            out.append("[]")
+            return
+        fields = [f"\n{pad}    {json.dumps(key)}: " for key in self._columns]
+        separators = [f"{pad}  {{{fields[0]}", *("," + field for field in fields[1:]), f"\n{pad}  }},\n"]
+        out.append("[\n")
+        out.extend(self._rows(list(self._columns), separators, True))
+        out[-1] = f"\n{pad}  }}\n{pad}]"  # the last row takes no comma
+
+    def csv_parts(self, header: list, out: list):
+        """Append the header and rows as csv.DictWriter writes them; a repeated name repeats its column."""
+        out.append(",".join(map(_csv_field, header)) + "\r\n")
+        out.extend(self._rows(header, ["", *[","] * (len(header) - 1), "\r\n"], False))
+
+
+def _sweep_rows(config: RunConfig) -> RowTable:
     """One row per grid point, in row-major order, from one array evaluation.
 
     A repeated axis path keeps its first place and its last axis's values.
@@ -447,10 +552,12 @@ def _sweep_rows(config: RunConfig) -> list:
         config.convention,
         checks,
     )
-    columns = [*assignment.values(), omega2, omega3, R, T, R + T]
-    keys = [*assignment, "omega2", "omega3", "R", "T", "energy_sum"]
-    values = zip(*(np.broadcast_to(c, grids[0].shape).ravel().tolist() for c in columns))
-    return [dict(zip(keys, row), index=i) for i, row in enumerate(values)]
+    columns = {
+        key: np.broadcast_to(c, grids[0].shape).ravel().tolist()
+        for key, c in zip(("omega2", "omega3", "R", "T", "energy_sum"), (omega2, omega3, R, T, R + T))
+    }
+    columns["index"] = range(grids[0].size)
+    return RowTable(columns, axes=[(axis["path"], axis["values"]) for axis in config.sweep_axes])
 
 
 def execute(config: RunConfig) -> dict:
@@ -492,12 +599,10 @@ def execute(config: RunConfig) -> dict:
                 t0=config.t0,
                 tol=config.oracle_tol,
             )
+            columns = {"tau": study.taus, "R_error": study.R_errors, "T_error": study.T_errors}
             payload["convergence"] = {
-                "columns": ["tau", "R_error", "T_error"],
-                "rows": [
-                    {"tau": tau, "R_error": r, "T_error": t}
-                    for tau, r, t in study.rows()
-                ],
+                "columns": list(columns),
+                "rows": RowTable(columns),
                 "empirical_order": study.empirical_order,
             }
 
@@ -512,22 +617,18 @@ def execute(config: RunConfig) -> dict:
             "omega_final": result.omega_final,
             "net_matrix": [_vector_json(row) for row in result.net_matrix],
         }
-        payload["trace"] = {
-            "columns": ["step", "kind", "index", "omega", "forward_re", "forward_im", "backward_re", "backward_im"],
-            "rows": [
-                {
-                    "step": i,
-                    "kind": s.kind,
-                    "index": s.index,
-                    "omega": s.omega,
-                    "forward_re": s.forward.real,
-                    "forward_im": s.forward.imag,
-                    "backward_re": s.backward.real,
-                    "backward_im": s.backward.imag,
-                }
-                for i, s in enumerate(result.trace)
-            ],
+        trace = result.trace
+        columns = {
+            "step": range(len(trace)),
+            "kind": [s.kind for s in trace],
+            "index": [s.index for s in trace],
+            "omega": [s.omega for s in trace],
+            "forward_re": [s.forward.real for s in trace],
+            "forward_im": [s.forward.imag for s in trace],
+            "backward_re": [s.backward.real for s in trace],
+            "backward_im": [s.backward.imag for s in trace],
         }
+        payload["trace"] = {"columns": list(columns), "rows": RowTable(columns)}
         if config.floquet:
             fl = floquet_from_net(config.timeline, result.net_matrix)
             payload["floquet"] = {
@@ -564,7 +665,7 @@ def execute(config: RunConfig) -> dict:
     return payload
 
 
-def _flatten_for_csv(payload: dict) -> tuple[list, list]:
+def _flatten_for_csv(payload: dict) -> tuple[list, Sequence]:
     """Columns and rows for CSV output of any command payload."""
     command = payload["command"]
     if command == "sweep":
@@ -590,23 +691,43 @@ def _flatten_for_csv(payload: dict) -> tuple[list, list]:
     return list(flat.keys()), [flat]
 
 
+def _timestamp() -> str:
+    return datetime.now(timezone.utc).isoformat()
+
+
 def render_json(payload: dict, timestamp: bool) -> str:
-    document = dict(payload)
-    if timestamp:
-        document = {"generated_at": datetime.now(timezone.utc).isoformat(), **document}
-    return json.dumps(document, indent=2, sort_keys=False) + "\n"
+    document = {"generated_at": _timestamp(), **payload} if timestamp else payload
+    tables = []
+
+    def hold(value):
+        """json.dumps's hook for a row table: a mark whose place the table's rows take."""
+        if not isinstance(value, RowTable):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        tables.append(value)
+        return _TABLE_MARK
+
+    pieces = json.dumps(document, indent=2, default=hold).split(json.dumps(_TABLE_MARK))
+    out = [pieces[0]]
+    for table, piece in zip(tables, pieces[1:]):
+        line = out[-1][out[-1].rfind("\n") + 1:]
+        table.json_parts(line[: len(line) - len(line.lstrip())], out)
+        out.append(piece)
+    out.append("\n")
+    return "".join(out)
 
 
 def render_csv(payload: dict, timestamp: bool) -> str:
     columns, rows = _flatten_for_csv(payload)
-    buffer = io.StringIO()
-    if timestamp:
-        buffer.write(f"# generated_at={datetime.now(timezone.utc).isoformat()}\r\n")
-    writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore", lineterminator="\r\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    return buffer.getvalue()
+    out = [f"# generated_at={_timestamp()}\r\n"] if timestamp else []
+    if isinstance(rows, RowTable):
+        rows.csv_parts(columns, out)
+    else:  # one flat record, for which csv.DictWriter is cheaper than a table's set-up
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore", lineterminator="\r\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        out.append(buffer.getvalue())
+    return "".join(out)
 
 
 def _resolve_output_path(path: Optional[str]) -> Optional[str]:
@@ -644,10 +765,10 @@ def _apply_override(raw: dict, dotted: str, value_text: str):
         value = value_text
     keys = dotted.split(".")
     target = raw
-    for key in keys[:-1]:
-        if not isinstance(target.get(key), dict):
-            target[key] = {}
-        target = target[key]
+    for depth, key in enumerate(keys[:-1], 1):
+        target = target.setdefault(key, {})
+        if not isinstance(target, dict):
+            raise ConfigError(f"config.{'.'.join(keys[:depth])}: expected an object")
     target[keys[-1]] = value
 
 

@@ -371,7 +371,8 @@ def _interface(omega1, amplitude, k, before: tuple, after: tuple, conv, reject, 
         bad = abs(incident_speed - v_minus) > 1e-9 * abs(v_minus)
         message = "incident wave speed {} does not match the before medium ({})"
         reject(bad, DomainError, message, incident_speed, v_minus)
-    bad = abs(np.dot(amplitude, k)) > _TRANSVERSALITY_RTOL * float(np.linalg.norm(amplitude))
+    # hypot: |A| near the float limit stays finite, so a huge A.k is still caught
+    bad = abs(np.dot(amplitude, k)) > _TRANSVERSALITY_RTOL * math.hypot(*np.abs(amplitude))
     reject(bool(bad), DomainError, "incident wave is not transversal (A.k != 0)")
     omega2, omega3, r, t, scales = _algebra(omega1, v_minus, v_plus, before[0], after[0], conv, reject)
     reject((abs(r) + abs(t)) * 0.0 != 0.0, DomainError, "amplitude must be finite")
@@ -457,7 +458,8 @@ def boundary_residual(result: ScatteringResult, x_samples) -> tuple[float, float
     res_E = max over samples of |eps+ (E_t + E_r) - eps- E_i| and res_H the
     analogue with mu*H built from the electric fields.  Both vanish (below
     1e-10 for unit-scale amplitudes) for solver-produced results; a
-    tampered amplitude shows up as a residual of comparable scale.
+    tampered amplitude shows up as a residual of comparable scale.  A
+    residual that overflows raises DomainError.
     """
     x = np.atleast_2d(np.asarray(x_samples, dtype=np.float64))
     t0 = result.t0
@@ -474,16 +476,22 @@ def boundary_residual(result: ScatteringResult, x_samples) -> tuple[float, float
     eps_m, eps_p = result.before.epsilon, result.after.epsilon
     mu_m, mu_p = result.before.mu, result.after.mu
 
-    jump_E = field_sum(
-        (result.transmitted, result.reflected, result.incident),
-        (eps_p, eps_p, -eps_m),
-        (None, None, None),
-    )
-    jump_H = field_sum(
-        (result.transmitted, result.reflected, result.incident),
-        (mu_p, mu_p, -mu_m),
-        (mu_p, mu_p, mu_m),
-    )
-    res_E = float(np.max(np.linalg.norm(jump_E, axis=1)))
-    res_H = float(np.max(np.linalg.norm(jump_H, axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        jump_E = field_sum(
+            (result.transmitted, result.reflected, result.incident),
+            (eps_p, eps_p, -eps_m),
+            (None, None, None),
+        )
+        jump_H = field_sum(
+            (result.transmitted, result.reflected, result.incident),
+            (mu_p, mu_p, -mu_m),
+            (mu_p, mu_p, mu_m),
+        )
+        res_E = float(np.max(np.linalg.norm(jump_E, axis=1)))
+        res_H = float(np.max(np.linalg.norm(jump_H, axis=1)))
+    if not (math.isfinite(res_E) and math.isfinite(res_H)):
+        raise DomainError(
+            f"boundary residuals overflow (res_E = {res_E}, res_H = {res_H}): a phase "
+            "omega*(k.x/v - t0) or a field norm exceeds the float range"
+        )
     return res_E, res_H

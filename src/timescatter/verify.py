@@ -13,6 +13,7 @@ suffices to detect non-cancellation numerically.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -80,9 +81,12 @@ def vandermonde_product(omegas) -> complex:
     if omegas.size < 1:
         raise DomainError("need at least one frequency")
     product = 1.0 + 0.0j
-    for k in range(omegas.size):
-        for ell in range(k + 1, omegas.size):
-            product *= 1j * (omegas[ell] - omegas[k])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for k in range(omegas.size):
+            for ell in range(k + 1, omegas.size):
+                product *= 1j * (omegas[ell] - omegas[k])
+    if not cmath.isfinite(product):
+        raise DomainError(f"Vandermonde product of {omegas.size} frequencies overflows")
     return product
 
 
@@ -97,11 +101,21 @@ def sum_residual(s: ExponentialSum, x_grid) -> float:
     return float(np.max(np.linalg.norm(values, axis=-1)))
 
 
+def _spread(omegas: np.ndarray) -> float:
+    """Largest frequency difference, max - min; DomainError if it overflows."""
+    with np.errstate(over="ignore"):
+        spread = float(np.max(omegas) - np.min(omegas))
+    if not math.isfinite(spread):
+        raise DomainError(f"frequency spread {np.max(omegas)} - ({np.min(omegas)}) overflows")
+    return spread
+
+
 def _min_gap(omegas: np.ndarray) -> float:
     """Smallest nonzero pairwise frequency difference (inf if all equal)."""
     unique = np.unique(omegas)
     if unique.size < 2:
         return math.inf
+    _spread(unique)  # an overflowing difference must not read as "all equal"
     return float(np.min(np.diff(unique)))
 
 
@@ -137,7 +151,7 @@ def assert_forced_equality(s: ExponentialSum, tol: float) -> bool:
         raise DomainError(f"tol must be positive, got {tol}")
     omegas = s.omegas
     scale = max(1.0, float(np.max(np.abs(omegas))))
-    spread = float(np.max(omegas) - np.min(omegas))
+    spread = _spread(omegas)
     if spread <= _EQUAL_RTOL * scale:
         return True
     gap = _min_gap(omegas)

@@ -727,3 +727,68 @@ class TestCascadeFloquetUnitDeterminant:
 
 def make_incident():
     return {"amplitude": [0, 1, 0], "omega1": 1.0, "k": [1, 0, 0]}
+
+
+def run_with_flags(tmp_path, config_text, *flags):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(config_text, encoding="utf-8")
+    return main([str(config_path), "--no-timestamp", *flags])
+
+
+class TestSetOverride:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("output.format=csv", "config.output: expected an object"),
+            ("media.after.epsilon.value=9", "config.media.after.epsilon: expected an object"),
+        ],
+    )
+    def test_section_that_is_not_an_object_exits_2(self, tmp_path, capsys, setting, message):
+        assert run_with_flags(tmp_path, make_config(output="result.json"), "--set", setting) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert (error["type"], error["message"]) == ("ConfigError", message)
+
+    def test_missing_section_is_created(self, tmp_path, capsys):
+        assert run_with_flags(tmp_path, make_config(), "--set", "output.format=csv") == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 2 and "R" in rows[0]
+
+
+class TestOverflowExits3:
+    """Inputs whose output would hold NaN or Infinity fail with a DomainError that names the overflow."""
+
+    def expect_domain_error(self, tmp_path, capsys, config_text, message):
+        assert run_main(tmp_path, config_text) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "DomainError" and message in error["message"]
+
+    def test_solve_phase_overflow(self, tmp_path, capsys):
+        incident = {"amplitude": [0, 1, 0], "omega1": 1e308, "k": [1, 0, 0]}
+        self.expect_domain_error(tmp_path, capsys, make_config(incident=incident), "boundary residuals overflow")
+
+    def test_solve_field_norm_overflow(self, tmp_path, capsys):
+        incident = {"amplitude": [0, 1e200, 0], "omega1": 1.0, "k": [1, 0, 0]}
+        self.expect_domain_error(tmp_path, capsys, make_config(incident=incident), "boundary residuals overflow")
+
+    def test_verify_spread_overflow(self, tmp_path, capsys):
+        terms = [{"amplitude": [1.0], "omega": 1e308}, {"amplitude": [2.0], "omega": -1e308}]
+        config = json.dumps({"command": "verify", "verify": {"terms": terms}})
+        self.expect_domain_error(tmp_path, capsys, config, "frequency spread 1e+308 - (-1e+308) overflows")
+
+    def test_verify_vandermonde_overflow(self, tmp_path, capsys):
+        terms = [{"amplitude": [1.0], "omega": k * 1e40} for k in range(10)]
+        config = json.dumps({"command": "verify", "verify": {"terms": terms}})
+        self.expect_domain_error(tmp_path, capsys, config, "Vandermonde product of 10 frequencies overflows")
+
+    def test_cascade_period_overflow(self, tmp_path, capsys):
+        timeline = [{"epsilon": 1, "mu": 1, "duration": 1e308}, {"epsilon": 4, "mu": 1, "duration": 1e308}]
+        config = json.dumps({"command": "cascade", "timeline": timeline, "incident": make_incident(), "floquet": True})
+        self.expect_domain_error(tmp_path, capsys, config, "cell total duration overflows")
+
+    def test_huge_longitudinal_amplitude_is_not_transversal(self, tmp_path, capsys):
+        incident = {"amplitude": [1e308, [1, 0.5], 0], "omega1": 1.0, "k": [1, 0, 0]}
+        self.expect_domain_error(tmp_path, capsys, make_config(incident=incident), "not transversal")

@@ -3,10 +3,9 @@
 Each example takes a valid solve, sweep (at most 4 points), cascade (at
 most 6 segments) or verify config and applies one to three mutations: a
 key deleted, an unknown key added, a number negated, or a value replaced
-by a wrong type, a list or object, 0, a negative, or +-1e+-300.  A
-non-zero exit must leave exactly one error record on stderr.  Exit-0
-output is not checked for strict JSON: some huge inputs still give NaN
-there.
+by a wrong type, a list or object, 0, a negative, +-1e+-300 or +-1e308.  A
+non-zero exit must leave exactly one error record on stderr, and exit-0
+output must be strict JSON, without NaN or Infinity.
 """
 
 import contextlib
@@ -54,7 +53,7 @@ BASES = {
         },
     },
 }
-REPLACEMENTS = ["x", True, None, [], [1.0], {}, {"re": 1}, 0, -1, -2.5, 1e300, -1e300, 1e-300, -1e-300]
+REPLACEMENTS = ["x", True, None, [], [1.0], {}, {"re": 1}, 0, -1, -2.5, 1e300, -1e300, 1e-300, -1e-300, 1e308, -1e308]
 
 
 def paths(node, prefix=()):
@@ -89,6 +88,13 @@ def mutated(draw, base):
     return config
 
 
+def strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run_cli(tmp_path_factory, config):
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -114,7 +120,8 @@ def test_mutated_configs_exit_cleanly(command, tmp_path_factory):
         code, stdout, stderr = run_cli(tmp_path_factory, config)
         assert code in (0, 2, 3, 4)
         if code == 0:
-            assert stdout and not stderr
+            assert not stderr
+            strict_json(stdout)
             return
         assert stdout == ""
         lines = stderr.splitlines()
@@ -128,4 +135,4 @@ def test_mutated_configs_exit_cleanly(command, tmp_path_factory):
 @pytest.mark.parametrize("command", sorted(BASES))
 def test_base_configs_run(command, tmp_path_factory):
     code, stdout, _ = run_cli(tmp_path_factory, BASES[command])
-    assert code == 0 and json.loads(stdout)["command"] == command
+    assert code == 0 and strict_json(stdout)["command"] == command
