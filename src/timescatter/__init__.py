@@ -86,6 +86,7 @@ from .cascade import (
 )
 from .verify import (
     ExponentialSum,
+    amplitude_scale,
     assert_forced_equality,
     canonical_grid,
     sum_residual,
@@ -122,6 +123,7 @@ __all__ = [
     "TimelineSegment",
     "TimescatterError",
     "VACUUM",
+    "amplitude_scale",
     "amplitudes",
     "assert_forced_equality",
     "boundary_residual",

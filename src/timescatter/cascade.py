@@ -68,27 +68,33 @@ def interface_matrix(before: MediumState, after: MediumState) -> np.ndarray:
     formulas to backward incidence (the mirror image k -> -k), which
     swaps the roles of the two slots.  Identical media give the identity.
     """
-    return _interface_step(before, after)[0]
+    r, t, _ = _interface(before, after)
+    return _read_only(np.array([[t, r], [r, t]], dtype=np.complex128))
 
 
-def _interface_step(before: MediumState, after: MediumState) -> tuple[np.ndarray, float]:
-    """interface_matrix and the frequency factor |v+/v-| of the switch, from one kernel call."""
+def _interface(before: MediumState, after: MediumState) -> tuple:
+    """(r, t) of a switch and its frequency factor |v+/v-|, from one scalar kernel call."""
     try:
         _, factor, r, t = scatter_kernel(
             1.0, before.epsilon, before.mu, before.branch, after.epsilon, after.mu, after.branch
         )
     except DegenerateCaseError as exc:
         raise DegenerateCaseError(f"no unique interface matrix: {exc}") from exc
-    return _read_only(np.array([[t, r], [r, t]], dtype=np.complex128)), factor
+    return r, t, factor
+
+
+def _dwell(omega: float, duration: float) -> tuple:
+    """The diagonal of propagate(omega, duration)."""
+    phase = abs(omega) * duration
+    return cmath.exp(-1j * phase), cmath.exp(1j * phase)
 
 
 def propagate(omega: float, duration: float) -> np.ndarray:
     """Free-propagation phases diag(exp(-i|w|d), exp(+i|w|d))."""
     if duration < 0.0:
         raise DomainError(f"duration must be >= 0, got {duration}")
-    phase = abs(omega) * duration
-    diagonal = [[cmath.exp(-1j * phase), 0.0], [0.0, cmath.exp(1j * phase)]]
-    return _read_only(np.array(diagonal, dtype=np.complex128))
+    ahead, behind = _dwell(omega, duration)
+    return _read_only(np.array([[ahead, 0.0], [0.0, behind]], dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -102,40 +108,83 @@ class CascadeTraceStep:
     backward: complex
 
 
+_EVENT_KINDS = ("propagate", "interface")
+
+
 @dataclass(frozen=True, eq=False)
 class CascadeResult:
-    """Final amplitudes of a timeline plus the per-event trace."""
+    """Final amplitudes of a timeline plus the per-event trace, kept as columns.
+
+    Event k is the dwell in segment k // 2 for even k and the interface
+    after that segment for odd k.  ``trace_omega[k]`` is the frequency in
+    force after event k and ``trace_amplitudes[k]`` the (forward,
+    backward) amplitude pair after it.
+    """
 
     amplitudes: ModeAmplitudes
     omega_final: float
-    trace: tuple
     net_matrix: np.ndarray
+    trace_omega: list
+    trace_amplitudes: np.ndarray  # read-only (events, 2) complex
+
+    @property
+    def trace_kind(self) -> list:
+        return [_EVENT_KINDS[k % 2] for k in range(len(self.trace_omega))]
+
+    @property
+    def trace_index(self) -> list:
+        return [k // 2 for k in range(len(self.trace_omega))]
+
+    @property
+    def trace(self) -> tuple:
+        """The trace as one CascadeTraceStep per event."""
+        columns = (self.trace_kind, self.trace_index, self.trace_omega, self.trace_amplitudes.tolist())
+        return tuple(CascadeTraceStep(*event, complex(f), complex(b)) for *event, (f, b) in zip(*columns))
 
 
-def _timeline_product(segments, omega: float, trace=None) -> tuple[np.ndarray, float]:
-    """Product of a timeline's dwell and interface matrices, and the final frequency.
+def _timeline_product(segments, omega: float, close=False, trace=False):
+    """Product of a timeline's dwell and interface matrices in one pass.
 
     ``omega`` drives the phases and is rescaled by |v_next/v_prev| at each
-    interface.  A ``trace`` list gets each event's CascadeTraceStep, for
-    amplitudes starting at (1, 0).
+    interface.  Every event matrix goes into one stacked array, and the
+    products run over it in event order (``net = step @ net``, and with
+    ``trace`` ``amps = step @ amps`` from (1, 0)), each into a buffer, so
+    each product is the same BLAS call as for separate matrices and the
+    bits match an event-by-event product.  ``close`` appends the interface
+    from the last segment's medium back to the first's.  Returns the net
+    matrix, the final frequency, the frequency after each event and, with
+    ``trace``, the (events, 2) amplitudes after each event.
     """
-    net = np.eye(2, dtype=np.complex128)
-    amps = np.array([1.0, 0.0], dtype=np.complex128)
+    count = len(segments)
+    # Each event's (2, 2) matrix row-major, and the frequency after it; sized up front, since a
+    # list grown entry by entry leaves holes in the heap that outlive the call.
+    entries, omegas = [0.0] * (8 * count - 4), [omega] * (2 * count - 1)
     for j, segment in enumerate(segments):
-        events = [("propagate", propagate(omega, segment.duration), omega)]
-        if j + 1 < len(segments):
+        entries[8 * j], entries[8 * j + 3] = _dwell(omega, segment.duration)
+        omegas[2 * j] = omega
+        if j + 1 < count:
             try:
-                step, factor = _interface_step(segment.medium, segments[j + 1].medium)
+                r, t, factor = _interface(segment.medium, segments[j + 1].medium)
             except DegenerateCaseError as exc:
                 raise DegenerateCaseError(f"interface {j} is degenerate: {exc}") from exc
             omega *= factor
-            events.append(("interface", step, omega))
-        for kind, step, at in events:
-            net = step @ net
-            if trace is not None:
-                amps = step @ amps
-                trace.append(CascadeTraceStep(kind, j, at, complex(amps[0]), complex(amps[1])))
-    return _read_only(net), omega
+            entries[8 * j + 4:8 * j + 8] = t, r, r, t
+            omegas[2 * j + 1] = omega
+    if close:
+        entries += _closing(segments)
+    steps = np.array(entries, dtype=np.complex128).reshape(-1, 2, 2)
+    matmul = np.matmul
+    net, spare = np.eye(2, dtype=np.complex128), np.empty((2, 2), dtype=np.complex128)
+    if not trace:
+        for step in steps:
+            net, spare = matmul(step, net, spare), net
+        return _read_only(net), omega, omegas, None
+    amps = np.empty((len(steps), 2), dtype=np.complex128)
+    column = np.array([1.0, 0.0], dtype=np.complex128)
+    for step, row in zip(steps, amps):
+        net, spare = matmul(step, net, spare), net
+        column = matmul(step, column, row)
+    return _read_only(net), omega, omegas, _read_only(amps)
 
 
 def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
@@ -159,12 +208,15 @@ def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
     if incident.omega <= 0.0:
         raise DomainError("incident frequency must be positive")
 
-    trace = []
-    net, omega = _timeline_product(segments, incident.omega, trace)
+    net, omega, omegas, trace = _timeline_product(segments, incident.omega, trace=True)
     polarization = incident.amplitude / np.linalg.norm(incident.amplitude)
-    amps = ModeAmplitudes(trace[-1].forward, trace[-1].backward, polarization)
+    forward, backward = trace[-1].tolist()
     return CascadeResult(
-        amplitudes=amps, omega_final=omega, trace=tuple(trace), net_matrix=net
+        amplitudes=ModeAmplitudes(forward, backward, polarization),
+        omega_final=omega,
+        net_matrix=net,
+        trace_omega=omegas,
+        trace_amplitudes=trace,
     )
 
 
@@ -191,11 +243,23 @@ def _cell_period(segments) -> float:
     return period
 
 
+def _closing(segments) -> tuple:
+    """Entries (t, r, r, t) of the interface from the last segment's medium back to the first's.
+
+    Empty when the two media are equal, so the cell closes without a switch.
+    """
+    if segments[-1].medium == segments[0].medium:
+        return ()
+    r, t, _ = _interface(segments[-1].medium, segments[0].medium)
+    return t, r, r, t
+
+
 def _closed(segments, net: np.ndarray) -> np.ndarray:
     """``net`` followed by the interface from the last segment's medium back to the first's."""
-    if segments[-1].medium == segments[0].medium:
+    closing = _closing(segments)
+    if not closing:
         return net
-    return _read_only(interface_matrix(segments[-1].medium, segments[0].medium) @ net)
+    return _read_only(np.array(closing, dtype=np.complex128).reshape(2, 2) @ net)
 
 
 def one_period_matrix(cell, omega_in: float) -> tuple[np.ndarray, float]:
@@ -210,7 +274,7 @@ def one_period_matrix(cell, omega_in: float) -> tuple[np.ndarray, float]:
     omega = abs(float(omega_in))
     if omega == 0.0:
         raise DomainError("omega_in must be nonzero")
-    return _closed(segments, _timeline_product(segments, omega)[0]), period
+    return _timeline_product(segments, omega, close=True)[0], period
 
 
 def floquet_exponent(cell, omega_in: float) -> FloquetResult:

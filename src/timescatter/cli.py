@@ -55,6 +55,7 @@ from .scatter import (
 )
 from .verify import (
     ExponentialSum,
+    amplitude_scale,
     assert_forced_equality,
     canonical_grid,
     sum_residual,
@@ -560,6 +561,18 @@ def _sweep_rows(config: RunConfig) -> RowTable:
     return RowTable(columns, axes=[(axis["path"], axis["values"]) for axis in config.sweep_axes])
 
 
+def _check_cascade_finite(result) -> None:
+    """DomainError naming the first trace step whose amplitudes or frequency overflow."""
+    finite = np.isfinite(result.trace_amplitudes).all(axis=1) & np.isfinite(result.trace_omega)
+    if finite.all() and np.isfinite(result.net_matrix).all():
+        return
+    step = int(np.argmin(finite)) if not finite.all() else len(finite) - 1
+    raise DomainError(
+        f"cascade overflows at trace step {step} ({result.trace_kind[step]} {result.trace_index[step]}): "
+        "the amplitudes or the frequency exceed the float range"
+    )
+
+
 def execute(config: RunConfig) -> dict:
     """Run one validated configuration and return the output payload."""
     payload = {"schema_version": SCHEMA_VERSION, "command": config.command}
@@ -608,7 +621,10 @@ def execute(config: RunConfig) -> dict:
 
     elif config.command == "cascade":
         wave = config.incident.plane_wave(config.timeline[0].medium)
-        result = cascade_scatter(config.timeline, wave)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, after Floquet's own check
+            result = cascade_scatter(config.timeline, wave)
+            fl = floquet_from_net(config.timeline, result.net_matrix) if config.floquet else None
+        _check_cascade_finite(result)
         payload["result"] = {
             "forward": _complex_json(result.amplitudes.forward),
             "backward": _complex_json(result.amplitudes.backward),
@@ -617,20 +633,19 @@ def execute(config: RunConfig) -> dict:
             "omega_final": result.omega_final,
             "net_matrix": [_vector_json(row) for row in result.net_matrix],
         }
-        trace = result.trace
+        forward, backward = result.trace_amplitudes.T
         columns = {
-            "step": range(len(trace)),
-            "kind": [s.kind for s in trace],
-            "index": [s.index for s in trace],
-            "omega": [s.omega for s in trace],
-            "forward_re": [s.forward.real for s in trace],
-            "forward_im": [s.forward.imag for s in trace],
-            "backward_re": [s.backward.real for s in trace],
-            "backward_im": [s.backward.imag for s in trace],
+            "step": range(len(result.trace_omega)),
+            "kind": result.trace_kind,
+            "index": result.trace_index,
+            "omega": result.trace_omega,
+            "forward_re": forward.real.tolist(),
+            "forward_im": forward.imag.tolist(),
+            "backward_re": backward.real.tolist(),
+            "backward_im": backward.imag.tolist(),
         }
         payload["trace"] = {"columns": list(columns), "rows": RowTable(columns)}
-        if config.floquet:
-            fl = floquet_from_net(config.timeline, result.net_matrix)
+        if fl is not None:
             payload["floquet"] = {
                 "exponents": [_complex_json(e) for e in fl.exponents],
                 "eigenvalues": [_complex_json(e) for e in fl.eigenvalues],
@@ -646,7 +661,7 @@ def execute(config: RunConfig) -> dict:
         exp_sum = ExponentialSum(amps, omegas)
         grid = canonical_grid(omegas)
         residual = sum_residual(exp_sum, grid)
-        amp_scale = float(np.sum(np.linalg.norm(amps, axis=1)))
+        amp_scale = amplitude_scale(exp_sum)
         cancelling = residual <= config.verify_tol * amp_scale
         # Raises ResolutionError (exit 3) for sub-resolution gaps or an
         # unsound cancellation claim.

@@ -10,8 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import timescatter.cascade as cascade_module
 from timescatter import (
+    DegenerateCaseError,
     DomainError,
+    FrequencyConvention,
     MediumState,
     NumericalDegeneracyWarning,
     PlaneWave,
@@ -24,7 +27,10 @@ from timescatter import (
     interface_matrix,
     propagate,
     scatter_interface,
+    scatter_kernel,
+    wave_speed,
 )
+from timescatter.cascade import one_period_matrix
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -353,3 +359,140 @@ class TestFloquetUnitDeterminant:
         matrix = result.period_matrix
         scale = float(np.max(np.abs(matrix)))
         assert abs(np.linalg.det(matrix) - 1.0) <= 1e-9 + 1e-12 * scale**2
+
+
+def reference_product(segments, omega, close=False):
+    """Event-by-event product, one fresh matrix per event: net matrix, final omega, trace rows.
+
+    The cascade builds all event matrices into one stack in a single pass;
+    this keeps the per-event form (propagate, interface_matrix, ``@``) to
+    check that the stack gives the same bits.
+    """
+    net = np.eye(2, dtype=np.complex128)
+    amps = np.array([1.0, 0.0], dtype=np.complex128)
+    rows = []
+    for j, segment in enumerate(segments):
+        events = [("propagate", propagate(omega, segment.duration), omega)]
+        if j + 1 < len(segments):
+            before, after = segment.medium, segments[j + 1].medium
+            _, factor, _, _ = scatter_kernel(
+                1.0, before.epsilon, before.mu, before.branch, after.epsilon, after.mu, after.branch
+            )
+            omega *= factor
+            events.append(("interface", interface_matrix(before, after), omega))
+        for kind, step, at in events:
+            net = step @ net
+            amps = step @ amps
+            rows.append((kind, j, at, complex(amps[0]), complex(amps[1])))
+    if close and segments[-1].medium != segments[0].medium:
+        net = interface_matrix(segments[-1].medium, segments[0].medium) @ net
+    return net, omega, rows
+
+
+def same_bits(a, b) -> bool:
+    """Equal to the bit, so -0.0 and 0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def medium_from(eps, mu, negative):
+    return MediumState(-eps, -mu, -1) if negative else MediumState(eps, mu)
+
+
+MEDIA = st.tuples(st.floats(0.2, 10.0), st.floats(0.2, 10.0), st.booleans())
+DURATIONS = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+
+
+@st.composite
+def timelines(draw, max_size=60):
+    """Timelines of 1..max_size segments over a pool of 1..4 media, so media repeat."""
+    pool = draw(st.lists(MEDIA, min_size=1, max_size=4))
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), DURATIONS), min_size=1, max_size=max_size))
+    return [TimelineSegment(medium_from(*pool[i]), duration) for i, duration in picks]
+
+
+class TestOnePassProduct:
+    """The stacked one-pass product equals the per-event loop to the bit."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(segments=timelines(), omega=st.floats(0.3, 3.0))
+    @example(segments=[TimelineSegment(VACUUM, 0.0)], omega=1.0)
+    @example(segments=[TimelineSegment(VACUUM, 1.0), TimelineSegment(DOUBLE_NEGATIVE, 0.0)] * 30, omega=1.0)
+    def test_bit_identical_to_event_loop(self, segments, omega):
+        net, omega_final, rows = reference_product(segments, omega)
+        result = cascade_scatter(segments, PlaneWave(Y_HAT.astype(complex), omega, X_HAT, wave_speed(segments[0].medium)))
+        assert same_bits(result.net_matrix, net)
+        assert same_bits(result.omega_final, omega_final)
+        trace = result.trace
+        assert [(step.kind, step.index) for step in trace] == [row[:2] for row in rows]
+        assert same_bits([step.omega for step in trace], [row[2] for row in rows])
+        assert same_bits([(step.forward, step.backward) for step in trace], [row[3:] for row in rows])
+        assert same_bits([result.amplitudes.forward, result.amplitudes.backward], rows[-1][3:])
+        if sum(segment.duration for segment in segments) > 0.0:
+            period_matrix, _ = one_period_matrix(segments, omega)
+            assert same_bits(period_matrix, reference_product(segments, omega, close=True)[0])
+
+    def test_trace_columns_match_trace_steps(self):
+        timeline = [TimelineSegment(VACUUM, 0.4), TimelineSegment(DENSE, 0.0), TimelineSegment(STRONG, 1.1)]
+        result = cascade_scatter(timeline, vacuum_wave(1.2))
+        assert result.trace_kind == ["propagate", "interface"] * 2 + ["propagate"]
+        assert result.trace_index == [0, 0, 1, 1, 2]
+        assert result.trace_amplitudes.shape == (5, 2) and not result.trace_amplitudes.flags.writeable
+        assert [step.omega for step in result.trace] == result.trace_omega
+        assert [[step.forward, step.backward] for step in result.trace] == result.trace_amplitudes.tolist()
+
+    def test_interior_degenerate_interface_message(self):
+        # v+/v- overflows, so omega2 = -omega3 = inf and the amplitude split is not unique.
+        cell = [TimelineSegment(MediumState(1e154, 1e154), 1.0), TimelineSegment(MediumState(1e-162, 1e-161), 1.0)]
+        with pytest.raises(DegenerateCaseError) as raised:
+            one_period_matrix(cell, 1.0)
+        assert str(raised.value) == (
+            "interface 0 is degenerate: no unique interface matrix: "
+            "omega2 = omega3 = -inf: amplitude split is not unique; use degenerate_amplitude"
+        )
+
+    @pytest.mark.parametrize("failing, message", [
+        (DENSE, "interface 1 is degenerate: no unique interface matrix: kernel says no"),
+        (VACUUM, "no unique interface matrix: kernel says no"),
+    ], ids=["interior", "closing"])
+    def test_degenerate_interface_messages(self, monkeypatch, failing, message):
+        # The kernel fails only on the switch into ``failing``: interior interface 1, or the closing one.
+        kernel = cascade_module.scatter_kernel
+
+        def picky_kernel(omega1, eps_minus, mu_minus, branch_minus, eps_plus, *rest):
+            if (eps_minus, eps_plus) == (STRONG.epsilon, failing.epsilon):
+                raise DegenerateCaseError("kernel says no")
+            return kernel(omega1, eps_minus, mu_minus, branch_minus, eps_plus, *rest)
+
+        monkeypatch.setattr(cascade_module, "scatter_kernel", picky_kernel)
+        cell = [TimelineSegment(VACUUM, 1.0), TimelineSegment(STRONG, 1.0)]
+        if failing is DENSE:
+            cell.append(TimelineSegment(DENSE, 1.0))
+        with pytest.raises(DegenerateCaseError) as raised:
+            one_period_matrix(cell, 1.0)
+        assert str(raised.value) == message
+
+
+class TestTimelineProperties:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(medium=MEDIA, durations=st.lists(DURATIONS, min_size=1, max_size=60), omega=st.floats(0.3, 3.0))
+    def test_equal_media_are_pure_phase(self, medium, durations, omega):
+        medium = medium_from(*medium)
+        timeline = [TimelineSegment(MediumState(medium.epsilon, medium.mu, medium.branch), d) for d in durations]
+        result = cascade_scatter(timeline, PlaneWave(Y_HAT.astype(complex), omega, X_HAT, wave_speed(medium)))
+        assert result.omega_final == omega
+        assert result.amplitudes.backward == 0.0
+        assert abs(abs(result.amplitudes.forward) - 1.0) <= 1e-12 * len(timeline)
+        assert np.all(result.trace_amplitudes[:, 1] == 0.0)
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(before=MEDIA, after=MEDIA, omega1=st.floats(0.01, 100.0), transmitted=st.sampled_from(["forward", "backward"]))
+    def test_factors_sum_to_permittivity_ratio(self, before, after, omega1, transmitted):
+        # B_r + B_t = (eps-/eps+) B_i, from the continuity of D.
+        before, after = medium_from(*before), medium_from(*after)
+        conv = FrequencyConvention(transmitted=transmitted)
+        _, _, r, t = scatter_kernel(
+            omega1, before.epsilon, before.mu, before.branch, after.epsilon, after.mu, after.branch, conv
+        )
+        ratio = before.epsilon / after.epsilon
+        assert abs(r + t - ratio) <= 1e-14 * (abs(r) + abs(t) + abs(ratio))

@@ -792,3 +792,26 @@ class TestOverflowExits3:
     def test_huge_longitudinal_amplitude_is_not_transversal(self, tmp_path, capsys):
         incident = {"amplitude": [1e308, [1, 0.5], 0], "omega1": 1.0, "k": [1, 0, 0]}
         self.expect_domain_error(tmp_path, capsys, make_config(incident=incident), "not transversal")
+
+    def test_cascade_amplitude_overflow_without_floquet(self, tmp_path, capsys):
+        # With "floquet": true the same timeline fails in the Floquet step (test_overflowing_timeline_exits_3).
+        config = json.dumps({"command": "cascade", "timeline": GAP_CELL * 3000, "incident": make_incident()})
+        self.expect_domain_error(tmp_path, capsys, config, "cascade overflows at trace step 6679 (interface 3339)")
+
+    def test_cascade_frequency_overflow(self, tmp_path, capsys):
+        # Each switch speeds the wave up 1e5 times; omega passes 1.8e308 at interface 21.
+        timeline = [{"epsilon": 10.0 ** (77 - 5 * k), "mu": 10.0 ** (77 - 5 * k), "duration": 1.0} for k in range(31)]
+        incident = dict(make_incident(), omega1=1e200)
+        config = json.dumps({"command": "cascade", "timeline": timeline, "incident": incident})
+        self.expect_domain_error(tmp_path, capsys, config, "cascade overflows at trace step 43 (interface 21)")
+
+    def test_verify_residual_overflow(self, tmp_path, capsys):
+        terms = [{"amplitude": [1e308, 1e308], "omega": 1.0}, {"amplitude": [1e308, 1.0], "omega": 2.0}]
+        config = json.dumps({"command": "verify", "verify": {"terms": terms}})
+        self.expect_domain_error(tmp_path, capsys, config, "residual of a sum of 2 terms overflows")
+
+    def test_verify_amplitude_scale_overflow(self, tmp_path, capsys):
+        # The two terms cancel exactly, so the residual is 0, but each amplitude norm overflows.
+        terms = [{"amplitude": [1e200], "omega": 1.0}, {"amplitude": [-1e200], "omega": 1.0}]
+        config = json.dumps({"command": "verify", "verify": {"terms": terms}})
+        self.expect_domain_error(tmp_path, capsys, config, "amplitude scale of 2 terms overflows")
