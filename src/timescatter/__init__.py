@@ -86,7 +86,6 @@ from .cascade import (
 )
 from .verify import (
     ExponentialSum,
-    amplitude_scale,
     assert_forced_equality,
     canonical_grid,
     sum_residual,
@@ -123,7 +122,6 @@ __all__ = [
     "TimelineSegment",
     "TimescatterError",
     "VACUUM",
-    "amplitude_scale",
     "amplitudes",
     "assert_forced_equality",
     "boundary_residual",

@@ -18,6 +18,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateCaseError, DomainError, NumericalDegeneracyWarning
@@ -60,6 +61,11 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+def _matrix(entries) -> np.ndarray:
+    """Read-only (2, 2) complex matrix from its four entries in row-major order."""
+    return _read_only(np.array(entries, dtype=np.complex128).reshape(2, 2))
+
+
 def interface_matrix(before: MediumState, after: MediumState) -> np.ndarray:
     """Amplitude transfer matrix of one temporal interface (default convention).
 
@@ -68,33 +74,31 @@ def interface_matrix(before: MediumState, after: MediumState) -> np.ndarray:
     formulas to backward incidence (the mirror image k -> -k), which
     swaps the roles of the two slots.  Identical media give the identity.
     """
-    r, t, _ = _interface(before, after)
-    return _read_only(np.array([[t, r], [r, t]], dtype=np.complex128))
+    return _matrix(_interface(before, after)[0])
 
 
 def _interface(before: MediumState, after: MediumState) -> tuple:
-    """(r, t) of a switch and its frequency factor |v+/v-|, from one scalar kernel call."""
+    """Row-major entries of interface_matrix and the frequency factor |v+/v-|, from one scalar kernel call."""
     try:
         _, factor, r, t = scatter_kernel(
             1.0, before.epsilon, before.mu, before.branch, after.epsilon, after.mu, after.branch
         )
     except DegenerateCaseError as exc:
         raise DegenerateCaseError(f"no unique interface matrix: {exc}") from exc
-    return r, t, factor
+    return (t, r, r, t), factor
 
 
 def _dwell(omega: float, duration: float) -> tuple:
-    """The diagonal of propagate(omega, duration)."""
+    """Row-major entries of propagate(omega, duration)."""
     phase = abs(omega) * duration
-    return cmath.exp(-1j * phase), cmath.exp(1j * phase)
+    return cmath.exp(-1j * phase), 0.0, 0.0, cmath.exp(1j * phase)
 
 
 def propagate(omega: float, duration: float) -> np.ndarray:
     """Free-propagation phases diag(exp(-i|w|d), exp(+i|w|d))."""
     if duration < 0.0:
         raise DomainError(f"duration must be >= 0, got {duration}")
-    ahead, behind = _dwell(omega, duration)
-    return _read_only(np.array([[ahead, 0.0], [0.0, behind]], dtype=np.complex128))
+    return _matrix(_dwell(omega, duration))
 
 
 @dataclass(frozen=True)
@@ -111,6 +115,11 @@ class CascadeTraceStep:
 _EVENT_KINDS = ("propagate", "interface")
 
 
+def _event_labels(count: int) -> tuple[list, list]:
+    """Kind and index of each of ``count`` cascade events, as CascadeResult orders them."""
+    return [_EVENT_KINDS[k % 2] for k in range(count)], [k // 2 for k in range(count)]
+
+
 @dataclass(frozen=True, eq=False)
 class CascadeResult:
     """Final amplitudes of a timeline plus the per-event trace, kept as columns.
@@ -124,25 +133,18 @@ class CascadeResult:
     amplitudes: ModeAmplitudes
     omega_final: float
     net_matrix: np.ndarray
-    trace_omega: list
+    trace_omega: tuple
     trace_amplitudes: np.ndarray  # read-only (events, 2) complex
 
-    @property
-    def trace_kind(self) -> list:
-        return [_EVENT_KINDS[k % 2] for k in range(len(self.trace_omega))]
-
-    @property
-    def trace_index(self) -> list:
-        return [k // 2 for k in range(len(self.trace_omega))]
-
-    @property
+    @cached_property
     def trace(self) -> tuple:
-        """The trace as one CascadeTraceStep per event."""
-        columns = (self.trace_kind, self.trace_index, self.trace_omega, self.trace_amplitudes.tolist())
+        """The trace as one CascadeTraceStep per event, built on first access."""
+        kinds, indices = _event_labels(len(self.trace_omega))
+        columns = (kinds, indices, self.trace_omega, self.trace_amplitudes.tolist())
         return tuple(CascadeTraceStep(*event, complex(f), complex(b)) for *event, (f, b) in zip(*columns))
 
 
-def _timeline_product(segments, omega: float, close=False, trace=False):
+def _timeline_product(segments, omega: float, trace=False):
     """Product of a timeline's dwell and interface matrices in one pass.
 
     ``omega`` drives the phases and is rescaled by |v_next/v_prev| at each
@@ -150,28 +152,24 @@ def _timeline_product(segments, omega: float, close=False, trace=False):
     products run over it in event order (``net = step @ net``, and with
     ``trace`` ``amps = step @ amps`` from (1, 0)), each into a buffer, so
     each product is the same BLAS call as for separate matrices and the
-    bits match an event-by-event product.  ``close`` appends the interface
-    from the last segment's medium back to the first's.  Returns the net
-    matrix, the final frequency, the frequency after each event and, with
-    ``trace``, the (events, 2) amplitudes after each event.
+    bits match an event-by-event product.  Returns the net matrix, the
+    final frequency, the frequency after each event and, with ``trace``,
+    the (events, 2) amplitudes after each event.
     """
     count = len(segments)
     # Each event's (2, 2) matrix row-major, and the frequency after it; sized up front, since a
     # list grown entry by entry leaves holes in the heap that outlive the call.
     entries, omegas = [0.0] * (8 * count - 4), [omega] * (2 * count - 1)
     for j, segment in enumerate(segments):
-        entries[8 * j], entries[8 * j + 3] = _dwell(omega, segment.duration)
+        entries[8 * j:8 * j + 4] = _dwell(omega, segment.duration)
         omegas[2 * j] = omega
         if j + 1 < count:
             try:
-                r, t, factor = _interface(segment.medium, segments[j + 1].medium)
+                entries[8 * j + 4:8 * j + 8], factor = _interface(segment.medium, segments[j + 1].medium)
             except DegenerateCaseError as exc:
                 raise DegenerateCaseError(f"interface {j} is degenerate: {exc}") from exc
             omega *= factor
-            entries[8 * j + 4:8 * j + 8] = t, r, r, t
             omegas[2 * j + 1] = omega
-    if close:
-        entries += _closing(segments)
     steps = np.array(entries, dtype=np.complex128).reshape(-1, 2, 2)
     matmul = np.matmul
     net, spare = np.eye(2, dtype=np.complex128), np.empty((2, 2), dtype=np.complex128)
@@ -215,7 +213,7 @@ def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
         amplitudes=ModeAmplitudes(forward, backward, polarization),
         omega_final=omega,
         net_matrix=net,
-        trace_omega=omegas,
+        trace_omega=tuple(omegas),
         trace_amplitudes=trace,
     )
 
@@ -243,23 +241,11 @@ def _cell_period(segments) -> float:
     return period
 
 
-def _closing(segments) -> tuple:
-    """Entries (t, r, r, t) of the interface from the last segment's medium back to the first's.
-
-    Empty when the two media are equal, so the cell closes without a switch.
-    """
-    if segments[-1].medium == segments[0].medium:
-        return ()
-    r, t, _ = _interface(segments[-1].medium, segments[0].medium)
-    return t, r, r, t
-
-
 def _closed(segments, net: np.ndarray) -> np.ndarray:
     """``net`` followed by the interface from the last segment's medium back to the first's."""
-    closing = _closing(segments)
-    if not closing:
+    if segments[-1].medium == segments[0].medium:
         return net
-    return _read_only(np.array(closing, dtype=np.complex128).reshape(2, 2) @ net)
+    return _read_only(_matrix(_interface(segments[-1].medium, segments[0].medium)[0]) @ net)
 
 
 def one_period_matrix(cell, omega_in: float) -> tuple[np.ndarray, float]:
@@ -274,7 +260,7 @@ def one_period_matrix(cell, omega_in: float) -> tuple[np.ndarray, float]:
     omega = abs(float(omega_in))
     if omega == 0.0:
         raise DomainError("omega_in must be nonzero")
-    return _timeline_product(segments, omega, close=True)[0], period
+    return _closed(segments, _timeline_product(segments, omega)[0]), period
 
 
 def floquet_exponent(cell, omega_in: float) -> FloquetResult:
@@ -308,15 +294,21 @@ def _floquet(matrix: np.ndarray, period: float) -> FloquetResult:
     reciprocal, so lam1 * lam2 = 1 however large the trace.
     """
     tr = complex(matrix[0, 0] + matrix[1, 1])
+    try:
+        modulus = abs(tr)
+    except OverflowError:  # both parts finite, the modulus beyond the float range
+        modulus = math.inf
+    if not math.isfinite(modulus):
+        raise DomainError(f"one-period matrix has no finite nonzero Floquet eigenvalues (trace {tr})")
     # sqrt(tr**2 - 4) / 2, with a large trace scaled by a power of two (exact) so tr**2 stays finite.
-    exponent = max(math.frexp(abs(tr))[1], 0)
+    exponent = max(math.frexp(modulus)[1], 0)
     scaled = math.ldexp(1.0, -exponent) * tr
     half_disc = math.ldexp(1.0, exponent - 1) * cmath.sqrt(scaled * scaled - math.ldexp(4.0, -2 * exponent))
     lam1, lam2 = 0.5 * tr + half_disc, 0.5 * tr - half_disc
     lam1, lam2 = (lam1, 1.0 / lam1) if abs(lam1) >= abs(lam2) else (1.0 / lam2, lam2)
     if not (cmath.isfinite(lam1) and cmath.isfinite(lam2)) or 0.0 in (lam1, lam2):
         raise DomainError(f"one-period matrix has no finite nonzero Floquet eigenvalues (trace {tr})")
-    scale = max(abs(tr), 1.0)
+    scale = max(modulus, 1.0)
     if 2.0 * abs(half_disc) <= math.sqrt(_DEGENERACY_TOL) * scale and np.linalg.norm(
         matrix - 0.5 * tr * np.eye(2)
     ) > _DEGENERACY_TOL * scale:

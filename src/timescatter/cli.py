@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 # floquet_exponent is not called here; bench/tracing.py wraps it under this module's name.
-from .cascade import TimelineSegment, cascade_scatter, floquet_exponent, floquet_from_net  # noqa: F401
+from .cascade import TimelineSegment, _event_labels, cascade_scatter, floquet_exponent, floquet_from_net  # noqa: F401
 from .errors import (
     ConfigError,
     DegenerateCaseError,
@@ -55,7 +55,7 @@ from .scatter import (
 )
 from .verify import (
     ExponentialSum,
-    amplitude_scale,
+    _amplitude_scale,
     assert_forced_equality,
     canonical_grid,
     sum_residual,
@@ -562,13 +562,16 @@ def _sweep_rows(config: RunConfig) -> RowTable:
 
 
 def _check_cascade_finite(result) -> None:
-    """DomainError naming the first trace step whose amplitudes or frequency overflow."""
-    finite = np.isfinite(result.trace_amplitudes).all(axis=1) & np.isfinite(result.trace_omega)
+    """DomainError naming the first trace step whose amplitudes or frequency overflow.
+
+    An amplitude overflows when its modulus does, which can happen while both of its parts are finite.
+    """
+    finite = np.isfinite(np.abs(result.trace_amplitudes)).all(axis=1) & np.isfinite(result.trace_omega)
     if finite.all() and np.isfinite(result.net_matrix).all():
         return
-    step = int(np.argmin(finite)) if not finite.all() else len(finite) - 1
+    k = int(np.argmin(finite)) if not finite.all() else len(finite) - 1
     raise DomainError(
-        f"cascade overflows at trace step {step} ({result.trace_kind[step]} {result.trace_index[step]}): "
+        f"cascade overflows at trace step {k} ({result.trace[k].kind} {result.trace[k].index}): "
         "the amplitudes or the frequency exceed the float range"
     )
 
@@ -621,10 +624,10 @@ def execute(config: RunConfig) -> dict:
 
     elif config.command == "cascade":
         wave = config.incident.plane_wave(config.timeline[0].medium)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, after Floquet's own check
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises in the check, after Floquet's own
             result = cascade_scatter(config.timeline, wave)
             fl = floquet_from_net(config.timeline, result.net_matrix) if config.floquet else None
-        _check_cascade_finite(result)
+            _check_cascade_finite(result)
         payload["result"] = {
             "forward": _complex_json(result.amplitudes.forward),
             "backward": _complex_json(result.amplitudes.backward),
@@ -634,10 +637,11 @@ def execute(config: RunConfig) -> dict:
             "net_matrix": [_vector_json(row) for row in result.net_matrix],
         }
         forward, backward = result.trace_amplitudes.T
+        kinds, indices = _event_labels(len(result.trace_omega))
         columns = {
             "step": range(len(result.trace_omega)),
-            "kind": result.trace_kind,
-            "index": result.trace_index,
+            "kind": kinds,
+            "index": indices,
             "omega": result.trace_omega,
             "forward_re": forward.real.tolist(),
             "forward_im": forward.imag.tolist(),
@@ -661,7 +665,7 @@ def execute(config: RunConfig) -> dict:
         exp_sum = ExponentialSum(amps, omegas)
         grid = canonical_grid(omegas)
         residual = sum_residual(exp_sum, grid)
-        amp_scale = amplitude_scale(exp_sum)
+        amp_scale = _amplitude_scale(exp_sum)
         cancelling = residual <= config.verify_tol * amp_scale
         # Raises ResolutionError (exit 3) for sub-resolution gaps or an
         # unsound cancellation claim.

@@ -25,7 +25,6 @@ __all__ = [
     "ExponentialSum",
     "vandermonde_product",
     "sum_residual",
-    "amplitude_scale",
     "canonical_grid",
     "assert_forced_equality",
 ]
@@ -48,7 +47,7 @@ class ExponentialSum:
             raise DomainError("need one amplitude vector per frequency")
         if amps.shape[0] < 1:
             raise DomainError("need at least one term")
-        with np.errstate(over="ignore"):  # an overflowing norm is not zero; amplitude_scale rejects it
+        with np.errstate(over="ignore"):  # an overflowing norm is not zero; _amplitude_scale rejects it
             norms = np.linalg.norm(amps, axis=1)
         if np.any(norms == 0.0):
             raise DomainError("every amplitude must be nonzero")
@@ -102,16 +101,20 @@ def sum_residual(s: ExponentialSum, x_grid) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         residual = float(np.max(np.linalg.norm(s.evaluate(x), axis=-1)))
     if not math.isfinite(residual):
-        raise DomainError(f"residual of a sum of {s.n_terms} terms overflows: the norm of the sum exceeds the float range")
+        raise DomainError(
+            f"residual of a sum of {s.n_terms} terms overflows: the norm of the sum exceeds the float range"
+        )
     return residual
 
 
-def amplitude_scale(s: ExponentialSum) -> float:
+def _amplitude_scale(s: ExponentialSum) -> float:
     """Sum of the amplitude norms, the scale a residual is judged against."""
     with np.errstate(over="ignore"):  # an overflow raises below
         scale = float(np.sum(np.linalg.norm(s.amplitudes, axis=1)))
     if not math.isfinite(scale):
-        raise DomainError(f"amplitude scale of {s.n_terms} terms overflows: the sum of the amplitude norms exceeds the float range")
+        raise DomainError(
+            f"amplitude scale of {s.n_terms} terms overflows: the sum of the amplitude norms exceeds the float range"
+        )
     return scale
 
 
@@ -175,7 +178,7 @@ def assert_forced_equality(s: ExponentialSum, tol: float) -> bool:
             f"({_RESOLVE_RTOL * scale:.3e}); cannot certify equality"
         )
     residual = sum_residual(s, canonical_grid(omegas))
-    if residual <= tol * amplitude_scale(s):
+    if residual <= tol * _amplitude_scale(s):
         raise ResolutionError(
             f"residual {residual:.3e} reported as cancelling for distinct "
             "frequencies with nonzero amplitudes; impossible for an exact sum, "

@@ -333,6 +333,12 @@ class TestFloquetUnitDeterminant:
         with pytest.raises(TimescatterError, match="no finite nonzero Floquet eigenvalues"):
             floquet_exponent(GAP_CELL * 2000, 1.0)
 
+    def test_trace_modulus_overflow_rejected(self):
+        # Both parts of the trace are finite, but its modulus is beyond the float range.
+        net = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 0.0]])
+        with pytest.raises(DomainError, match="no finite nonzero Floquet eigenvalues"):
+            floquet_from_net([TimelineSegment(VACUUM, 1.0)], net)
+
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(
         segments=st.lists(
@@ -435,11 +441,14 @@ class TestOnePassProduct:
     def test_trace_columns_match_trace_steps(self):
         timeline = [TimelineSegment(VACUUM, 0.4), TimelineSegment(DENSE, 0.0), TimelineSegment(STRONG, 1.1)]
         result = cascade_scatter(timeline, vacuum_wave(1.2))
-        assert result.trace_kind == ["propagate", "interface"] * 2 + ["propagate"]
-        assert result.trace_index == [0, 0, 1, 1, 2]
+        trace = result.trace
+        assert [(step.kind, step.index) for step in trace] == [
+            ("propagate", 0), ("interface", 0), ("propagate", 1), ("interface", 1), ("propagate", 2)
+        ]
         assert result.trace_amplitudes.shape == (5, 2) and not result.trace_amplitudes.flags.writeable
-        assert [step.omega for step in result.trace] == result.trace_omega
-        assert [[step.forward, step.backward] for step in result.trace] == result.trace_amplitudes.tolist()
+        assert isinstance(result.trace_omega, tuple) and [step.omega for step in trace] == list(result.trace_omega)
+        assert [[step.forward, step.backward] for step in trace] == result.trace_amplitudes.tolist()
+        assert result.trace is trace  # built on first access only
 
     def test_interior_degenerate_interface_message(self):
         # v+/v- overflows, so omega2 = -omega3 = inf and the amplitude split is not unique.

@@ -798,6 +798,14 @@ class TestOverflowExits3:
         config = json.dumps({"command": "cascade", "timeline": GAP_CELL * 3000, "incident": make_incident()})
         self.expect_domain_error(tmp_path, capsys, config, "cascade overflows at trace step 6679 (interface 3339)")
 
+    def test_cascade_modulus_overflow_with_finite_parts(self, tmp_path, capsys):
+        # The last switch leaves |forward| just above the float maximum while its real and
+        # imaginary parts, and every earlier amplitude, stay finite.
+        tail = [{"epsilon": 1, "mu": 1, "duration": 2.0}, {"epsilon": 9, "mu": 1, "duration": 12.25}]
+        timeline = GAP_CELL * 1668 + tail + [{"epsilon": 1, "mu": 1, "duration": 0.0}]
+        config = json.dumps({"command": "cascade", "timeline": timeline, "incident": make_incident()})
+        self.expect_domain_error(tmp_path, capsys, config, "cascade overflows at trace step 6675 (interface 3337)")
+
     def test_cascade_frequency_overflow(self, tmp_path, capsys):
         # Each switch speeds the wave up 1e5 times; omega passes 1.8e308 at interface 21.
         timeline = [{"epsilon": 10.0 ** (77 - 5 * k), "mu": 10.0 ** (77 - 5 * k), "duration": 1.0} for k in range(31)]
