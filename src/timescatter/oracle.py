@@ -27,7 +27,9 @@ oracle stays an independent check on them.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,18 +99,32 @@ class ModeAmplitudes:
         object.__setattr__(self, "backward", complex(self.backward))
 
 
-def _cross_matrix(m: PhaseVector) -> np.ndarray:
-    """Matrix Mx with Mx @ v = m x v."""
-    mx, my, mz = m.m
-    return np.array([[0.0, -mz, my], [mz, 0.0, -mx], [-my, mx, 0.0]])
+def _modulus(m: PhaseVector) -> float:
+    """|m| as np.linalg.norm gives it; DomainError unless |m|**2 is a normal float."""
+    with np.errstate(over="ignore"):  # an overflowing |m| is rejected below
+        mag = float(np.linalg.norm(m.m))
+    if not sys.float_info.min <= mag * mag < math.inf:
+        raise DomainError(f"phase vector magnitude {mag!r} is out of range: |m|**2 must be a normal float")
+    return mag
 
 
-def _rhs(y: np.ndarray, cross: np.ndarray, medium: MediumState) -> np.ndarray:
-    """d(D, B)/dt for the stacked state y = (D, B); ``cross`` is m's Mx."""
-    out = np.empty(6, dtype=np.complex128)
-    out[:3] = (1j / medium.mu) * (cross @ y[3:])
-    out[3:] = (-1j / medium.epsilon) * (cross @ y[:3])
-    return out
+def _cross_rows(m: PhaseVector):
+    """Rows of the matrix Mx with Mx @ v = m x v, as Python floats."""
+    mx, my, mz = m.m.tolist()
+    return (0.0, -mz, my), (mz, 0.0, -mx), (-my, mx, 0.0)
+
+
+def _rhs(y, rows, medium: MediumState):
+    """d(D, B)/dt for the state y = [D0, D1, D2, B0, B1, B2] of Python complex numbers.
+
+    ``rows`` are m's Mx.  The row sums run in the order of numpy's 3x3 product,
+    so the bits are those of ``(1j / mu) * (Mx @ B)`` and ``(-1j / eps) * (Mx @ D)``.
+    """
+    d0, d1, d2, q0, q1, q2 = y
+    cm, ce = 1j / medium.mu, -1j / medium.epsilon
+    return [cm * (r0 * q0 + r1 * q1 + r2 * q2) for r0, r1, r2 in rows] + [
+        ce * (r0 * d0 + r1 * d1 + r2 * d2) for r0, r1, r2 in rows
+    ]
 
 
 def mode_rhs(state: ModeState, m: PhaseVector, medium: MediumState):
@@ -117,23 +133,20 @@ def mode_rhs(state: ModeState, m: PhaseVector, medium: MediumState):
     Preserves the divergence constraints D.m = B.m = 0 exactly: both
     derivatives are cross products with m.
     """
-    dy = _rhs(np.concatenate([state.D, state.B]), _cross_matrix(m), medium)
-    return dy[:3], dy[3:]
+    dy = _rhs(state.D.tolist() + state.B.tolist(), _cross_rows(m), medium)
+    return np.array(dy[:3]), np.array(dy[3:])
 
 
-# Dormand-Prince 5(4) tableau (FSAL).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+# Dormand-Prince 5(4) tableau (FSAL), the weights stored complex as numpy casts them.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = [np.array(row, dtype=np.complex128) for row in [
+    [], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]]
 _DP_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40], dtype=np.complex128
 )
 _MAX_STEPS = 10_000_000
 _MIN_STEP_REL = 1e-14
@@ -186,39 +199,49 @@ def _pieces(profile, lo: float, hi: float):
     return pieces
 
 
-def _propagate_exact(y: np.ndarray, cross: np.ndarray, mag: float, medium: MediumState, h: float):
+def _propagate_exact(y, rows, mag: float, medium: MediumState, h: float):
     """exp(hA) y for the constant-medium mode ODE dy/dt = A y.
 
     A**3 = -w**2 A with w**2 = |m|**2 / (eps mu), so the exponential series
     closes: exp(hA) = I + sin(wh)/w A + (1 - cos wh)/w**2 A**2.
     """
     w = mag * abs(wave_speed(medium))
-    if w == 0.0:
-        return y  # m = 0: A vanishes
-    Ay = _rhs(y, cross, medium)
+    Ay = _rhs(y, rows, medium)
     half = math.sin(0.5 * w * h) / w  # (1 - cos wh)/w**2 = 2 half**2, without cancellation
-    return y + (math.sin(w * h) / w) * Ay + (2.0 * half * half) * _rhs(Ay, cross, medium)
+    s, c = math.sin(w * h) / w, 2.0 * half * half
+    return [a + s * b + c * d for a, b, d in zip(y, Ay, _rhs(Ay, rows, medium))]
 
 
-def _dormand_prince(sample, cross, mag, y, t, t_end, tol, max_step):
+def _finite(y, t: float):
+    """The state y, or DomainError naming it if a component is NaN or infinite."""
+    if all(map(cmath.isfinite, y)):
+        return y
+    raise DomainError(f"mode state is not finite at t={t}: {y}")
+
+
+def _dormand_prince(sample, rows, mag, y, t, t_end, tol, max_step):
     """Adaptive Dormand-Prince 5(4) from t to t_end through a varying medium.
 
     Starts afresh, so the first stage is evaluated at t itself rather
     than carried over (FSAL) from a step that ended on the other side of
-    a switch.
+    a switch.  Stages are Python scalar arithmetic on a list state; the
+    tableau sums and |.| stay numpy calls, since numpy sets their bits.
     """
     direction = 1.0 if t_end > t else -1.0
     span = abs(t_end - t)
     medium = sample(t)
     # Initial step: a fraction of the local oscillation period.
     omega0 = mag * abs(wave_speed(medium))
-    h = min(span, 0.1 / omega0 if omega0 > 0 else span)
+    h = min(span, 0.1 / omega0)  # omega0 > 0, since _modulus bounds |m| below
     if max_step is not None:
         h = min(h, max_step)
     smallest = h
 
-    k1 = _rhs(y, cross, medium)
+    y_max = float(np.max(np.abs(y)))
+    k = _rhs(y, rows, medium)
     K = np.empty((7, 6), dtype=np.complex128)
+    stages = [(_DP_A[i], K[:i], i, _DP_C[i]) for i in range(1, 7)]
+    check = np.empty((2, 6), dtype=np.complex128)  # error estimate and new state, for |.|
     for _ in range(_MAX_STEPS):
         remaining = abs(t_end - t)
         if remaining <= 1e-14 * max(1.0, abs(t_end)):
@@ -234,21 +257,20 @@ def _dormand_prince(sample, cross, mag, y, t, t_end, tol, max_step):
         smallest = min(smallest, h_abs)
         hs = direction * h_abs
 
-        K[0] = k1
-        for i in range(1, 7):
-            yi = y + hs * (_DP_A[i] @ K[:i])
-            K[i] = _rhs(yi, cross, sample(t + _DP_C[i] * hs))
-        y_new = yi
-        # k7 was evaluated at (t+h, y_new): the last stage row of the
+        K[0] = k
+        for a, previous, i, c in stages:
+            y_new = [y0 + hs * s for y0, s in zip(y, (a @ previous).tolist())]
+            K[i] = k_new = _rhs(y_new, rows, sample(t + c * hs))
+        # k_new was evaluated at (t+h, y_new): the last stage row of the
         # tableau equals the 5th-order weights (FSAL).
-        err_vec = hs * (_DP_ERR @ K)
-        err = float(np.max(np.abs(err_vec)))
-        scale = max(1.0, float(np.max(np.abs(y))), float(np.max(np.abs(y_new))))
-        budget = tol * h_abs * scale
+        np.multiply(_DP_ERR @ K, hs, out=check[0])
+        check[1] = y_new
+        err, new_max = np.abs(check).max(axis=1).tolist()
+        if not (err < math.inf and new_max < math.inf):
+            raise DomainError(f"mode state is not finite in the step from t={t} to t={t + hs}: {y_new}")
+        budget = tol * h_abs * max(1.0, y_max, new_max)
         if err <= budget:
-            t = t + hs
-            y = y_new
-            k1 = K[6].copy()
+            t, y, y_max, k = t + hs, y_new, new_max, k_new
         factor = 0.9 * (budget / err) ** 0.2 if err > 0.0 else 5.0
         h = h_abs * min(5.0, max(0.2, factor))
     raise StiffnessError(
@@ -281,8 +303,8 @@ def integrate(
       through unchanged and the two-valued instant is never sampled.
 
     A profile without ``switch_intervals`` is integrated by Dormand-Prince
-    over the whole span.  A ``tol`` below float64 resolution cannot be met
-    by any step and raises :class:`StiffnessError` at once.
+    over the whole span.  A ``tol`` below float64 resolution raises
+    :class:`StiffnessError` at once, and a NaN or infinite state :class:`DomainError`.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -294,19 +316,19 @@ def integrate(
     t = initial.t
     if t_end == t:
         return initial
-    cross = _cross_matrix(m)
-    mag = float(np.linalg.norm(m.m))
+    rows, mag = _cross_rows(m), _modulus(m)
     pieces = _pieces(profile, min(t, t_end), max(t, t_end))
     if t_end < t:
         pieces = [(b, a, varying) for a, b, varying in reversed(pieces)]
 
-    y = np.concatenate([initial.D, initial.B])
-    for start, end, varying in pieces:
-        if varying:
-            y = _dormand_prince(profile.sample, cross, mag, y, start, end, tol, max_step)
-        else:
-            medium = profile.sample(0.5 * (start + end))
-            y = _propagate_exact(y, cross, mag, medium, end - start)
+    y = _finite(initial.D.tolist() + initial.B.tolist(), t)
+    with np.errstate(all="ignore"):  # a state that overflows raises DomainError instead
+        for start, end, varying in pieces:
+            if varying:
+                y = _dormand_prince(profile.sample, rows, mag, y, start, end, tol, max_step)
+            else:
+                y = _propagate_exact(y, rows, mag, profile.sample(0.5 * (start + end)), end - start)
+            y = _finite(y, end)
     return ModeState(y[:3], y[3:], t_end)
 
 
@@ -327,9 +349,7 @@ def mode_decompose(state: ModeState, medium: MediumState, m: PhaseVector) -> Mod
     """
     if medium.branch != +1:
         raise DomainError("mode decomposition is defined for positive-index media")
-    mag = float(np.linalg.norm(m.m))
-    if mag == 0.0:
-        raise DomainError("phase vector must be nonzero")
+    mag = _modulus(m)
     kappa = m.m / mag
     v = wave_speed(medium)
 
@@ -367,7 +387,7 @@ def mode_reconstruct(
     amps: ModeAmplitudes, medium: MediumState, m: PhaseVector, t: float
 ) -> ModeState:
     """Inverse of :func:`mode_decompose` at time t."""
-    mag = float(np.linalg.norm(m.m))
+    mag = _modulus(m)
     kappa = m.m / mag
     v = wave_speed(medium)
     D = (amps.forward + amps.backward) * amps.polarization
@@ -410,7 +430,7 @@ def numeric_rt(
         raise DomainError("incident wave speed does not match the profile's first medium")
 
     m = phase_vector(incident)
-    mag = float(np.linalg.norm(m.m))
+    mag = _modulus(m)
     after = profile.sample(intervals[-1][1])
     omega_after = mag * abs(wave_speed(after))
 

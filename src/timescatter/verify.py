@@ -47,9 +47,7 @@ class ExponentialSum:
             raise DomainError("need one amplitude vector per frequency")
         if amps.shape[0] < 1:
             raise DomainError("need at least one term")
-        with np.errstate(over="ignore"):  # an overflowing norm is not zero; _amplitude_scale rejects it
-            norms = np.linalg.norm(amps, axis=1)
-        if np.any(norms == 0.0):
+        if not amps.any(axis=1).all():  # the components, since a norm of tiny ones underflows to 0
             raise DomainError("every amplitude must be nonzero")
         if not np.all(np.isfinite(omegas)):
             raise DomainError("frequencies must be finite")

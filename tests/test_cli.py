@@ -5,6 +5,7 @@ import dataclasses
 import io
 import itertools
 import json
+import time
 
 import numpy as np
 import pytest
@@ -817,6 +818,24 @@ class TestOverflowExits3:
         terms = [{"amplitude": [1e308, 1e308], "omega": 1.0}, {"amplitude": [1e308, 1.0], "omega": 2.0}]
         config = json.dumps({"command": "verify", "verify": {"terms": terms}})
         self.expect_domain_error(tmp_path, capsys, config, "residual of a sum of 2 terms overflows")
+
+    def test_oracle_state_overflow(self, tmp_path, capsys):
+        # D and B near the float maximum overflow inside the first Dormand-Prince step.
+        incident = {"amplitude": [0, 1e308, 0], "omega1": 1.0, "k": [1, 0, 0]}
+        self.expect_domain_error(tmp_path, capsys, make_config(command="oracle", incident=incident), "mode state is not finite")
+
+    @pytest.mark.parametrize("omega1", [1e-300, 1e-160])
+    def test_oracle_phase_vector_underflow(self, tmp_path, capsys, omega1):
+        # |m|**2 is 0 or subnormal: np.linalg.norm gives 0 (a ZeroDivisionError) or a value 6e-6 off.
+        incident = {"amplitude": [0, 1, 0], "omega1": omega1, "k": [1, 0, 0]}
+        start = time.perf_counter()
+        self.expect_domain_error(tmp_path, capsys, make_config(command="oracle", incident=incident), "|m|**2 must be a normal float")
+        assert time.perf_counter() - start < 1.0
+
+    def test_verify_tiny_amplitude_is_not_zero(self, tmp_path, capsys):
+        terms = [{"amplitude": [1e-200], "omega": 1.0}, {"amplitude": [1.0], "omega": 2.0}]
+        assert run_main(tmp_path, json.dumps({"command": "verify", "verify": {"terms": terms}})) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "non-cancelling"
 
     def test_verify_amplitude_scale_overflow(self, tmp_path, capsys):
         # The two terms cancel exactly, so the residual is 0, but each amplitude norm overflows.

@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+
+import timescatter.oracle as oracle_module
 
 from timescatter import (
     ConstraintError,
@@ -12,6 +16,7 @@ from timescatter import (
     MediumState,
     ModeAmplitudes,
     ModeState,
+    PhaseVector,
     PlaneWave,
     RampSequence,
     StiffnessError,
@@ -35,6 +40,8 @@ Y_HAT = np.array([0.0, 1.0, 0.0])
 VACUUM = MediumState(1, 1)
 DENSE = MediumState(4, 1)
 TOL = 1e-10
+POSITIVE = st.tuples(st.floats(0.3, 3.0), st.floats(0.3, 3.0))  # (epsilon, mu)
+UNIT = st.floats(-1.0, 1.0)
 
 
 def vacuum_wave(omega=1.0):
@@ -164,6 +171,26 @@ class TestIntegrate:
                 1.0,
                 tol=float("nan"),
             )
+
+    def test_non_finite_state_raises_at_once(self):
+        wave = vacuum_wave()
+        m = phase_vector(wave)
+        profile = TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=0.5)
+        state = plane_wave_mode_state(wave, VACUUM, -1.0)
+        D = state.D.copy()
+        D[1] = complex(math.nan, 0.0)
+        with pytest.raises(DomainError, match=r"mode state is not finite at t=-1\.0"):
+            integrate(profile, m, ModeState(D, state.B, -1.0), 1.0)
+        with pytest.raises(DomainError, match="mode state is not finite at t=-0.25"):
+            integrate(TestExactPropagation.SampleOnly(profile), m, ModeState(D, state.B, -0.25), 1.0)
+
+    def test_phase_vector_below_normal_square_rejected(self):
+        initial = plane_wave_mode_state(vacuum_wave(), VACUUM, 0.0)
+        for m in (PhaseVector([0.0, 0.0, 0.0]), PhaseVector([1e-160, 0.0, 0.0]), PhaseVector([1e160, 0.0, 0.0])):
+            with pytest.raises(DomainError, match=r"\|m\|\*\*2 must be a normal float"):
+                integrate(TemporalProfile.constant(VACUUM), m, initial, 1.0)
+            with pytest.raises(DomainError, match=r"\|m\|\*\*2 must be a normal float"):
+                mode_decompose(initial, VACUUM, m)
 
     def test_smoothly_modulated_medium(self):
         # Continuously varying parameters away from any interface are exact
@@ -367,6 +394,37 @@ class TestSharpSwitches:
         assert np.max(np.abs(back.B - initial.B)) <= 1e-12
 
 
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    @given(
+        before=POSITIVE,
+        after=POSITIVE,
+        period=st.floats(0.5, 3.0),
+        duty=st.floats(0.1, 0.9),
+        periods=st.integers(1, 4),
+        lead=st.floats(0.0, 2.0),
+        trail=st.floats(0.0, 1.0),
+        omega=st.floats(0.5, 2.0),
+    )
+    def test_random_periodic_profile_matches_cascade(self, before, after, period, duty, periods, lead, trail, omega):
+        before, after = MediumState(*before), MediumState(*after)
+        profile = TemporalProfile.periodic(before, after, t0=0.0, period=period, duty=duty)
+        # Start ``lead`` before the first switch; stop ``trail`` (a fraction of the last
+        # `before` stretch) into the last period, so the final medium is `before` again.
+        rest = trail * (1.0 - duty) * period
+        timeline = [TimelineSegment(before, lead)]
+        for _ in range(periods):
+            timeline += [TimelineSegment(after, duty * period), TimelineSegment(before, (1.0 - duty) * period)]
+        timeline[-1] = TimelineSegment(before, rest)
+        wave = PlaneWave(Y_HAT.astype(complex), omega, X_HAT, before.wave_speed)
+        m = phase_vector(wave)
+        initial = plane_wave_mode_state(wave, before, -lead)
+        final = integrate(profile, m, initial, (periods - 1 + duty) * period + rest)
+        cascade = cascade_scatter(timeline, wave).amplitudes
+        expected = np.array([cascade.forward, cascade.backward])
+        got = oracle_amplitudes(initial, final, before, before, m)
+        assert np.max(np.abs(got - expected)) <= 1e-9 * max(1.0, np.max(np.abs(expected)))
+
+
 class TestExactPropagation:
     class SampleOnly:
         """Hides switch_intervals, so integrate runs Dormand-Prince everywhere."""
@@ -390,3 +448,170 @@ class TestExactPropagation:
         bound = TOL * 10.0 * 4.0
         assert np.max(np.abs(exact.D - stepped.D)) <= bound
         assert np.max(np.abs(exact.B - stepped.B)) <= bound
+
+
+# --- Reference integrator: the array form of the mode ODE, one numpy call per operation. ---
+# The scalar-stage integrator in timescatter.oracle must take exactly its steps and
+# reproduce its bits.
+
+REF_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+REF_A = [
+    np.array([]),
+    np.array([1 / 5]),
+    np.array([3 / 40, 9 / 40]),
+    np.array([44 / 45, -56 / 15, 32 / 9]),
+    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
+    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+]
+REF_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+
+
+def ref_rhs(y, cross, medium):
+    out = np.empty(6, dtype=np.complex128)
+    out[:3] = (1j / medium.mu) * (cross @ y[3:])
+    out[3:] = (-1j / medium.epsilon) * (cross @ y[:3])
+    return out
+
+
+def ref_propagate_exact(y, cross, mag, medium, h):
+    w = mag * abs(medium.wave_speed)
+    if w == 0.0:
+        return y
+    Ay = ref_rhs(y, cross, medium)
+    half = math.sin(0.5 * w * h) / w
+    return y + (math.sin(w * h) / w) * Ay + (2.0 * half * half) * ref_rhs(Ay, cross, medium)
+
+
+def ref_dormand_prince(sample, cross, mag, y, t, t_end, tol, max_step):
+    direction = 1.0 if t_end > t else -1.0
+    span = abs(t_end - t)
+    medium = sample(t)
+    omega0 = mag * abs(medium.wave_speed)
+    h = min(span, 0.1 / omega0 if omega0 > 0 else span)
+    if max_step is not None:
+        h = min(h, max_step)
+    smallest = h
+    k1 = ref_rhs(y, cross, medium)
+    K = np.empty((7, 6), dtype=np.complex128)
+    while True:
+        remaining = abs(t_end - t)
+        if remaining <= 1e-14 * max(1.0, abs(t_end)):
+            return y
+        h_abs = min(h, remaining)
+        if max_step is not None:
+            h_abs = min(h_abs, max_step)
+        if h_abs < 1e-14 * max(abs(t), 1.0):
+            raise StiffnessError(f"step size underflow at t={t} (smallest step {smallest:.3e})")
+        smallest = min(smallest, h_abs)
+        hs = direction * h_abs
+        K[0] = k1
+        for i in range(1, 7):
+            yi = y + hs * (REF_A[i] @ K[:i])
+            K[i] = ref_rhs(yi, cross, sample(t + REF_C[i] * hs))
+        y_new = yi
+        err = float(np.max(np.abs(hs * (REF_ERR @ K))))
+        scale = max(1.0, float(np.max(np.abs(y))), float(np.max(np.abs(y_new))))
+        budget = tol * h_abs * scale
+        if err <= budget:
+            t = t + hs
+            y = y_new
+            k1 = K[6].copy()
+        factor = 0.9 * (budget / err) ** 0.2 if err > 0.0 else 5.0
+        h = h_abs * min(5.0, max(0.2, factor))
+
+
+def ref_integrate(profile, m, initial, t_end, tol, max_step):
+    mx, my, mz = m.m
+    cross = np.array([[0.0, -mz, my], [mz, 0.0, -mx], [-my, mx, 0.0]])
+    mag = float(np.linalg.norm(m.m))
+    t = initial.t
+    pieces = oracle_module._pieces(profile, min(t, t_end), max(t, t_end))
+    if t_end < t:
+        pieces = [(b, a, varying) for a, b, varying in reversed(pieces)]
+    y = np.concatenate([initial.D, initial.B])
+    for start, end, varying in pieces:
+        if varying:
+            y = ref_dormand_prince(profile.sample, cross, mag, y, start, end, tol, max_step)
+        else:
+            y = ref_propagate_exact(y, cross, mag, profile.sample(0.5 * (start + end)), end - start)
+    return ModeState(y[:3], y[3:], t_end)
+
+
+class Recorded:
+    """A profile that records the instants it is sampled at.
+
+    ``sample_only`` hides everything but ``sample``, so the integrator runs
+    Dormand-Prince over the whole span.
+    """
+
+    def __init__(self, profile, sample_only=False):
+        self.profile, self.sample_only, self.instants = profile, sample_only, []
+
+    def sample(self, t):
+        self.instants.append(t)
+        return self.profile.sample(t)
+
+    def __getattr__(self, name):
+        if name == "profile" or self.sample_only:
+            raise AttributeError(name)
+        return getattr(self.profile, name)
+
+
+@st.composite
+def integration_cases(draw):
+    """A profile, a mode, a time span and integrator settings."""
+    kind = draw(st.sampled_from(["ramp", "sequence", "periodic", "sample-only"]))
+    first = MediumState(*draw(POSITIVE))
+    contrast = st.floats(0.1, 10.0)
+    if kind == "sequence":
+        stages = [first] + [
+            MediumState(first.epsilon * draw(contrast), first.mu * draw(contrast))
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        tau = draw(st.floats(1e-3, 1.0))
+        centers = np.cumsum([tau * draw(st.floats(1.0, 3.0)) for _ in stages[1:]])
+        profile = RampSequence(tuple(stages), tuple(float(c) for c in centers), tau)
+        span = (-1.0, float(centers[-1]) + 1.0)
+    else:
+        after = MediumState(first.epsilon * draw(contrast), first.mu * draw(contrast))
+        if kind == "periodic":
+            profile = TemporalProfile.periodic(first, after, period=draw(st.floats(0.5, 3.0)), duty=draw(st.floats(0.1, 0.9)))
+            span = (-draw(st.floats(0.0, 2.0)), draw(st.floats(0.5, 8.0)))
+        else:
+            profile = TemporalProfile.ramp(first, after, t0=0.0, tau=draw(st.floats(1e-3, 1.0)))
+            span = (-0.5 * profile.tau - draw(st.floats(0.0, 1.0)), 0.5 * profile.tau + draw(st.floats(0.0, 1.0)))
+    direction = np.array([draw(UNIT), draw(UNIT), draw(UNIT)]) + [1.0, 0.0, 0.0]
+    m = PhaseVector(draw(st.floats(0.5, 2.0)) * direction / np.linalg.norm(direction))
+    # D and B transverse to m, with random complex components (elliptic polarisation).
+    transverse = lambda v: v - np.dot(v, m.m) * m.m / np.dot(m.m, m.m)
+    D, B = (transverse(np.array([complex(draw(UNIT), draw(UNIT)) for _ in range(3)])) for _ in "DB")
+    t_start, t_end = span if draw(st.booleans()) else span[::-1]
+    tol = 10.0 ** draw(st.floats(-10.0, -6.0))
+    max_step = draw(st.one_of(st.none(), st.floats(0.01, 1.0)))
+    return kind, profile, m, ModeState(D, B, t_start), t_end, tol, max_step
+
+
+class TestScalarStagesBitIdentical:
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(case=integration_cases())
+    def test_same_steps_and_bits_as_array_form(self, case):
+        kind, profile, m, initial, t_end, tol, max_step = case
+        sample_only = kind == "sample-only"
+        ref_profile, new_profile = Recorded(profile, sample_only), Recorded(profile, sample_only)
+        expected = ref_integrate(ref_profile, m, initial, t_end, tol, max_step)
+        got = integrate(new_profile, m, initial, t_end, tol=tol, max_step=max_step)
+        assert np.array_equal(got.D, expected.D) and np.array_equal(got.B, expected.B)
+        assert got.t == expected.t
+        assert new_profile.instants == ref_profile.instants
+
+    @pytest.mark.parametrize("sample_only", [False, True], ids=["ramp", "sample-only"])
+    def test_same_underflow_message(self, sample_only):
+        profile = TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=0.5)
+        m = phase_vector(vacuum_wave())
+        initial = plane_wave_mode_state(vacuum_wave(), VACUUM, -1.0)
+        with pytest.raises(StiffnessError) as expected:
+            ref_integrate(Recorded(profile, sample_only), m, initial, 1.0, TOL, 1e-16)
+        with pytest.raises(StiffnessError) as got:
+            integrate(Recorded(profile, sample_only), m, initial, 1.0, max_step=1e-16)
+        assert str(got.value) == str(expected.value)

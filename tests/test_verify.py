@@ -72,6 +72,11 @@ class TestSumResidual:
         with pytest.raises(DomainError):
             scalar_sum([(0.0, 1.0)])
 
+    def test_tiny_amplitude_is_nonzero(self):
+        # The squares of 1e-200 underflow, so a norm would call this amplitude zero.
+        s = scalar_sum([(1e-200, 1.0), (1.0, 2.0)])
+        assert sum_residual(s, canonical_grid(s.omegas)) == pytest.approx(1.0)
+
 
 class TestForcedEquality:
     def test_matched_scattering_system(self):
