@@ -68,35 +68,5 @@ def reject(bad, error, message, *values):
     """
     if bad is False or (bad is not True and not np.any(bad)):
         return
-    checks = GridChecks()
-    checks.reject(bad, error, message, *values)
-    checks.raise_first()
-
-
-class GridChecks:
-    """Checks over a grid of points, raised in row-major point order.
-
-    ``reject`` records the arguments of :func:`reject`.  ``raise_first``
-    raises at the first point where any recorded check fails, the first
-    check that fails there, with that point's values: the error a loop
-    making the same checks point by point would raise.
-    """
-
-    def __init__(self):
-        self._checks = []
-
-    def reject(self, bad, error, message, *values):
-        self._checks.append((bad, error, message, values))
-
-    def raise_first(self):
-        if not self._checks:
-            return
-        flags = np.broadcast_arrays(*(check[0] for check in self._checks))
-        failed = np.flatnonzero(np.any(flags, axis=0))
-        if failed.size == 0:
-            return
-        point = failed[0]
-        for flag, (_, error, message, values) in zip(flags, self._checks):
-            if flag.flat[point]:
-                at_point = [np.broadcast_to(v, flag.shape).flat[point].item() for v in values]
-                raise error(message.format(*at_point))
+    point = np.flatnonzero(bad)[0]
+    raise error(message.format(*(np.broadcast_to(v, np.shape(bad)).flat[point].item() for v in values)))

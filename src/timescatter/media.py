@@ -33,8 +33,8 @@ __all__ = [
 def check_medium(epsilon, mu, branch, reject=reject):
     """MediumState's invariants, for one medium or a grid of media.
 
-    ``reject`` raises at once; a GridChecks' ``reject`` records the checks
-    of a grid instead.
+    ``reject`` raises at once; scatter_grid passes one that records each
+    check's failure mask instead.
     """
     # x * 0 is NaN exactly where x is infinite or NaN, for numbers and arrays alike.
     bad = (epsilon * 0.0 != 0.0) | (mu * 0.0 != 0.0)
@@ -93,10 +93,6 @@ class MediumState:
     def impedance(self) -> float:
         return impedance(self)
 
-    @property
-    def refractive_index(self) -> float:
-        return refractive_index(self)
-
 
 VACUUM = MediumState(1.0, 1.0)
 
@@ -108,8 +104,6 @@ def wave_speed(m: MediumState) -> float:
 
 def impedance(m: MediumState) -> float:
     """Wave impedance sqrt(mu/epsilon), the positive root of the positive ratio."""
-    if m.epsilon == 0.0:
-        raise DomainError("impedance undefined for epsilon = 0")
     return math.sqrt(m.mu / m.epsilon)
 
 

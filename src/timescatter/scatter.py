@@ -32,11 +32,10 @@ from .errors import (
     ConsistencyError,
     DegenerateCaseError,
     DomainError,
-    GridChecks,
     NoSolutionError,
     reject,
 )
-from .media import MediumState, TemporalProfile, phase_speed
+from .media import MediumState, TemporalProfile, check_medium, phase_speed
 from .waves import PlaneWave, evaluate_E, magnetic_from_electric
 
 __all__ = [
@@ -101,7 +100,6 @@ def scatter_kernel(
     mu_plus,
     branch_plus,
     conv: FrequencyConvention = DEFAULT_CONVENTION,
-    reject=reject,
 ):
     """Closed-form (omega2, omega3, r, t) of one temporal interface or a grid of them.
 
@@ -110,11 +108,10 @@ def scatter_kernel(
     and the amplitude factors r = B_r/B_i, t = B_t/B_i.  Under the
     degenerate convention r = 0 and t = eps-/eps+ is the merged wave's
     factor.  Python numbers give Python floats; ndarrays broadcast.  A
-    failed check goes to ``reject``, which raises at once (for arrays, at
-    the first failing point) unless it is a GridChecks' (see scatter_grid).
+    failed check raises at once (for arrays, at the first failing point).
     """
-    v_minus = phase_speed(eps_minus, mu_minus, branch_minus, reject)
-    v_plus = phase_speed(eps_plus, mu_plus, branch_plus, reject)
+    v_minus = phase_speed(eps_minus, mu_minus, branch_minus)
+    v_plus = phase_speed(eps_plus, mu_plus, branch_plus)
     return _algebra(omega1, v_minus, v_plus, eps_minus, eps_plus, conv, reject)[:4]
 
 
@@ -430,25 +427,37 @@ def scatter_grid(
     before: tuple,
     after: tuple,
     conv: FrequencyConvention = DEFAULT_CONVENTION,
-    checks: Optional[GridChecks] = None,
 ):
     """(omega2, omega3, R, T) of :func:`scatter_interface` over a grid of step interfaces.
 
     ``before`` and ``after`` are (epsilon, mu, branch) triples whose entries
     and ``omega1`` broadcast together; ``amplitude`` and ``k`` are the
-    incident wave's.  R = |r| and T = |t|.  Each point gets
-    scatter_interface's checks in its order, after those already in
-    ``checks``; the first failing point raises scatter_interface's error.
+    incident wave's.  R = |r| and T = |t|.  Each point gets MediumState's
+    checks on both media, then scatter_interface's.  If any point fails,
+    the first one in row-major order is checked again as Python numbers,
+    so it raises the error those checks raise on that point alone.
     """
-    checks = GridChecks() if checks is None else checks
+    masks = []
+
+    def record(bad, *_):
+        masks.append(bad)
+
     # Arrays throughout: a point that fails a check is still computed.
     before = tuple(np.asarray(x) for x in before)
     after = tuple(np.asarray(x) for x in after)
     with np.errstate(all="ignore"):
+        check_medium(*before, record)
+        check_medium(*after, record)
         _, omega2, omega3, r, t, _ = _interface(
-            np.asarray(omega1), np.asarray(amplitude), np.asarray(k), before, after, conv, checks.reject
+            np.asarray(omega1), np.asarray(amplitude), np.asarray(k), before, after, conv, record
         )
-    checks.raise_first()
+    grid = np.broadcast_arrays(omega1, *before, *after, *masks)  # omega1, both media, then the masks
+    failed = np.flatnonzero(np.any(grid[7:], axis=0))
+    if failed.size:
+        omega1, *media = (x.flat[failed[0]].item() for x in grid[:7])
+        check_medium(*media[:3])
+        check_medium(*media[3:])
+        _interface(omega1, amplitude, k, media[:3], media[3:], conv, reject)
     return omega2, omega3, abs(r), abs(t)
 
 

@@ -90,17 +90,6 @@ class PhaseVector:
     def __post_init__(self):
         object.__setattr__(self, "m", _as_real3(self.m, "m"))
 
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.m))
-
-    @property
-    def direction(self) -> np.ndarray:
-        mag = self.magnitude
-        if mag == 0.0:
-            raise DomainError("zero phase vector has no direction")
-        return self.m / mag
-
 
 def evaluate_E(w: PlaneWave, x, t: float) -> np.ndarray:
     """Electric field A * exp(i*omega*(k.x/v - t)) at position(s) x and time t.

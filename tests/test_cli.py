@@ -842,3 +842,51 @@ class TestOverflowExits3:
         terms = [{"amplitude": [1e200], "omega": 1.0}, {"amplitude": [-1e200], "omega": 1.0}]
         config = json.dumps({"command": "verify", "verify": {"terms": terms}})
         self.expect_domain_error(tmp_path, capsys, config, "amplitude scale of 2 terms overflows")
+
+
+class TestExit2WithOneRecord:
+    """Inputs that used to end in a traceback exit 2 with one error record."""
+
+    def expect_exit_2(self, tmp_path, capsys, config_text, *flags):
+        assert run_with_flags(tmp_path, config_text, *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        return json.loads(line)["error"]
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        depth = 100_000
+        error = self.expect_exit_2(tmp_path, capsys, '{"command": ' + "[" * depth + "]" * depth + "}")
+        assert (error["type"], error["message"]) == ("ConfigError", "config is nested too deeply to decode")
+
+    def test_deeply_nested_set_value(self, tmp_path, capsys):
+        depth = 100_000
+        error = self.expect_exit_2(tmp_path, capsys, make_config(), "--set", "t0=" + "[" * depth + "]" * depth)
+        assert (error["type"], error["message"]) == ("ConfigError", "--set t0 is nested too deeply to decode")
+
+    def test_output_path_is_a_directory(self, tmp_path, capsys):
+        error = self.expect_exit_2(tmp_path, capsys, make_config(), "--out", str(tmp_path))
+        assert error["type"] == "IsADirectoryError" and str(tmp_path) in error["message"]
+
+    def test_output_path_under_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        error = self.expect_exit_2(tmp_path, capsys, make_config(), "--out", str(blocker / "result.json"))
+        assert error["type"] == "FileExistsError" and str(blocker) in error["message"]
+        assert blocker.read_text() == "x"
+
+    def test_sweep_axis_too_large_to_allocate(self, tmp_path, capsys):
+        # numpy refuses a 7.11 PiB request at once, without touching memory.
+        axis = {"path": "after.epsilon", "start": 1.0, "stop": 2.0, "num": 1000000000000000}
+        error = self.expect_exit_2(tmp_path, capsys, sweep_config([axis]))
+        assert error["type"] == "ConfigError"
+        assert error["message"].startswith("config.sweep.axes[0]: 1000000000000000 values do not fit in memory")
+        assert "7.11 PiB" in error["message"]
+
+    def test_sweep_axis_beyond_the_index_limit(self, tmp_path, capsys):
+        axis = {"path": "after.epsilon", "start": 1.0, "stop": 2.0, "num": 10**20}
+        error = self.expect_exit_2(tmp_path, capsys, sweep_config([axis]))
+        assert (error["type"], error["message"]) == (
+            "ConfigError",
+            f"config.sweep.axes[0]: {10**20} values do not fit in memory: as float64 they take {8 * 10**20} bytes",
+        )

@@ -19,6 +19,7 @@ from timescatter import (
     NoSolutionError,
     PlaneWave,
     TemporalProfile,
+    TimescatterError,
     amplitudes,
     boundary_residual,
     coefficients,
@@ -31,7 +32,8 @@ from timescatter import (
     transversality_residual,
     wave_vectors,
 )
-from timescatter.scatter import amplitude_factors
+from timescatter.errors import reject
+from timescatter.scatter import _interface, amplitude_factors, scatter_grid
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -428,3 +430,76 @@ def test_one_solve_checks_each_speed_and_scale_once(monkeypatch):
     wave = PlaneWave(np.array([0, 1, 0], dtype=complex), 1.0, np.array([1.0, 0, 0]), 1.0)
     scatter_interface(wave, TemporalProfile.step(MediumState(1, 1), MediumState(4, 1)))
     assert calls == {"phase_speed": 2, "_scales": 1}
+
+
+GRID_PATHS = ("omega1", "eps_minus", "mu_minus", "eps_plus", "mu_plus")
+positive = st.floats(0.2, 5.0)
+negative = st.floats(-5.0, -0.2)
+special = st.sampled_from([0.0, -1.0, -4.0, math.inf, -math.inf, math.nan, 1e170, 1e-170, 1e308, 5e-324])
+# Mostly valid values, mixed with zero, negative, non-finite, extreme and subnormal ones.
+grid_values = st.one_of(*[positive] * 6, special)
+grid_medium = st.one_of(
+    st.tuples(positive, positive, st.just(1)),
+    st.tuples(negative, negative, st.sampled_from([1, -1])),
+    st.tuples(grid_values, grid_values, st.sampled_from([1, -1, 2])),
+)
+
+
+def point_loop(omega1, amplitude, k, before, after, conv):
+    """(omega2, omega3, R, T) columns of MediumState plus the scalar interface checks, point by point."""
+    columns = np.broadcast_arrays(omega1, *before, *after)
+    rows = []
+    for i in range(columns[0].size):
+        w1, *values = (column.flat[i].item() for column in columns)
+        media = [(m.epsilon, m.mu, m.branch) for m in (MediumState(*values[:3]), MediumState(*values[3:]))]
+        _, w2, w3, r, t, _ = _interface(w1, amplitude, k, *media, conv, reject)
+        rows.append((w2, w3, abs(r), abs(t)))
+    return [np.array(column, dtype=np.float64) for column in zip(*rows)]
+
+
+class TestScatterGridChecks:
+    CONVENTIONS = [
+        DEFAULT_CONVENTION,
+        FrequencyConvention(transmitted="backward"),
+        FrequencyConvention(reflected="positive"),
+    ]
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True)
+    @hyp.given(
+        omega1=st.one_of(positive, grid_values),
+        before=grid_medium,
+        after=grid_medium,
+        axes=st.lists(
+            st.tuples(st.sampled_from(GRID_PATHS), st.lists(grid_values, min_size=1, max_size=4)), max_size=3
+        ),
+        conv=st.sampled_from(CONVENTIONS),
+        transversal=st.one_of(st.just(True), st.booleans()),
+    )
+    @hyp.example(  # point 0 fails an interface check, point 1 a medium check that runs before it
+        omega1=1.0,
+        before=(1.0, 1.0, 1),
+        after=(4.0, 1.0, 1),
+        axes=[("omega1", [-1.0, 1.0]), ("eps_plus", [4.0, 0.0])],
+        conv=DEFAULT_CONVENTION,
+        transversal=True,
+    )
+    def test_grid_matches_a_loop_over_points(self, omega1, before, after, axes, conv, transversal):
+        fields = dict(zip(GRID_PATHS, (omega1, *before[:2], *after[:2])))
+        grids = np.meshgrid(*(np.array(values) for _, values in axes), indexing="ij")
+        for (path, _), grid in zip(axes, grids):
+            fields[path] = grid  # a repeated path takes its last axis, as in a sweep
+        before = (fields["eps_minus"], fields["mu_minus"], before[2])
+        after = (fields["eps_plus"], fields["mu_plus"], after[2])
+        amplitude = np.array([0.0, 1.0, 0.0] if transversal else [0.6, 0.8, 0.0], dtype=complex)
+        args = (fields["omega1"], amplitude, X_HAT, before, after, conv)
+        try:
+            expected = point_loop(*args)
+        except TimescatterError as exc:
+            with pytest.raises(type(exc)) as grid_error:
+                scatter_grid(*args)
+            assert type(grid_error.value) is type(exc)
+            assert str(grid_error.value) == str(exc)
+            return
+        shape = np.broadcast_shapes(*(np.shape(x) for x in (fields["omega1"], *before, *after)))
+        for column, want in zip(scatter_grid(*args), expected):
+            assert np.broadcast_to(column, shape).ravel().tobytes() == want.tobytes()
