@@ -32,11 +32,9 @@ from .errors import (
 from .media import (
     VACUUM,
     MediumState,
-    RampSequence,
     TemporalProfile,
     impedance,
     refractive_index,
-    sample,
     wave_speed,
 )
 from .waves import (
@@ -114,7 +112,6 @@ __all__ = [
     "NumericalDegeneracyWarning",
     "PhaseVector",
     "PlaneWave",
-    "RampSequence",
     "ResolutionError",
     "ScatteringResult",
     "StiffnessError",
@@ -146,7 +143,6 @@ __all__ = [
     "plane_wave_mode_state",
     "propagate",
     "refractive_index",
-    "sample",
     "scatter_grid",
     "scatter_interface",
     "scatter_kernel",

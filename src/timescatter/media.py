@@ -1,4 +1,4 @@
-"""Material parameters as functions of time.
+"""Material parameters, and their time-course as stages with switches between them.
 
 Units: c = 1 throughout; epsilon and mu are relative (dimensionless), so
 the phase speed in a medium is 1/sqrt(epsilon*mu) and the impedance is
@@ -10,6 +10,7 @@ negative parameters is positive while the physical index is negative.
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,14 +20,12 @@ from .errors import AmbiguityError, DomainError, reject
 __all__ = [
     "MediumState",
     "TemporalProfile",
-    "RampSequence",
     "VACUUM",
     "wave_speed",
     "phase_speed",
     "check_medium",
     "impedance",
     "refractive_index",
-    "sample",
 ]
 
 
@@ -115,73 +114,70 @@ def refractive_index(m: MediumState) -> float:
     return m.branch * math.sqrt(abs(product))
 
 
-def _smoothstep(u: float) -> float:
-    """C1 monotone interpolant on [0, 1] with zero slope at both ends."""
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    return u * u * (3.0 - 2.0 * u)
-
-
 @dataclass(frozen=True)
 class TemporalProfile:
-    """Declared time-course of (epsilon, mu).
+    """Declared time-course of (epsilon, mu): media in time order with switches between them.
 
-    Kinds:
+    ``stages`` are the media in time order and ``switches`` the strictly
+    increasing instants between consecutive stages, one fewer than the
+    stages.  ``tau`` sets the shape of every switch:
 
-    * ``constant`` -- ``before`` at all times.
-    * ``step`` -- ``before`` for t < t0, ``after`` for t > t0; sampling at
-      exactly t0 raises :class:`AmbiguityError`.
-    * ``ramp`` -- C1 monotone transition of epsilon and mu independently
-      over [t0 - tau/2, t0 + tau/2]; equals ``before``/``after`` outside.
-    * ``periodic`` -- piecewise constant for t >= t0: within each period
-      the first ``duty`` fraction is ``after``, the remainder ``before``
-      (half-open sub-intervals); ``before`` for t < t0.
+    * ``tau == 0`` -- sharp: ``stages[i]`` holds between switches i-1 and
+      i, and sampling exactly at a switch raises :class:`AmbiguityError`;
+    * ``tau > 0`` -- a C1 monotone ramp of epsilon and mu independently
+      over [s - tau/2, s + tau/2] around each switch s.  Ramps must not
+      overlap, and every stage must be a positive medium.
+
+    A periodic profile (``period`` and ``duty`` set, ``None`` otherwise)
+    has two sharp stages and starts at ``switches[0]``: before it the
+    profile is ``stages[0]``; from it on, the first ``duty`` fraction of
+    each period is ``stages[1]`` and the rest ``stages[0]`` (half-open
+    sub-intervals).
     """
 
-    kind: str
-    before: MediumState
-    after: MediumState
-    t0: float = 0.0
+    stages: tuple
+    switches: tuple = ()
     tau: float = 0.0
-    period: float = 0.0
-    duty: float = 0.5
+    period: float | None = None
+    duty: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("constant", "step", "ramp", "periodic"):
-            raise DomainError(f"unknown profile kind {self.kind!r}")
-        if self.kind == "ramp":
-            if self.tau < 0.0:
-                raise DomainError(f"ramp width tau must be >= 0, got {self.tau}")
-            if self.tau > 0.0 and not (
-                self.before.epsilon > 0.0
-                and self.before.mu > 0.0
-                and self.after.epsilon > 0.0
-                and self.after.mu > 0.0
-            ):
-                # A monotone interpolant between opposite-sign parameters
-                # would pass through zero, violating MediumState invariants.
-                raise DomainError("ramp endpoints must both be positive media")
-        if self.kind == "periodic":
-            if self.period <= 0.0:
-                raise DomainError(f"period must be positive, got {self.period}")
+        stages, switches = tuple(self.stages), tuple(float(s) for s in self.switches)
+        object.__setattr__(self, "stages", stages)
+        object.__setattr__(self, "switches", switches)
+        if not stages or len(switches) != len(stages) - 1:
+            raise DomainError("need n >= 1 stages and exactly n-1 switch instants")
+        if not all(map(math.isfinite, switches)):
+            raise DomainError(f"switch instants must be finite, got {switches}")
+        if not 0.0 <= self.tau < math.inf:
+            raise DomainError(f"ramp width tau must be finite and >= 0, got {self.tau}")
+        if any(b <= a or b - a < self.tau for a, b in zip(switches, switches[1:])):
+            raise DomainError(f"switch instants must increase by at least tau={self.tau}, got {switches}")
+        if self.tau > 0.0 and not (switches and all(m.epsilon > 0.0 and m.mu > 0.0 for m in stages)):
+            # A monotone interpolant between opposite-sign parameters
+            # would pass through zero, violating MediumState invariants.
+            raise DomainError("ramps need at least one switch and positive media in every stage")
+        if self.period is not None or self.duty is not None:
+            if len(stages) != 2 or self.tau != 0.0 or None in (self.period, self.duty):
+                raise DomainError("a periodic profile has two sharp stages, a period and a duty")
+            if not 0.0 < self.period < math.inf:
+                raise DomainError(f"period must be finite and positive, got {self.period}")
             if not 0.0 < self.duty < 1.0:
                 raise DomainError(f"duty must lie in (0, 1), got {self.duty}")
 
     @classmethod
     def constant(cls, medium: MediumState) -> "TemporalProfile":
-        return cls("constant", medium, medium)
+        return cls((medium,))
 
     @classmethod
     def step(cls, before: MediumState, after: MediumState, t0: float = 0.0) -> "TemporalProfile":
-        return cls("step", before, after, t0=t0)
+        return cls((before, after), (t0,))
 
     @classmethod
     def ramp(
         cls, before: MediumState, after: MediumState, t0: float = 0.0, tau: float = 0.1
     ) -> "TemporalProfile":
-        return cls("ramp", before, after, t0=t0, tau=tau)
+        return cls((before, after), (t0,), tau)
 
     @classmethod
     def periodic(
@@ -192,109 +188,44 @@ class TemporalProfile:
         period: float = 1.0,
         duty: float = 0.5,
     ) -> "TemporalProfile":
-        return cls("periodic", before, after, t0=t0, period=period, duty=duty)
+        return cls((before, after), (t0,), period=period, duty=duty)
 
     def sample(self, t: float) -> MediumState:
-        """Material state at time t; see :func:`sample`."""
-        if self.kind == "constant":
-            return self.before
-        if self.kind == "step":
-            if t == self.t0:
-                raise AmbiguityError(
-                    f"step profile is two-valued at t0={self.t0}; "
-                    "take a one-sided limit"
-                )
-            return self.before if t < self.t0 else self.after
-        if self.kind == "ramp":
-            if self.tau == 0.0:
-                if t == self.t0:
-                    raise AmbiguityError(
-                        f"zero-width ramp is two-valued at t0={self.t0}"
-                    )
-                return self.before if t < self.t0 else self.after
-            u = (t - (self.t0 - 0.5 * self.tau)) / self.tau
-            if u <= 0.0:
-                return self.before
-            if u >= 1.0:
-                return self.after
-            s = _smoothstep(u)
-            eps = self.before.epsilon + (self.after.epsilon - self.before.epsilon) * s
-            mu = self.before.mu + (self.after.mu - self.before.mu) * s
-            return MediumState(eps, mu, branch=+1)
-        # periodic
-        if t < self.t0:
-            return self.before
-        phase = math.fmod(t - self.t0, self.period) / self.period
-        return self.after if phase < self.duty else self.before
+        """Material state at time t.
+
+        One-sided limits at a sharp switch equal the neighbouring stages;
+        sampling exactly at one raises :class:`AmbiguityError`.
+        """
+        stages, switches, tau = self.stages, self.switches, self.tau
+        if self.period is not None:
+            if t < switches[0]:
+                return stages[0]
+            phase = math.fmod(t - switches[0], self.period) / self.period
+            return stages[1] if phase < self.duty else stages[0]
+        if tau == 0.0:
+            i = bisect(switches, t)
+            if i and switches[i - 1] == t:
+                raise AmbiguityError(f"profile is two-valued at its switch t={t}; take a one-sided limit")
+            return stages[i]
+        # The last ramp that has started, or the first; lo=1 keeps i >= 0.
+        i = bisect(switches, t + 0.5 * tau, 1) - 1
+        u = (t - (switches[i] - 0.5 * tau)) / tau
+        if u <= 0.0:
+            return stages[i]
+        if u >= 1.0:
+            return stages[i + 1]
+        # The smoothstep u^2 (3 - 2u): C1 and monotone, with zero slope at both ends.
+        lo, hi, s = stages[i], stages[i + 1], u * u * (3.0 - 2.0 * u)
+        return MediumState(lo.epsilon + (hi.epsilon - lo.epsilon) * s, lo.mu + (hi.mu - lo.mu) * s, branch=+1)
 
     def switch_intervals(self):
         """Time intervals where the profile varies, as (t_lo, t_hi) pairs.
 
         The oracle integrates only inside these and propagates exactly
-        between them.  Step profiles report a zero-width interval at
-        their switch instant.
+        between them.  Sharp switches report a zero-width interval at
+        their instant.  A periodic profile returns None: its switch set is
+        unbounded, so callers enumerate it by period.
         """
-        if self.kind == "constant":
-            return []
-        if self.kind == "step" or (self.kind == "ramp" and self.tau == 0.0):
-            return [(self.t0, self.t0)]
-        if self.kind == "ramp":
-            return [(self.t0 - 0.5 * self.tau, self.t0 + 0.5 * self.tau)]
-        return None  # periodic: unbounded switch set; callers enumerate by period
-
-
-@dataclass(frozen=True)
-class RampSequence:
-    """Several C1 ramps in series: a multi-interface smooth time-course.
-
-    ``stages`` lists the media in temporal order; ``centers`` the ramp
-    midpoints between consecutive stages (strictly increasing, one fewer
-    than stages); ``tau`` the common ramp width.  Consecutive ramps must
-    not overlap.
-    """
-
-    stages: tuple
-    centers: tuple
-    tau: float
-
-    def __post_init__(self):
-        stages = tuple(self.stages)
-        centers = tuple(float(c) for c in self.centers)
-        object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "centers", centers)
-        if len(stages) < 2 or len(centers) != len(stages) - 1:
-            raise DomainError("need n >= 2 stages and exactly n-1 ramp centers")
-        if self.tau <= 0.0:
-            raise DomainError(f"ramp width must be positive, got {self.tau}")
-        if any(c2 - c1 < self.tau for c1, c2 in zip(centers, centers[1:])):
-            raise DomainError("ramp centers closer than one ramp width apart")
-        for m in stages:
-            if not (m.epsilon > 0.0 and m.mu > 0.0):
-                raise DomainError("ramp sequences support positive media only")
-
-    def sample(self, t: float) -> MediumState:
-        i = 0
-        while i < len(self.centers) and t >= self.centers[i] - 0.5 * self.tau:
-            i += 1
-        # t lies before ramp i; check whether it is inside ramp i-1.
-        if i > 0 and t < self.centers[i - 1] + 0.5 * self.tau:
-            lo, hi = self.stages[i - 1], self.stages[i]
-            u = (t - (self.centers[i - 1] - 0.5 * self.tau)) / self.tau
-            s = _smoothstep(u)
-            return MediumState(
-                lo.epsilon + (hi.epsilon - lo.epsilon) * s,
-                lo.mu + (hi.mu - lo.mu) * s,
-            )
-        return self.stages[i]
-
-    def switch_intervals(self):
-        return [(c - 0.5 * self.tau, c + 0.5 * self.tau) for c in self.centers]
-
-
-def sample(profile, t: float) -> MediumState:
-    """Evaluate a declared time-course at time t.
-
-    One-sided limits at a step's t0 equal ``before``/``after``; sampling a
-    step exactly at t0 raises :class:`AmbiguityError`.
-    """
-    return profile.sample(t)
+        if self.period is not None:
+            return None
+        return [(s - 0.5 * self.tau, s + 0.5 * self.tau) for s in self.switches]

@@ -154,9 +154,10 @@ _MIN_STEP_REL = 1e-14
 
 def _periodic_instants(profile, lo: float, hi: float):
     """Zero-width switch intervals of a periodic profile from lo up to hi."""
-    n = max(0, math.floor((lo - profile.t0) / profile.period))
+    t0 = profile.switches[0]
+    n = max(0, math.floor((lo - t0) / profile.period))
     instants = []
-    while (start := profile.t0 + n * profile.period) <= hi:
+    while (start := t0 + n * profile.period) <= hi:
         instants += [(start, start), (start + profile.duty * profile.period,) * 2]
         n += 1
     return instants
@@ -298,7 +299,7 @@ def integrate(
     * nonzero-width intervals (ramps) run an adaptive Dormand-Prince 5(4)
       pair that holds the local error per unit time at or below ``tol``,
       scaled by max(1, |state|); ``max_step`` caps its steps;
-    * zero-width switches (steps, periodic profiles) are break points
+    * zero-width (sharp) switches, periodic ones included, are break points
       only: D and B are continuous across them, so the state passes
       through unchanged and the two-valued instant is never sampled.
 
@@ -416,8 +417,7 @@ def numeric_rt(
     E-field amplitude ratios used by the analytic interface algebra
     (divide each coefficient by the local epsilon).
     """
-    getter = getattr(profile, "switch_intervals", None)
-    intervals = getter() if getter is not None else None
+    intervals = profile.switch_intervals()
     if intervals is None:
         raise DomainError("numeric_rt needs a profile with finitely many transitions")
     intervals = sorted(intervals)

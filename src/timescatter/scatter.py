@@ -388,9 +388,12 @@ def scatter_interface(
     waves carry A amplitudes recovered from the B algebra by the inverse
     phase factor exp(+i*omega*t0).
     """
-    if profile.kind != "step":
-        raise DomainError(f"scatter_interface needs a step profile, got {profile.kind!r}")
-    before, after, t0 = profile.before, profile.after, profile.t0
+    if len(profile.stages) != 2 or profile.tau != 0.0 or profile.period is not None:
+        raise DomainError(
+            "scatter_interface needs a step profile (two stages, one sharp switch), got "
+            f"{len(profile.stages)} stages, tau={profile.tau}, period={profile.period}"
+        )
+    (before, after), (t0,) = profile.stages, profile.switches
     omega1 = incident.omega
     media = [(medium.epsilon, medium.mu, medium.branch) for medium in (before, after)]
     v_plus, omega2, omega3, r, t, (scale_r, scale_t) = _interface(

@@ -281,6 +281,13 @@ _CELL = [{"epsilon": 1, "mu": 1, "duration": 1.0}, {"epsilon": 4, "mu": 1, "dura
 _DN_CELL = [{"epsilon": 1, "mu": 1, "duration": 0.5}, {"epsilon": -2, "mu": -1, "branch": -1, "duration": 0.3}]
 _GAP_CELL = [{"epsilon": 1, "mu": 1, "duration": 2.0}, {"epsilon": 9, "mu": 1, "duration": 1.5}]
 _CSV = ["--no-timestamp", "--format", "csv"]
+# The oracle benchmark's regime: tau = 1e-3 periods with a tau_list, an oblique k,
+# an elliptic polarization and a nonzero t0, so the corpus pins the integrator's bits.
+_OBLIQUE = {"amplitude": [[-0.8, -0.24], [0.6, 0.18], [0, 0.5]], "omega1": 1.02, "k": [0.6, 0.8, 0]}
+_ORACLE_BENCH = edit(
+    ORACLE, ("media.before", {"epsilon": 1.05, "mu": 1.02}), ("incident", _OBLIQUE),
+    ("oracle", {"tau": 1e-3, "tau_list": [0.1, 0.01, 0.001]}),
+)
 
 OUTPUTS = [
     ("out-solve", SOLVE, _NO_TIMESTAMP),
@@ -297,6 +304,18 @@ OUTPUTS = [
     ("out-oracle", ORACLE, _NO_TIMESTAMP),
     ("out-oracle-tau-list", edit(ORACLE, ("oracle", {"tau": 0.05, "tau_list": [0.2, 0.1, 0.05]})), _NO_TIMESTAMP),
     ("out-oracle-tau-list-csv", edit(ORACLE, ("oracle", {"tau": 0.05, "tau_list": [0.2, 0.1, 0.05]})), _CSV),
+    ("out-oracle-mu-up-oblique", edit(
+        _ORACLE_BENCH, ("media.after", {"epsilon": 1.05, "mu": 4.1}), ("t0", 0.37)
+    ), _NO_TIMESTAMP),
+    ("out-oracle-both-up-oblique", edit(
+        _ORACLE_BENCH, ("media.after", {"epsilon": 2.6, "mu": 2.0}), ("t0", -0.85)
+    ), _NO_TIMESTAMP),
+    ("out-oracle-both-up-oblique-csv", edit(
+        _ORACLE_BENCH, ("media.after", {"epsilon": 2.6, "mu": 2.0}), ("t0", -0.85)
+    ), _CSV),
+    ("out-oracle-eps-down-oblique-csv", edit(
+        _ORACLE_BENCH, ("media.after", {"epsilon": 0.26, "mu": 1.02}), ("t0", 0.61)
+    ), _CSV),
     ("out-cascade", CASCADE, _NO_TIMESTAMP),
     ("out-cascade-csv", CASCADE, _CSV),
     ("out-cascade-floquet", edit(CASCADE, ("timeline", _CELL * 3), ("floquet", True)), _NO_TIMESTAMP),

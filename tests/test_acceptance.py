@@ -18,7 +18,6 @@ from timescatter import (
     MediumState,
     NoSolutionError,
     PlaneWave,
-    RampSequence,
     TemporalProfile,
     TimelineSegment,
     boundary_residual,
@@ -328,7 +327,7 @@ def test_criterion_10_cascade_consistency():
         )
         tau = 1e-3 * wave.period
         centers = tuple(np.cumsum(durations[:-1]))
-        sequence = RampSequence(tuple(media), centers, tau)
+        sequence = TemporalProfile(tuple(media), centers, tau)
         m = phase_vector(wave)
         state = plane_wave_mode_state(wave, VACUUM, -5 * wave.period)
         state = integrate(sequence, m, state, centers[-1] + 5 * wave.period)

@@ -155,7 +155,6 @@ class TestCascadeScatter:
 class TestOracleConsistency:
     def test_dwell_cascade_matches_double_ramp_integration(self):
         from timescatter import (
-            RampSequence,
             integrate,
             mode_decompose,
             phase_vector,
@@ -172,7 +171,7 @@ class TestOracleConsistency:
         cascade = cascade_scatter(timeline, wave)
 
         tau = 1e-3 * wave.period
-        sequence = RampSequence((VACUUM, DENSE, VACUUM), (0.0, dwell), tau)
+        sequence = TemporalProfile((VACUUM, DENSE, VACUUM), (0.0, dwell), tau)
         m = phase_vector(wave)
         state = plane_wave_mode_state(wave, VACUUM, -5 * wave.period)
         state = integrate(sequence, m, state, dwell + 5 * wave.period)

@@ -441,6 +441,14 @@ class TestSolveExtremeMagnitudes:
         assert solve_error["type"] == "ConsistencyError"
         assert solve_error["message"].startswith("transmitted wave-vector scale has modulus inf")
 
+    def test_overflowing_ramp_width_exits_3_naming_tau(self, tmp_path, capsys):
+        # tau (in periods) times the period 2*pi/omega1 overflows to inf.
+        incident = {"amplitude": [0, 1, 0], "omega1": 1e-10, "k": [1, 0, 0]}
+        config = make_config(command="oracle", incident=incident, oracle={"tau": 1e300})
+        assert run_main(tmp_path, config) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert (error["type"], error["message"]) == ("DomainError", "ramp width tau must be finite and >= 0, got inf")
+
 
 NAN, INF = float("nan"), float("inf")
 VERIFY_TERMS = [{"amplitude": [1.0], "omega": 1.0}, {"amplitude": [-1.0], "omega": 2.0}]

@@ -14,7 +14,6 @@ from timescatter import (
     TemporalProfile,
     impedance,
     refractive_index,
-    sample,
     wave_speed,
 )
 
@@ -85,35 +84,35 @@ class TestProfiles:
 
     def test_step_sides(self):
         prof = TemporalProfile.step(self.before, self.after, t0=0.0)
-        assert sample(prof, -1.0) == self.before
-        assert sample(prof, +1.0) == self.after
+        assert prof.sample(-1.0) == self.before
+        assert prof.sample(+1.0) == self.after
 
     def test_step_at_interface_is_ambiguous(self):
         prof = TemporalProfile.step(self.before, self.after, t0=0.0)
         with pytest.raises(AmbiguityError):
-            sample(prof, 0.0)
+            prof.sample(0.0)
 
     def test_ramp_outside_support(self):
         prof = TemporalProfile.ramp(self.before, self.after, t0=0.0, tau=0.2)
-        assert sample(prof, -0.2) == self.before
-        assert sample(prof, -0.1) == self.before
-        assert sample(prof, 0.1) == self.after
-        assert sample(prof, 0.2) == self.after
+        assert prof.sample(-0.2) == self.before
+        assert prof.sample(-0.1) == self.before
+        assert prof.sample(0.1) == self.after
+        assert prof.sample(0.2) == self.after
 
     def test_ramp_midpoint_and_monotonicity(self):
         prof = TemporalProfile.ramp(self.before, self.after, t0=0.0, tau=0.2)
-        mid = sample(prof, 0.0)
+        mid = prof.sample(0.0)
         assert mid.epsilon == pytest.approx(2.5)
         times = np.linspace(-0.1, 0.1, 101)
-        values = [sample(prof, t).epsilon for t in times]
+        values = [prof.sample(t).epsilon for t in times]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_ramp_is_c1_at_edges(self):
         prof = TemporalProfile.ramp(self.before, self.after, t0=0.0, tau=0.2)
         h = 1e-8
         for edge in (-0.1, 0.1):
-            left = sample(prof, edge - h).epsilon
-            right = sample(prof, edge + h).epsilon
+            left = prof.sample(edge - h).epsilon
+            right = prof.sample(edge + h).epsilon
             assert abs(right - left) / (2 * h) < 1e-5  # slope ~ 0 at the edges
 
     def test_ramp_converges_to_step(self):
@@ -121,18 +120,18 @@ class TestProfiles:
         for t in (-0.3, -0.011, 0.011, 0.3):
             for tau in (0.02, 0.002, 0.0002):
                 ramp = TemporalProfile.ramp(self.before, self.after, t0=0.0, tau=tau)
-                assert sample(ramp, t) == sample(step, t)
+                assert ramp.sample(t) == step.sample(t)
 
     def test_periodic_pattern(self):
         prof = TemporalProfile.periodic(self.before, self.after, t0=0.0, period=2.0, duty=0.25)
-        assert sample(prof, -0.5) == self.before
-        assert sample(prof, 0.1) == self.after
-        assert sample(prof, 0.6) == self.before
-        assert sample(prof, 2.1) == self.after
+        assert prof.sample(-0.5) == self.before
+        assert prof.sample(0.1) == self.after
+        assert prof.sample(0.6) == self.before
+        assert prof.sample(2.1) == self.after
 
     def test_constant(self):
         prof = TemporalProfile.constant(self.before)
-        assert sample(prof, 123.0) == self.before
+        assert prof.sample(123.0) == self.before
 
     def test_ramp_rejects_sign_change(self):
         with pytest.raises(DomainError):
@@ -144,6 +143,89 @@ class TestProfiles:
         with pytest.raises(DomainError):
             TemporalProfile.periodic(self.before, self.after, period=1.0, duty=1.5)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DomainError):
-            TemporalProfile("sawtooth", self.before, self.after)
+
+    def test_switch_validation(self):
+        b, a = self.before, self.after
+        with pytest.raises(DomainError, match="n-1 switch instants"):
+            TemporalProfile((b, a), ())
+        with pytest.raises(DomainError, match="must increase by at least tau"):
+            TemporalProfile((b, a, b), (1.0, 1.0))
+        with pytest.raises(DomainError, match="must increase by at least tau"):
+            TemporalProfile((b, a, b), (0.0, 0.05), 0.1)
+        with pytest.raises(DomainError, match="ramps need at least one switch"):
+            TemporalProfile((b,), (), 0.1)
+        with pytest.raises(DomainError, match="periodic profile"):
+            TemporalProfile((b, a), (0.0,), 0.1, period=1.0, duty=0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_switch_rejected(self, value):
+        with pytest.raises(DomainError, match="switch instants must be finite"):
+            TemporalProfile.ramp(self.before, self.after, t0=value)
+        with pytest.raises(DomainError, match="switch instants must be finite"):
+            TemporalProfile((self.before, self.after, self.before), (0.0, value), 0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_tau_rejected(self, value):
+        with pytest.raises(DomainError, match="ramp width tau must be finite"):
+            TemporalProfile.ramp(self.before, self.after, tau=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_period_rejected(self, value):
+        with pytest.raises(DomainError, match="period must be finite"):
+            TemporalProfile.periodic(self.before, self.after, period=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_duty_rejected(self, value):
+        with pytest.raises(DomainError, match="duty must lie in"):
+            TemporalProfile.periodic(self.before, self.after, duty=value)
+
+
+def smoothstep_sample(stages, switches, tau, t):
+    """The profile transcribed: the stage itself outside ramps, lo + (hi - lo) s(u) inside them."""
+    for i, s in enumerate(switches):
+        u = (t - (s - 0.5 * tau)) / tau if tau > 0.0 else 0.0
+        if 0.0 < u < 1.0:
+            w = u * u * (3.0 - 2.0 * u)
+            lo, hi = stages[i], stages[i + 1]
+            return MediumState(lo.epsilon + (hi.epsilon - lo.epsilon) * w, lo.mu + (hi.mu - lo.mu) * w)
+    return stages[sum(t > s for s in switches)]
+
+
+@st.composite
+def profile_cases(draw):
+    """1-4 positive stages, sharp or ramped switches, and sample times around every switch."""
+    n = draw(st.integers(1, 4))
+    stages = tuple(MediumState(draw(positive_param), draw(positive_param)) for _ in range(n))
+    tau = draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.0))) if n > 1 else 0.0
+    switches = [draw(st.floats(-5.0, 5.0))]
+    for _ in range(n - 2):
+        switches.append(switches[-1] + tau + draw(st.floats(0.01, 3.0)))
+    switches = switches[: n - 1]
+    width = max(tau, 1e-3)
+    near = [s + width * draw(st.floats(-0.75, 0.75)) for s in switches]
+    anywhere = draw(st.lists(st.floats(-10.0, 20.0), min_size=1, max_size=4))
+    return stages, tuple(switches), tau, near + anywhere
+
+
+class TestUnifiedSample:
+    @hyp.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @hyp.given(case=profile_cases())
+    def test_sample_matches_transcription(self, case):
+        stages, switches, tau, times = case
+        profile = TemporalProfile(stages, switches, tau)
+        for t in times:
+            if tau == 0.0 and t in switches:
+                continue
+            assert profile.sample(t) == smoothstep_sample(stages, switches, tau, t)
+        assert profile.switch_intervals() == [(s - 0.5 * tau, s + 0.5 * tau) for s in switches]
+
+    @hyp.settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @hyp.given(case=profile_cases())
+    def test_sharp_switch_is_two_valued(self, case):
+        stages, switches, _, _ = case
+        profile = TemporalProfile(stages, switches)
+        for i, s in enumerate(switches):
+            with pytest.raises(AmbiguityError):
+                profile.sample(s)
+            assert profile.sample(math.nextafter(s, -math.inf)) is stages[i]
+            assert profile.sample(math.nextafter(s, math.inf)) is stages[i + 1]

@@ -18,7 +18,6 @@ from timescatter import (
     ModeState,
     PhaseVector,
     PlaneWave,
-    RampSequence,
     StiffnessError,
     TemporalProfile,
     TimelineSegment,
@@ -283,7 +282,7 @@ class TestNumericRT:
 
     def test_multi_ramp_sequence_supported(self):
         wave = vacuum_wave()
-        seq = RampSequence((VACUUM, DENSE, VACUUM), (0.0, 4.0), 0.05)
+        seq = TemporalProfile((VACUUM, DENSE, VACUUM), (0.0, 4.0), 0.05)
         R, T = numeric_rt(seq, wave)
         assert 0.0 < R < 1.0 and 0.0 < T < 2.0
 
@@ -571,7 +570,7 @@ def integration_cases(draw):
         ]
         tau = draw(st.floats(1e-3, 1.0))
         centers = np.cumsum([tau * draw(st.floats(1.0, 3.0)) for _ in stages[1:]])
-        profile = RampSequence(tuple(stages), tuple(float(c) for c in centers), tau)
+        profile = TemporalProfile(tuple(stages), tuple(float(c) for c in centers), tau)
         span = (-1.0, float(centers[-1]) + 1.0)
     else:
         after = MediumState(first.epsilon * draw(contrast), first.mu * draw(contrast))

@@ -303,9 +303,21 @@ class TestScatterInterface:
         with pytest.raises(NoSolutionError):
             scatter_interface(incident_wave(), TemporalProfile.step(VACUUM, DENSE_EPS), conv)
 
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            TemporalProfile.ramp(VACUUM, DENSE_EPS, tau=0.1),
+            TemporalProfile.constant(VACUUM),
+            TemporalProfile.periodic(VACUUM, DENSE_EPS),
+            TemporalProfile((VACUUM, DENSE_EPS, VACUUM), (0.0, 1.0)),
+        ],
+        ids=["ramp", "constant", "periodic", "three-stage"],
+    )
+    def test_rejects_non_step_profiles(self, profile):
+        with pytest.raises(DomainError, match="needs a step profile"):
+            scatter_interface(incident_wave(), profile)
+
     def test_preconditions(self):
-        with pytest.raises(DomainError):
-            scatter_interface(incident_wave(), TemporalProfile.ramp(VACUUM, DENSE_EPS, tau=0.1))
         skew = PlaneWave([1.0, 1.0, 0.0], 1.0, X_HAT, 1.0)
         with pytest.raises(DomainError):
             scatter_interface(skew, TemporalProfile.step(VACUUM, DENSE_EPS))
