@@ -38,7 +38,6 @@ from .media import (
     wave_speed,
 )
 from .waves import (
-    PhaseVector,
     PlaneWave,
     evaluate_E,
     magnetic_from_electric,
@@ -110,7 +109,6 @@ __all__ = [
     "ModeState",
     "NoSolutionError",
     "NumericalDegeneracyWarning",
-    "PhaseVector",
     "PlaneWave",
     "ResolutionError",
     "ScatteringResult",

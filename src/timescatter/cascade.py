@@ -18,7 +18,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+
 import numpy as np
 
 from .errors import DegenerateCaseError, DomainError, NumericalDegeneracyWarning
@@ -29,7 +29,6 @@ from .waves import PlaneWave
 
 __all__ = [
     "TimelineSegment",
-    "CascadeTraceStep",
     "CascadeResult",
     "FloquetResult",
     "interface_matrix",
@@ -101,23 +100,9 @@ def propagate(omega: float, duration: float) -> np.ndarray:
     return _matrix(_dwell(omega, duration))
 
 
-@dataclass(frozen=True)
-class CascadeTraceStep:
-    """One event of a cascade: a dwell in a segment or an interface."""
-
-    kind: str  # "propagate" | "interface"
-    index: int
-    omega: float
-    forward: complex
-    backward: complex
-
-
-_EVENT_KINDS = ("propagate", "interface")
-
-
 def _event_labels(count: int) -> tuple[list, list]:
     """Kind and index of each of ``count`` cascade events, as CascadeResult orders them."""
-    return [_EVENT_KINDS[k % 2] for k in range(count)], [k // 2 for k in range(count)]
+    return [("propagate", "interface")[k % 2] for k in range(count)], [k // 2 for k in range(count)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +110,9 @@ class CascadeResult:
     """Final amplitudes of a timeline plus the per-event trace, kept as columns.
 
     Event k is the dwell in segment k // 2 for even k and the interface
-    after that segment for odd k.  ``trace_omega[k]`` is the frequency in
-    force after event k and ``trace_amplitudes[k]`` the (forward,
-    backward) amplitude pair after it.
+    after that segment for odd k (``_event_labels``).  ``trace_omega[k]``
+    is the frequency in force after event k and ``trace_amplitudes[k]``
+    the (forward, backward) amplitude pair after it.
     """
 
     amplitudes: ModeAmplitudes
@@ -135,13 +120,6 @@ class CascadeResult:
     net_matrix: np.ndarray
     trace_omega: tuple
     trace_amplitudes: np.ndarray  # read-only (events, 2) complex
-
-    @cached_property
-    def trace(self) -> tuple:
-        """The trace as one CascadeTraceStep per event, built on first access."""
-        kinds, indices = _event_labels(len(self.trace_omega))
-        columns = (kinds, indices, self.trace_omega, self.trace_amplitudes.tolist())
-        return tuple(CascadeTraceStep(*event, complex(f), complex(b)) for *event, (f, b) in zip(*columns))
 
 
 def _timeline_product(segments, omega: float, trace=False):

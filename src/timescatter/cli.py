@@ -401,10 +401,9 @@ def _vector_json(vec) -> list:
     return [float(x) for x in arr]
 
 
-def _wave_json(wave: Optional[PlaneWave], t0: float) -> Optional[dict]:
+def _wave_json(wave: Optional[PlaneWave], b_amp: np.ndarray) -> Optional[dict]:
     if wave is None:
         return None
-    b_amp = wave.amplitude * np.exp(-1j * wave.omega * t0)
     return {
         "amplitude": _vector_json(wave.amplitude),
         "amplitude_at_interface": _vector_json(b_amp),
@@ -427,9 +426,9 @@ def _scattering_json(result: ScatteringResult) -> dict:
         "energy_sum": result.energy_sum,
         "degenerate": result.degenerate,
         "t0": result.t0,
-        "incident": _wave_json(result.incident, result.t0),
-        "reflected": _wave_json(result.reflected, result.t0),
-        "transmitted": _wave_json(result.transmitted, result.t0),
+        "incident": _wave_json(result.incident, result.B_incident),
+        "reflected": _wave_json(result.reflected, result.B_reflected),
+        "transmitted": _wave_json(result.transmitted, result.B_transmitted),
         "boundary_residuals": {"res_E": res_E, "res_H": res_H},
     }
 
@@ -580,8 +579,9 @@ def _check_cascade_finite(result) -> None:
     if finite.all() and np.isfinite(result.net_matrix).all():
         return
     k = int(np.argmin(finite)) if not finite.all() else len(finite) - 1
+    kinds, indices = _event_labels(k + 1)
     raise DomainError(
-        f"cascade overflows at trace step {k} ({result.trace[k].kind} {result.trace[k].index}): "
+        f"cascade overflows at trace step {k} ({kinds[k]} {indices[k]}): "
         "the amplitudes or the frequency exceed the float range"
     )
 

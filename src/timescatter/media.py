@@ -126,7 +126,7 @@ class TemporalProfile:
       i, and sampling exactly at a switch raises :class:`AmbiguityError`;
     * ``tau > 0`` -- a C1 monotone ramp of epsilon and mu independently
       over [s - tau/2, s + tau/2] around each switch s.  Ramps must not
-      overlap, and every stage must be a positive medium.
+      overlap or round to a point, and every stage must be a positive medium.
 
     A periodic profile (``period`` and ``duty`` set, ``None`` otherwise)
     has two sharp stages and starts at ``switches[0]``: before it the
@@ -157,6 +157,9 @@ class TemporalProfile:
             # A monotone interpolant between opposite-sign parameters
             # would pass through zero, violating MediumState invariants.
             raise DomainError("ramps need at least one switch and positive media in every stage")
+        for s in switches if self.tau > 0.0 else ():
+            if s - 0.5 * self.tau == s + 0.5 * self.tau:  # the ramp would integrate as a sharp switch
+                raise DomainError(f"ramp width tau={self.tau} rounds to zero at the switch instant t={s}")
         if self.period is not None or self.duty is not None:
             if len(stages) != 2 or self.tau != 0.0 or None in (self.period, self.duty):
                 raise DomainError("a periodic profile has two sharp stages, a period and a duty")

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConstraintError, DomainError, StiffnessError
 from .media import MediumState, TemporalProfile, wave_speed
 from .scatter import coefficients
-from .waves import PhaseVector, PlaneWave, magnetic_from_electric, phase_vector
+from .waves import PlaneWave, _as_real3, _magnetic_amplitude, phase_vector
 
 __all__ = [
     "ModeState",
@@ -99,18 +99,19 @@ class ModeAmplitudes:
         object.__setattr__(self, "backward", complex(self.backward))
 
 
-def _modulus(m: PhaseVector) -> float:
-    """|m| as np.linalg.norm gives it; DomainError unless |m|**2 is a normal float."""
+def _modulus(m) -> tuple[np.ndarray, float]:
+    """A copy of m and |m|; DomainError naming m unless it is a finite real 3-vector with |m|**2 normal."""
+    m = _as_real3(np.array(m, dtype=np.float64), "m")
     with np.errstate(over="ignore"):  # an overflowing |m| is rejected below
-        mag = float(np.linalg.norm(m.m))
+        mag = float(np.linalg.norm(m))
     if not sys.float_info.min <= mag * mag < math.inf:
         raise DomainError(f"phase vector magnitude {mag!r} is out of range: |m|**2 must be a normal float")
-    return mag
+    return m, mag
 
 
-def _cross_rows(m: PhaseVector):
+def _cross_rows(m: np.ndarray):
     """Rows of the matrix Mx with Mx @ v = m x v, as Python floats."""
-    mx, my, mz = m.m.tolist()
+    mx, my, mz = m.tolist()
     return (0.0, -mz, my), (mz, 0.0, -mx), (-my, mx, 0.0)
 
 
@@ -127,13 +128,13 @@ def _rhs(y, rows, medium: MediumState):
     ]
 
 
-def mode_rhs(state: ModeState, m: PhaseVector, medium: MediumState):
+def mode_rhs(state: ModeState, m: np.ndarray, medium: MediumState):
     """Time derivatives (dD/dt, dB/dt) of one spatial mode.
 
     Preserves the divergence constraints D.m = B.m = 0 exactly: both
     derivatives are cross products with m.
     """
-    dy = _rhs(state.D.tolist() + state.B.tolist(), _cross_rows(m), medium)
+    dy = _rhs(state.D.tolist() + state.B.tolist(), _cross_rows(_modulus(m)[0]), medium)
     return np.array(dy[:3]), np.array(dy[3:])
 
 
@@ -282,7 +283,7 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol, max_step):
 
 def integrate(
     profile,
-    m: PhaseVector,
+    m: np.ndarray,
     initial: ModeState,
     t_end: float,
     tol: float = DEFAULT_TOL,
@@ -317,7 +318,8 @@ def integrate(
     t = initial.t
     if t_end == t:
         return initial
-    rows, mag = _cross_rows(m), _modulus(m)
+    m, mag = _modulus(m)
+    rows = _cross_rows(m)
     pieces = _pieces(profile, min(t, t_end), max(t, t_end))
     if t_end < t:
         pieces = [(b, a, varying) for a, b, varying in reversed(pieces)]
@@ -340,7 +342,7 @@ def _transverse_check(vec: np.ndarray, kappa: np.ndarray, norm: float, what: str
         raise ConstraintError(f"{what} is not transversal to the phase vector")
 
 
-def mode_decompose(state: ModeState, medium: MediumState, m: PhaseVector) -> ModeAmplitudes:
+def mode_decompose(state: ModeState, medium: MediumState, m: np.ndarray) -> ModeAmplitudes:
     """Project a state in a constant medium onto its two eigenmodes.
 
     Returns the D-scaled coefficients of the forward (exp(-i|w|t)) and
@@ -350,8 +352,8 @@ def mode_decompose(state: ModeState, medium: MediumState, m: PhaseVector) -> Mod
     """
     if medium.branch != +1:
         raise DomainError("mode decomposition is defined for positive-index media")
-    mag = _modulus(m)
-    kappa = m.m / mag
+    m, mag = _modulus(m)
+    kappa = m / mag
     v = wave_speed(medium)
 
     scale = max(float(np.linalg.norm(state.D)), float(np.linalg.norm(state.B)) / v)
@@ -385,11 +387,11 @@ def mode_decompose(state: ModeState, medium: MediumState, m: PhaseVector) -> Mod
 
 
 def mode_reconstruct(
-    amps: ModeAmplitudes, medium: MediumState, m: PhaseVector, t: float
+    amps: ModeAmplitudes, medium: MediumState, m: np.ndarray, t: float
 ) -> ModeState:
     """Inverse of :func:`mode_decompose` at time t."""
-    mag = _modulus(m)
-    kappa = m.m / mag
+    m, mag = _modulus(m)
+    kappa = m / mag
     v = wave_speed(medium)
     D = (amps.forward + amps.backward) * amps.polarization
     E_diff = (amps.forward - amps.backward) / medium.epsilon
@@ -401,8 +403,7 @@ def plane_wave_mode_state(wave: PlaneWave, medium: MediumState, t: float) -> Mod
     """Mode state (D, B) of a plane wave at time t, for its own phase vector."""
     phase = np.exp(-1j * wave.omega * t)
     D = medium.epsilon * wave.amplitude * phase
-    H = magnetic_from_electric(wave, medium.mu)
-    B = medium.mu * H.amplitude * phase
+    B = medium.mu * _magnetic_amplitude(wave, medium.mu) * phase
     return ModeState(D, B, t)
 
 
@@ -429,8 +430,7 @@ def numeric_rt(
     if abs(incident.v - wave_speed(before)) > 1e-9 * abs(incident.v):
         raise DomainError("incident wave speed does not match the profile's first medium")
 
-    m = phase_vector(incident)
-    mag = _modulus(m)
+    m, mag = _modulus(phase_vector(incident))
     after = profile.sample(intervals[-1][1])
     omega_after = mag * abs(wave_speed(after))
 

@@ -36,7 +36,7 @@ from .errors import (
     reject,
 )
 from .media import MediumState, TemporalProfile, check_medium, phase_speed
-from .waves import PlaneWave, evaluate_E, magnetic_from_electric
+from .waves import PlaneWave, _magnetic_amplitude, _phase
 
 __all__ = [
     "FrequencyConvention",
@@ -401,11 +401,10 @@ def scatter_interface(
     )
     R, T = abs(r), abs(t)
     B_i = incident.amplitude * cmath.exp(-1j * omega1 * t0)
-    k_i = np.asarray(incident.k, dtype=np.float64)
 
     def scattered(factor, omega, scale):
         A = factor * B_i * cmath.exp(1j * omega * t0)
-        return PlaneWave(A, omega, math.copysign(1.0, scale) * k_i, v_plus)
+        return PlaneWave(A, omega, math.copysign(1.0, scale) * incident.k, v_plus)
 
     return ScatteringResult(
         incident=incident,
@@ -474,31 +473,16 @@ def boundary_residual(result: ScatteringResult, x_samples) -> tuple[float, float
     residual that overflows raises DomainError.
     """
     x = np.atleast_2d(np.asarray(x_samples, dtype=np.float64))
-    t0 = result.t0
-
-    def field_sum(waves, weights, magnetics):
-        total = np.zeros((x.shape[0], 3), dtype=np.complex128)
-        for wave, weight, mag in zip(waves, weights, magnetics):
+    jump_E, jump_H = np.zeros((2, x.shape[0], 3), dtype=np.complex128)
+    terms = ((result.transmitted, 1.0, result.after), (result.reflected, 1.0, result.after),
+             (result.incident, -1.0, result.before))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        for wave, sign, medium in terms:
             if wave is None:
                 continue
-            w = magnetic_from_electric(wave, mag) if mag is not None else wave
-            total += weight * evaluate_E(w, x, t0)
-        return total
-
-    eps_m, eps_p = result.before.epsilon, result.after.epsilon
-    mu_m, mu_p = result.before.mu, result.after.mu
-
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        jump_E = field_sum(
-            (result.transmitted, result.reflected, result.incident),
-            (eps_p, eps_p, -eps_m),
-            (None, None, None),
-        )
-        jump_H = field_sum(
-            (result.transmitted, result.reflected, result.incident),
-            (mu_p, mu_p, -mu_m),
-            (mu_p, mu_p, mu_m),
-        )
+            factor = np.exp(_phase(wave, x, result.t0))[:, None]
+            jump_E += sign * medium.epsilon * (factor * wave.amplitude[None, :])
+            jump_H += sign * medium.mu * (factor * _magnetic_amplitude(wave, medium.mu)[None, :])
         res_E = float(np.max(np.linalg.norm(jump_E, axis=1)))
         res_H = float(np.max(np.linalg.norm(jump_H, axis=1)))
     if not (math.isfinite(res_E) and math.isfinite(res_H)):

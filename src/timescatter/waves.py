@@ -17,7 +17,6 @@ from .errors import DomainError
 
 __all__ = [
     "PlaneWave",
-    "PhaseVector",
     "evaluate_E",
     "magnetic_from_electric",
     "transversality_residual",
@@ -81,14 +80,14 @@ class PlaneWave:
         return 2.0 * math.pi / abs(self.omega)
 
 
-@dataclass(frozen=True, eq=False)
-class PhaseVector:
-    """Spatial phase vector m = omega * k / v of a plane wave."""
+def _phase(w: PlaneWave, x: np.ndarray, t: float):
+    """i*omega*(k.x/v - t) at float position(s) x, one per row of an (N, 3) batch."""
+    return 1j * w.omega * (x @ w.k / w.v - t)
 
-    m: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", _as_real3(self.m, "m"))
+def _magnetic_amplitude(w: PlaneWave, mu: float) -> np.ndarray:
+    """H amplitude -(1/mu) A x k / v of a transversal plane wave."""
+    return -np.cross(w.amplitude, w.k) / (mu * w.v)
 
 
 def evaluate_E(w: PlaneWave, x, t: float) -> np.ndarray:
@@ -98,10 +97,10 @@ def evaluate_E(w: PlaneWave, x, t: float) -> np.ndarray:
     shape (3,) or (N, 3).
     """
     x = np.asarray(x, dtype=np.float64)
-    phase = 1j * w.omega * (x @ w.k / w.v - t)
+    factor = np.exp(_phase(w, x, t))
     if x.ndim == 1:
-        return w.amplitude * np.exp(phase)
-    return np.exp(phase)[:, None] * w.amplitude[None, :]
+        return w.amplitude * factor
+    return factor[:, None] * w.amplitude[None, :]
 
 
 def magnetic_from_electric(w: PlaneWave, mu: float) -> PlaneWave:
@@ -112,8 +111,7 @@ def magnetic_from_electric(w: PlaneWave, mu: float) -> PlaneWave:
     """
     if mu == 0.0:
         raise DomainError("mu must be nonzero")
-    h_amp = -np.cross(w.amplitude, w.k) / (mu * w.v)
-    return PlaneWave(h_amp, w.omega, w.k, w.v)
+    return PlaneWave(_magnetic_amplitude(w, mu), w.omega, w.k, w.v)
 
 
 def transversality_residual(w: PlaneWave) -> float:
@@ -121,6 +119,6 @@ def transversality_residual(w: PlaneWave) -> float:
     return float(abs(np.dot(w.amplitude, w.k)))
 
 
-def phase_vector(w: PlaneWave) -> PhaseVector:
-    """Phase vector m = omega * k / v."""
-    return PhaseVector(w.omega * w.k / w.v)
+def phase_vector(w: PlaneWave) -> np.ndarray:
+    """Phase vector m = omega * k / v, a read-only real 3-vector; DomainError if it overflows."""
+    return _as_real3(w.omega * w.k / w.v, "m")

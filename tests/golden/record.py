@@ -288,6 +288,20 @@ _ORACLE_BENCH = edit(
     ORACLE, ("media.before", {"epsilon": 1.05, "mu": 1.02}), ("incident", _OBLIQUE),
     ("oracle", {"tau": 1e-3, "tau_list": [0.1, 0.01, 0.001]}),
 )
+# The solve benchmark's regime: random media (some double-negative), either
+# convention and a nonzero t0, so the corpus pins the residuals and the B amplitudes.
+_SOLVE_BENCH = edit(
+    SOLVE, ("media", {"before": {"epsilon": 1.7, "mu": 0.6}, "after": {"epsilon": 3.1, "mu": 2.2}}),
+    ("incident", _OBLIQUE), ("t0", 0.43),
+)
+_SOLVE_DOUBLE_NEGATIVE = edit(
+    _SOLVE_BENCH, ("media.after", {"epsilon": -2.3, "mu": -0.8, "branch": -1}), ("t0", -0.71),
+    ("convention", {"transmitted": "backward"}),
+)
+_SOLVE_FROM_DOUBLE_NEGATIVE = edit(
+    _SOLVE_BENCH, ("media", {"before": {"epsilon": -1.4, "mu": -3.0, "branch": -1}, "after": {"epsilon": 0.3, "mu": 5.2}}),
+    ("t0", 0.93), ("convention", {"transmitted": "backward"}),
+)
 
 OUTPUTS = [
     ("out-solve", SOLVE, _NO_TIMESTAMP),
@@ -295,6 +309,10 @@ OUTPUTS = [
     ("out-solve-t0-complex", edit(SOLVE, ("t0", 0.3), ("incident.amplitude", [0, [1, 2], {"re": 0.5}])), _NO_TIMESTAMP),
     ("out-solve-backward-double-negative", edit(_DOUBLE_NEGATIVE, ("convention", {"transmitted": "backward"})), _NO_TIMESTAMP),
     ("out-solve-matched", edit(SOLVE, ("media.after", {"epsilon": 2, "mu": 2})), _NO_TIMESTAMP),
+    ("out-solve-oblique", _SOLVE_BENCH, _NO_TIMESTAMP),
+    ("out-solve-oblique-csv", _SOLVE_BENCH, _CSV),
+    ("out-solve-oblique-double-negative-backward", _SOLVE_DOUBLE_NEGATIVE, _NO_TIMESTAMP),
+    ("out-solve-oblique-from-double-negative-csv", _SOLVE_FROM_DOUBLE_NEGATIVE, _CSV),
     ("out-sweep", edit(SWEEP, ("sweep.axes", _GRID_AXES)), _NO_TIMESTAMP),
     ("out-sweep-csv", edit(SWEEP, ("sweep.axes", _GRID_AXES)), _CSV),
     ("out-sweep-double-negative", as_sweep(_DOUBLE_NEGATIVE, "after.mu", [-0.5, -3.0]), _NO_TIMESTAMP),

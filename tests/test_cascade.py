@@ -135,9 +135,9 @@ class TestCascadeScatter:
         timeline = [TimelineSegment(VACUUM, 1.0), TimelineSegment(DENSE, 1.0)]
         result = cascade_scatter(timeline, vacuum_wave())
         assert result.omega_final == pytest.approx(0.5)
-        kinds = [step.kind for step in result.trace]
+        kinds, _ = cascade_module._event_labels(len(result.trace_omega))
         assert kinds == ["propagate", "interface", "propagate"]
-        assert result.trace[1].omega == pytest.approx(0.5)
+        assert result.trace_omega[1] == pytest.approx(0.5)
 
     def test_empty_timeline_rejected(self):
         with pytest.raises(DomainError):
@@ -428,10 +428,9 @@ class TestOnePassProduct:
         result = cascade_scatter(segments, PlaneWave(Y_HAT.astype(complex), omega, X_HAT, wave_speed(segments[0].medium)))
         assert same_bits(result.net_matrix, net)
         assert same_bits(result.omega_final, omega_final)
-        trace = result.trace
-        assert [(step.kind, step.index) for step in trace] == [row[:2] for row in rows]
-        assert same_bits([step.omega for step in trace], [row[2] for row in rows])
-        assert same_bits([(step.forward, step.backward) for step in trace], [row[3:] for row in rows])
+        assert list(zip(*cascade_module._event_labels(len(result.trace_omega)))) == [row[:2] for row in rows]
+        assert same_bits(result.trace_omega, [row[2] for row in rows])
+        assert same_bits(result.trace_amplitudes, [row[3:] for row in rows])
         assert same_bits([result.amplitudes.forward, result.amplitudes.backward], rows[-1][3:])
         if sum(segment.duration for segment in segments) > 0.0:
             period_matrix, _ = one_period_matrix(segments, omega)
@@ -440,14 +439,14 @@ class TestOnePassProduct:
     def test_trace_columns_match_trace_steps(self):
         timeline = [TimelineSegment(VACUUM, 0.4), TimelineSegment(DENSE, 0.0), TimelineSegment(STRONG, 1.1)]
         result = cascade_scatter(timeline, vacuum_wave(1.2))
-        trace = result.trace
-        assert [(step.kind, step.index) for step in trace] == [
+        assert list(zip(*cascade_module._event_labels(5))) == [
             ("propagate", 0), ("interface", 0), ("propagate", 1), ("interface", 1), ("propagate", 2)
         ]
         assert result.trace_amplitudes.shape == (5, 2) and not result.trace_amplitudes.flags.writeable
-        assert isinstance(result.trace_omega, tuple) and [step.omega for step in trace] == list(result.trace_omega)
-        assert [[step.forward, step.backward] for step in trace] == result.trace_amplitudes.tolist()
-        assert result.trace is trace  # built on first access only
+        assert isinstance(result.trace_omega, tuple) and len(result.trace_omega) == 5
+        assert result.trace_omega[-1] == result.omega_final
+        assert result.trace_amplitudes[-1].tolist() == [result.amplitudes.forward, result.amplitudes.backward]
+        assert not hasattr(result, "trace")
 
     def test_interior_degenerate_interface_message(self):
         # v+/v- overflows, so omega2 = -omega3 = inf and the amplitude split is not unique.

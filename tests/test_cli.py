@@ -832,6 +832,11 @@ class TestOverflowExits3:
         incident = {"amplitude": [0, 1e308, 0], "omega1": 1.0, "k": [1, 0, 0]}
         self.expect_domain_error(tmp_path, capsys, make_config(command="oracle", incident=incident), "mode state is not finite")
 
+    def test_oracle_unresolvable_ramp(self, tmp_path, capsys):
+        # t0 -+ tau/2 round to t0 = 1e17, so the ramp would be a sharp switch: rejected by name.
+        config = make_config(command="oracle", t0=1e17, oracle={"tau": 0.05})
+        self.expect_domain_error(tmp_path, capsys, config, "ramp width tau=0.3141592653589793 rounds to zero at the switch instant t=1e+17")
+
     @pytest.mark.parametrize("omega1", [1e-300, 1e-160])
     def test_oracle_phase_vector_underflow(self, tmp_path, capsys, omega1):
         # |m|**2 is 0 or subnormal: np.linalg.norm gives 0 (a ZeroDivisionError) or a value 6e-6 off.

@@ -157,6 +157,18 @@ class TestProfiles:
         with pytest.raises(DomainError, match="periodic profile"):
             TemporalProfile((b, a), (0.0,), 0.1, period=1.0, duty=0.5)
 
+    def test_unresolvable_ramp_rejected(self):
+        # At t0 = 1e17 the float spacing is 16, so t0 -+ tau/2 both round to t0.
+        b, a = self.before, self.after
+        with pytest.raises(DomainError, match=r"ramp width tau=0\.3 rounds to zero at the switch instant t=1e\+17"):
+            TemporalProfile.ramp(b, a, t0=1e17, tau=0.3)
+        with pytest.raises(DomainError, match=r"tau=0\.3 rounds to zero at the switch instant t=1e\+17"):
+            TemporalProfile((b, a, b), (0.0, 1e17), 0.3)
+        ramp = TemporalProfile.ramp(b, a, t0=1e15, tau=0.3)  # spacing 0.125: still a ramp
+        lo, hi = ramp.switch_intervals()[0]
+        assert lo < 1e15 < hi
+        assert TemporalProfile.step(b, a, t0=1e17).switch_intervals() == [(1e17, 1e17)]
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_switch_rejected(self, value):
         with pytest.raises(DomainError, match="switch instants must be finite"):

@@ -1,6 +1,7 @@
 """Single-interface solver: frequencies, wave vectors, amplitudes, coefficients."""
 
 import cmath
+import dataclasses
 import math
 
 import hypothesis as hyp
@@ -24,7 +25,9 @@ from timescatter import (
     boundary_residual,
     coefficients,
     degenerate_amplitude,
+    evaluate_E,
     frequencies,
+    magnetic_from_electric,
     phase_vector,
     scatter_interface,
     scatter_kernel,
@@ -266,9 +269,9 @@ class TestScatterInterface:
             amp = raw - np.dot(raw, k) * k
             wave = PlaneWave(amp, 10.0 ** rng.uniform(-0.5, 0.5), k, before.wave_speed)
             result = scatter_interface(wave, TemporalProfile.step(before, after))
-            m_i = phase_vector(result.incident).m
-            assert_allclose(phase_vector(result.reflected).m, m_i, rtol=1e-12, atol=1e-12)
-            assert_allclose(phase_vector(result.transmitted).m, m_i, rtol=1e-12, atol=1e-12)
+            m_i = phase_vector(result.incident)
+            assert_allclose(phase_vector(result.reflected), m_i, rtol=1e-12, atol=1e-12)
+            assert_allclose(phase_vector(result.transmitted), m_i, rtol=1e-12, atol=1e-12)
             assert transversality_residual(result.reflected) <= 1e-12 * np.linalg.norm(
                 result.reflected.amplitude
             )
@@ -368,12 +371,90 @@ class TestBoundaryResidual:
             result.reflected.k,
             result.reflected.v,
         )
-        import dataclasses
-
         bad = dataclasses.replace(result, reflected=tampered)
         res_E, _ = boundary_residual(bad, self.samples)
         scale = float(np.linalg.norm(result.B_incident)) * result.after.epsilon
         assert res_E > 0.01 * scale
+
+
+def two_pass_residual(result, x_samples):
+    """boundary_residual as it was written before the one-pass loop: E, then H from PlaneWaves."""
+    x = np.atleast_2d(np.asarray(x_samples, dtype=np.float64))
+    t0 = result.t0
+
+    def field_sum(waves, weights, magnetics):
+        total = np.zeros((x.shape[0], 3), dtype=np.complex128)
+        for wave, weight, mag in zip(waves, weights, magnetics):
+            if wave is None:
+                continue
+            w = magnetic_from_electric(wave, mag) if mag is not None else wave
+            total += weight * evaluate_E(w, x, t0)
+        return total
+
+    eps_m, eps_p = result.before.epsilon, result.after.epsilon
+    mu_m, mu_p = result.before.mu, result.after.mu
+    waves = (result.transmitted, result.reflected, result.incident)
+    jump_E = field_sum(waves, (eps_p, eps_p, -eps_m), (None, None, None))
+    jump_H = field_sum(waves, (mu_p, mu_p, -mu_m), (mu_p, mu_p, mu_m))
+    return float(np.max(np.linalg.norm(jump_E, axis=1))), float(np.max(np.linalg.norm(jump_H, axis=1)))
+
+
+@st.composite
+def residual_cases(draw):
+    """A solved interface (either convention, some media double-negative, some impedance-matched),
+    possibly with tampered amplitudes, and sample points."""
+    unit = st.floats(-1.0, 1.0)
+    magnitude = lambda: 10.0 ** draw(st.floats(-1.0, 1.0))
+
+    def medium():
+        eps, mu = magnitude(), magnitude()
+        return MediumState(-eps, -mu, -1) if draw(st.booleans()) else MediumState(eps, mu)
+
+    before = medium()
+    if draw(st.booleans()):  # same impedance sqrt(mu/eps): nothing is reflected
+        scale = magnitude()
+        after = MediumState(scale * before.epsilon, scale * before.mu, before.branch)
+    else:
+        after = medium()
+    k = np.array([draw(unit), draw(unit), draw(unit)]) + [0.0, 0.0, 1.5]
+    k /= np.linalg.norm(k)
+    raw = np.array([complex(draw(unit), draw(unit)) for _ in range(3)]) + [1.0, 0.0, 0.0]
+    amplitude = raw - np.dot(raw, k) * k
+    wave = PlaneWave(amplitude, magnitude(), k, before.wave_speed)
+    conv = FrequencyConvention(transmitted=draw(st.sampled_from(["forward", "backward"])))
+    result = scatter_interface(wave, TemporalProfile.step(before, after, draw(st.floats(-5.0, 5.0))), conv)
+    for name in ("incident", "reflected", "transmitted"):
+        original = getattr(result, name)
+        if original is not None and draw(st.booleans()):
+            tampered = np.array([complex(draw(unit), draw(unit)) for _ in range(3)]) + [0.0, 0.0, 0.5j]
+            replacement = PlaneWave(tampered, original.omega, original.k, original.v)
+            result = dataclasses.replace(result, **{name: replacement})
+    samples = np.array([[draw(st.floats(-10.0, 10.0)) for _ in range(3)] for _ in range(draw(st.integers(1, 8)))])
+    return result, samples
+
+
+class TestResidualBitIdentity:
+    """boundary_residual's one pass over the waves gives the bits of the two-pass form."""
+
+    @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @hyp.given(case=residual_cases())
+    def test_same_bits_as_two_pass(self, case):
+        result, samples = case
+        got, expected = boundary_residual(result, samples), two_pass_residual(result, samples)
+        assert [value.hex() for value in got] == [value.hex() for value in expected]
+
+    @pytest.mark.parametrize("transmitted", ["forward", "backward"])
+    def test_matched_and_tampered_examples(self, transmitted):
+        conv = FrequencyConvention(transmitted=transmitted)
+        samples = np.random.default_rng(3).uniform(-10.0, 10.0, size=(50, 3))
+        matched = scatter_interface(incident_wave(), TemporalProfile.step(VACUUM, MediumState(2, 2), 0.7), conv)
+        assert (matched.reflected is None) == (transmitted == "forward") != (matched.transmitted is None)
+        incident = matched.incident
+        tampered = dataclasses.replace(matched, incident=PlaneWave(1j * incident.amplitude, incident.omega, incident.k, incident.v))
+        for result in (matched, tampered):
+            got, expected = boundary_residual(result, samples), two_pass_residual(result, samples)
+            assert [value.hex() for value in got] == [value.hex() for value in expected]
+        assert boundary_residual(tampered, samples)[0] > 0.1
 
 
 class TestScatterKernel:

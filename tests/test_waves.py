@@ -103,13 +103,22 @@ class TestTransversality:
 
 class TestPhaseVector:
     def test_vacuum(self):
-        assert_allclose(phase_vector(wave(Y_HAT, 1.0, X_HAT, 1.0)).m, X_HAT)
+        assert_allclose(phase_vector(wave(Y_HAT, 1.0, X_HAT, 1.0)), X_HAT)
 
     def test_transmitted_branch_matches_incident(self):
-        assert_allclose(phase_vector(wave(Y_HAT, 0.5, X_HAT, 0.5)).m, X_HAT)
+        assert_allclose(phase_vector(wave(Y_HAT, 0.5, X_HAT, 0.5)), X_HAT)
 
     def test_reflected_branch_matches_incident(self):
-        assert_allclose(phase_vector(wave(Y_HAT, -0.5, -X_HAT, 0.5)).m, X_HAT)
+        assert_allclose(phase_vector(wave(Y_HAT, -0.5, -X_HAT, 0.5)), X_HAT)
+
+    def test_read_only_real_array(self):
+        m = phase_vector(wave(Y_HAT, 2.0, X_HAT, 0.5))
+        assert m.shape == (3,) and m.dtype == np.float64 and not m.flags.writeable
+        assert m.tolist() == [4.0, 0.0, 0.0]
+
+    def test_overflow_rejected(self):
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="m must be finite"):
+            phase_vector(wave(Y_HAT, 1e300, X_HAT, 1e-300))
 
 
 class TestInvariants:
