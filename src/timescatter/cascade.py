@@ -25,7 +25,7 @@ from .errors import DegenerateCaseError, DomainError, NumericalDegeneracyWarning
 from .media import MediumState, wave_speed
 from .oracle import ModeAmplitudes
 from .scatter import scatter_kernel
-from .waves import PlaneWave
+from .waves import PlaneWave, _rescaled
 
 __all__ = [
     "TimelineSegment",
@@ -185,7 +185,8 @@ def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
         raise DomainError("incident frequency must be positive")
 
     net, omega, omegas, trace = _timeline_product(segments, incident.omega, trace=True)
-    polarization = incident.amplitude / np.linalg.norm(incident.amplitude)
+    amplitude = _rescaled(incident.amplitude)[0]  # so that its norm neither over- nor underflows
+    polarization = amplitude / np.linalg.norm(amplitude)
     forward, backward = trace[-1].tolist()
     return CascadeResult(
         amplitudes=ModeAmplitudes(forward, backward, polarization),
@@ -226,31 +227,25 @@ def _closed(segments, net: np.ndarray) -> np.ndarray:
     return _read_only(_matrix(_interface(segments[-1].medium, segments[0].medium)[0]) @ net)
 
 
-def one_period_matrix(cell, omega_in: float) -> tuple[np.ndarray, float]:
-    """Transfer matrix over one period of a cell, wrapping back to its start.
+def floquet_exponent(cell, omega_in: float) -> FloquetResult:
+    """Eigen-exponents of the one-period matrix of a periodic cell.
 
-    The cell is a sequence of :class:`TimelineSegment`; after the last
-    segment an interface back to the first segment's medium closes the
-    period, so the matrix can be iterated.
+    The cell is a sequence of :class:`TimelineSegment`.  Its one-period
+    matrix (``period_matrix``) is the product of cascade_scatter at |omega_in|,
+    closed by an interface from the last segment's medium back to the
+    first's, so that it can be iterated; the product skips the per-event
+    trace.  Returns the principal logarithms of the two eigenvalues (per
+    period) and flags max|eigenvalue| > 1 + 1e-9 as a momentum-gap
+    (amplifying) cell.  A defective matrix within tolerance triggers
+    :class:`NumericalDegeneracyWarning`; a matrix without finite
+    eigenvalues raises :class:`DomainError`.
     """
     segments = list(cell)
     period = _cell_period(segments)
     omega = abs(float(omega_in))
     if omega == 0.0:
         raise DomainError("omega_in must be nonzero")
-    return _closed(segments, _timeline_product(segments, omega)[0]), period
-
-
-def floquet_exponent(cell, omega_in: float) -> FloquetResult:
-    """Eigen-exponents of the one-period matrix of a periodic cell.
-
-    Returns the principal logarithms of the two eigenvalues (per period)
-    and flags max|eigenvalue| > 1 + 1e-9 as a momentum-gap (amplifying)
-    cell.  A defective matrix within tolerance triggers
-    :class:`NumericalDegeneracyWarning`; a matrix without finite
-    eigenvalues raises :class:`DomainError`.
-    """
-    return _floquet(*one_period_matrix(cell, omega_in))
+    return _floquet(_closed(segments, _timeline_product(segments, omega)[0]), period)
 
 
 def floquet_from_net(cell, net_matrix: np.ndarray) -> FloquetResult:

@@ -78,12 +78,7 @@ class IncidentSpec:
     k: tuple
 
     def plane_wave(self, medium: MediumState) -> PlaneWave:
-        return PlaneWave(
-            np.array(self.amplitude, dtype=np.complex128),
-            self.omega1,
-            np.array(self.k, dtype=np.float64),
-            wave_speed(medium),
-        )
+        return PlaneWave(self.amplitude, self.omega1, self.k, wave_speed(medium))
 
 
 @dataclass(frozen=True)
@@ -225,7 +220,8 @@ def _object(*rows, message: str = "expected an object"):
 
 def _unit_vector(value, path: str) -> tuple:
     k = np.array(_list(_number, "expected a 3-element list", 3, 3)(value, path))
-    norm = float(np.linalg.norm(k))
+    with np.errstate(over="ignore"):  # an overflowing |k| fails below
+        norm = float(np.linalg.norm(k))
     if norm == 0.0:
         _fail(path, "must be nonzero")
     if abs(norm - 1.0) > 1e-6:
@@ -670,9 +666,8 @@ def execute(config: RunConfig) -> dict:
             }
 
     elif config.command == "verify":
-        amps = np.vstack([a[None, :] for a, _ in config.verify_terms])
-        omegas = np.array([w for _, w in config.verify_terms])
-        exp_sum = ExponentialSum(amps, omegas)
+        exp_sum = ExponentialSum.from_terms(config.verify_terms)
+        omegas = exp_sum.omegas
         grid = canonical_grid(omegas)
         residual = sum_residual(exp_sum, grid)
         amp_scale = _amplitude_scale(exp_sum)
@@ -787,11 +782,8 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _apply_override(raw: dict, dotted: str, value_text: str):
-    try:
-        value = _loads(value_text, f"--set {dotted}")
-    except json.JSONDecodeError:
-        value = value_text
+def _apply_override(raw: dict, dotted: str, value):
+    """Set the config field at a dotted path; ConfigError if a section on the way is not an object."""
     keys = dotted.split(".")
     target = raw
     for depth, key in enumerate(keys[:-1], 1):
@@ -840,14 +832,15 @@ def main(argv=None) -> int:
             if "=" not in override:
                 raise ConfigError(f"--set expects PATH=VALUE, got {override!r}")
             dotted, value_text = override.split("=", 1)
-            _apply_override(raw, dotted, value_text)
+            try:
+                value = _loads(value_text, f"--set {dotted}")
+            except json.JSONDecodeError:
+                value = value_text
+            _apply_override(raw, dotted, value)
         flags = {"path": args.out, "format": args.format, "timestamp": False if args.no_timestamp else None}
-        flags = {key: value for key, value in flags.items() if value is not None}
-        if flags:
-            output = raw.setdefault("output", {})
-            if not isinstance(output, dict):
-                raise ConfigError("config.output: expected an object")
-            output.update(flags)
+        for key, value in flags.items():
+            if value is not None:
+                _apply_override(raw, f"output.{key}", value)
         config = parse_config(raw)
     except ConfigError as exc:
         sys.stderr.write(_error_payload(2, exc) + "\n")

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConstraintError, DomainError, StiffnessError
 from .media import MediumState, TemporalProfile, wave_speed
 from .scatter import coefficients
-from .waves import PlaneWave, _as_real3, _magnetic_amplitude, phase_vector
+from .waves import PlaneWave, _magnetic_amplitude, _norm, _rescaled, _vector3, phase_vector
 
 __all__ = [
     "ModeState",
@@ -65,14 +65,9 @@ class ModeState:
     t: float
 
     def __post_init__(self):
-        D = np.asarray(self.D, dtype=np.complex128)
-        B = np.asarray(self.B, dtype=np.complex128)
-        if D.shape != (3,) or B.shape != (3,):
-            raise DomainError("D and B must be complex 3-vectors")
-        D.setflags(write=False)
-        B.setflags(write=False)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "B", B)
+        # Not checked as finite: integrate raises its own "mode state is not finite".
+        object.__setattr__(self, "D", _vector3(self.D, "D", finite=False))
+        object.__setattr__(self, "B", _vector3(self.B, "B", finite=False))
         object.__setattr__(self, "t", float(self.t))
 
 
@@ -90,18 +85,14 @@ class ModeAmplitudes:
     polarization: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.polarization, dtype=np.complex128)
-        if p.shape != (3,):
-            raise DomainError("polarization must be a complex 3-vector")
-        p.setflags(write=False)
-        object.__setattr__(self, "polarization", p)
+        object.__setattr__(self, "polarization", _vector3(self.polarization, "polarization", finite=False))
         object.__setattr__(self, "forward", complex(self.forward))
         object.__setattr__(self, "backward", complex(self.backward))
 
 
 def _modulus(m) -> tuple[np.ndarray, float]:
     """A copy of m and |m|; DomainError naming m unless it is a finite real 3-vector with |m|**2 normal."""
-    m = _as_real3(np.array(m, dtype=np.float64), "m")
+    m = _vector3(m, "m", float)
     with np.errstate(over="ignore"):  # an overflowing |m| is rejected below
         mag = float(np.linalg.norm(m))
     if not sys.float_info.min <= mag * mag < math.inf:
@@ -221,7 +212,7 @@ def _finite(y, t: float):
     raise DomainError(f"mode state is not finite at t={t}: {y}")
 
 
-def _dormand_prince(sample, rows, mag, y, t, t_end, tol, max_step):
+def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
     """Adaptive Dormand-Prince 5(4) from t to t_end through a varying medium.
 
     Starts afresh, so the first stage is evaluated at t itself rather
@@ -235,8 +226,6 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol, max_step):
     # Initial step: a fraction of the local oscillation period.
     omega0 = mag * abs(wave_speed(medium))
     h = min(span, 0.1 / omega0)  # omega0 > 0, since _modulus bounds |m| below
-    if max_step is not None:
-        h = min(h, max_step)
     smallest = h
 
     y_max = float(np.max(np.abs(y)))
@@ -249,8 +238,6 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol, max_step):
         if remaining <= 1e-14 * max(1.0, abs(t_end)):
             return y
         h_abs = min(h, remaining)
-        if max_step is not None:
-            h_abs = min(h_abs, max_step)
         if h_abs < _MIN_STEP_REL * max(abs(t), 1.0):
             raise StiffnessError(
                 f"step size underflow at t={t} (smallest step {smallest:.3e})",
@@ -287,7 +274,6 @@ def integrate(
     initial: ModeState,
     t_end: float,
     tol: float = DEFAULT_TOL,
-    max_step: float | None = None,
 ) -> ModeState:
     """Advance a mode state to t_end, in either time direction.
 
@@ -299,14 +285,17 @@ def integrate(
       stretch's midpoint;
     * nonzero-width intervals (ramps) run an adaptive Dormand-Prince 5(4)
       pair that holds the local error per unit time at or below ``tol``,
-      scaled by max(1, |state|); ``max_step`` caps its steps;
+      scaled by max(1, |state|), so a state far below unit size is held
+      to an absolute error rather than a relative one;
     * zero-width (sharp) switches, periodic ones included, are break points
       only: D and B are continuous across them, so the state passes
       through unchanged and the two-valued instant is never sampled.
 
     A profile without ``switch_intervals`` is integrated by Dormand-Prince
     over the whole span.  A ``tol`` below float64 resolution raises
-    :class:`StiffnessError` at once, and a NaN or infinite state :class:`DomainError`.
+    :class:`StiffnessError` at once, and so does a Dormand-Prince step below
+    1e-14 * max(1, |t|): a ramp narrow against its distance from t = 0
+    cannot be resolved.  A NaN or infinite state raises :class:`DomainError`.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -328,7 +317,7 @@ def integrate(
     with np.errstate(all="ignore"):  # a state that overflows raises DomainError instead
         for start, end, varying in pieces:
             if varying:
-                y = _dormand_prince(profile.sample, rows, mag, y, start, end, tol, max_step)
+                y = _dormand_prince(profile.sample, rows, mag, y, start, end, tol)
             else:
                 y = _propagate_exact(y, rows, mag, profile.sample(0.5 * (start + end)), end - start)
             y = _finite(y, end)
@@ -356,7 +345,7 @@ def mode_decompose(state: ModeState, medium: MediumState, m: np.ndarray) -> Mode
     kappa = m / mag
     v = wave_speed(medium)
 
-    scale = max(float(np.linalg.norm(state.D)), float(np.linalg.norm(state.B)) / v)
+    scale = max(_norm(state.D), _norm(state.B) / v)
     _transverse_check(state.D, kappa, scale, "D")
     _transverse_check(state.B, kappa, scale, "B")
 
@@ -367,8 +356,8 @@ def mode_decompose(state: ModeState, medium: MediumState, m: np.ndarray) -> Mode
     D_f = medium.epsilon * E_f
     D_b = medium.epsilon * E_b
 
-    norm_f = float(np.linalg.norm(D_f))
-    norm_b = float(np.linalg.norm(D_b))
+    norm_f = _norm(D_f)
+    norm_b = _norm(D_b)
     if norm_f == 0.0 and norm_b == 0.0:
         # Zero field: any transverse polarization will do.
         p = np.zeros(3, dtype=np.complex128)
@@ -381,7 +370,7 @@ def mode_decompose(state: ModeState, medium: MediumState, m: np.ndarray) -> Mode
     backward = complex(np.vdot(p, D_b))
     # The two-scalar form exists only if both parts share the polarization.
     eps_rel = 1e-8 * max(norm_f, norm_b)
-    if np.linalg.norm(D_f - forward * p) > eps_rel or np.linalg.norm(D_b - backward * p) > eps_rel:
+    if _norm(D_f - forward * p) > eps_rel or _norm(D_b - backward * p) > eps_rel:
         raise ConstraintError("state mixes polarizations; no two-scalar mode form")
     return ModeAmplitudes(forward, backward, p)
 
@@ -401,9 +390,10 @@ def mode_reconstruct(
 
 def plane_wave_mode_state(wave: PlaneWave, medium: MediumState, t: float) -> ModeState:
     """Mode state (D, B) of a plane wave at time t, for its own phase vector."""
-    phase = np.exp(-1j * wave.omega * t)
-    D = medium.epsilon * wave.amplitude * phase
-    B = medium.mu * _magnetic_amplitude(wave, medium.mu) * phase
+    with np.errstate(over="ignore", invalid="ignore"):  # integrate rejects a state that overflows
+        phase = np.exp(-1j * wave.omega * t)
+        D = medium.epsilon * wave.amplitude * phase
+        B = medium.mu * _magnetic_amplitude(wave, medium.mu) * phase
     return ModeState(D, B, t)
 
 
@@ -431,6 +421,9 @@ def numeric_rt(
         raise DomainError("incident wave speed does not match the profile's first medium")
 
     m, mag = _modulus(phase_vector(incident))
+    amplitude, e = _rescaled(incident.amplitude)
+    if e > 0:  # a tiny state would meet integrate's absolute error floor; R and T are ratios, so scale it up
+        incident = PlaneWave(amplitude, incident.omega, incident.k, incident.v)
     after = profile.sample(intervals[-1][1])
     omega_after = mag * abs(wave_speed(after))
 
@@ -441,7 +434,7 @@ def numeric_rt(
     final = integrate(profile, m, initial, t_end, tol=tol)
     amps = mode_decompose(final, after, m)
 
-    incident_E = float(np.linalg.norm(incident.amplitude))
+    incident_E = _norm(incident.amplitude)
     R_num = abs(amps.backward) / after.epsilon / incident_E
     T_num = abs(amps.forward) / after.epsilon / incident_E
     return R_num, T_num

@@ -242,7 +242,7 @@ def amplitudes(
     """
     r, t = amplitude_factors(omega1, omega2, omega3, eps_minus, eps_plus)
     B_i = np.asarray(B_i, dtype=np.complex128)
-    if np.linalg.norm(B_i) == 0.0:
+    if not B_i.any():  # a norm of tiny entries underflows to 0
         raise DomainError("B_i must be nonzero")
     return r * B_i, t * B_i
 
@@ -335,22 +335,24 @@ class ScatteringResult:
     after: MediumState
     t0: float
 
-    def _b_amplitude(self, wave: Optional[PlaneWave]) -> np.ndarray:
-        if wave is None:
-            return np.zeros(3, dtype=np.complex128)
-        return wave.amplitude * cmath.exp(-1j * wave.omega * self.t0)
-
     @property
     def B_incident(self) -> np.ndarray:
-        return self._b_amplitude(self.incident)
+        return _at_interface(self.incident, self.t0)
 
     @property
     def B_reflected(self) -> np.ndarray:
-        return self._b_amplitude(self.reflected)
+        return _at_interface(self.reflected, self.t0)
 
     @property
     def B_transmitted(self) -> np.ndarray:
-        return self._b_amplitude(self.transmitted)
+        return _at_interface(self.transmitted, self.t0)
+
+
+def _at_interface(wave: Optional[PlaneWave], t0: float) -> np.ndarray:
+    """B = A * exp(-i*omega*t0), a wave's complex amplitude at the interface; zeros for an absent wave."""
+    if wave is None:
+        return np.zeros(3, dtype=np.complex128)
+    return wave.amplitude * cmath.exp(-1j * wave.omega * t0)
 
 
 def _interface(omega1, amplitude, k, before: tuple, after: tuple, conv, reject, incident_speed=None):
@@ -400,7 +402,7 @@ def scatter_interface(
         omega1, incident.amplitude, incident.k, *media, conv, reject, incident.v
     )
     R, T = abs(r), abs(t)
-    B_i = incident.amplitude * cmath.exp(-1j * omega1 * t0)
+    B_i = _at_interface(incident, t0)
 
     def scattered(factor, omega, scale):
         A = factor * B_i * cmath.exp(1j * omega * t0)

@@ -41,8 +41,8 @@ class ExponentialSum:
     omegas: np.ndarray  # (N,) real
 
     def __post_init__(self):
-        amps = np.atleast_2d(np.asarray(self.amplitudes, dtype=np.complex128))
-        omegas = np.atleast_1d(np.asarray(self.omegas, dtype=np.float64))
+        amps = np.atleast_2d(np.array(self.amplitudes, dtype=np.complex128))  # copies: the caller's stay writeable
+        omegas = np.atleast_1d(np.array(self.omegas, dtype=np.float64))
         if amps.shape[0] != omegas.shape[0] or omegas.ndim != 1:
             raise DomainError("need one amplitude vector per frequency")
         if amps.shape[0] < 1:

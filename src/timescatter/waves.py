@@ -26,24 +26,35 @@ __all__ = [
 _UNIT_TOL = 1e-12
 
 
-def _as_complex3(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.complex128)
+def _vector3(values, name: str, dtype=complex, finite: bool = True) -> np.ndarray:
+    """A read-only copy of a complex (dtype=float: real) 3-vector; DomainError naming it if malformed."""
+    arr = np.array(values, dtype=dtype)
     if arr.shape != (3,):
-        raise DomainError(f"{name} must be a 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
+        raise DomainError(f"{name} must be a {'real ' if dtype is float else ''}3-vector, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
         raise DomainError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
 
-def _as_real3(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape != (3,):
-        raise DomainError(f"{name} must be a real 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
+def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v * 2**e, e), exact: e = 0 unless the squares in |v| would overflow or lose digits.
+
+    Otherwise max|v_i| * 2**e is in [1, 2).  ``v`` is a float or complex ndarray.
+    """
+    parts = v.view(np.float64)  # the real and imaginary parts of a complex v
+    peak = float(np.max(np.abs(parts)))
+    if peak == 0.0 or 2.0**-500 <= peak <= 2.0**500:
+        return v, 0
+    e = 1 - math.frexp(peak)[1]
+    return np.ldexp(parts, e).view(v.dtype), e
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v), computed on _rescaled(v): the same bits where no rescaling is needed."""
+    scaled, e = _rescaled(v)
+    with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+        return float(np.ldexp(np.linalg.norm(scaled), -e))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +71,8 @@ class PlaneWave:
     v: float
 
     def __post_init__(self):
-        amp = _as_complex3(self.amplitude, "amplitude")
-        k = _as_real3(self.k, "k")
+        amp = _vector3(self.amplitude, "amplitude")
+        k = _vector3(self.k, "k", float)
         object.__setattr__(self, "amplitude", amp)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "omega", float(self.omega))
@@ -121,4 +132,6 @@ def transversality_residual(w: PlaneWave) -> float:
 
 def phase_vector(w: PlaneWave) -> np.ndarray:
     """Phase vector m = omega * k / v, a read-only real 3-vector; DomainError if it overflows."""
-    return _as_real3(w.omega * w.k / w.v, "m")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        m = w.omega * w.k / w.v
+    return _vector3(m, "m", float)

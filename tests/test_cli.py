@@ -450,6 +450,42 @@ class TestSolveExtremeMagnitudes:
         assert (error["type"], error["message"]) == ("DomainError", "ramp width tau must be finite and >= 0, got inf")
 
 
+class TestExtremeIncidentVectors:
+    """An incident amplitude or wave vector whose squares leave the float range: the same ratios, no numpy warning."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", [1e-170, 1e-200, 1e200, 1e300])
+    def test_oracle_gives_unit_amplitude_r_and_t(self, tmp_path, capsys, size):
+        assert run_main(tmp_path, make_config(command="oracle", oracle={"tau": 0.01})) == 0
+        unit = json.loads(capsys.readouterr().out)["result"]
+        incident = {"amplitude": [0, size, 0], "omega1": 1.0, "k": [1, 0, 0]}
+        assert run_main(tmp_path, make_config(command="oracle", incident=incident, oracle={"tau": 0.01})) == 0
+        captured = capsys.readouterr()
+        result = json.loads(captured.out)["result"]
+        assert captured.err == ""
+        for key in ("R_numeric", "T_numeric"):
+            assert result[key] == pytest.approx(unit[key], rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("size", [1e-200, 1e300])
+    def test_cascade_output_equals_unit_amplitude(self, tmp_path, capsys, size):
+        def config(amplitude):
+            incident = {"amplitude": [0, amplitude, 0], "omega1": 1.0, "k": [1, 0, 0]}
+            return json.dumps({"command": "cascade", "timeline": GAP_CELL * 2, "incident": incident, "floquet": True})
+
+        assert run_main(tmp_path, config(1.0)) == 0
+        unit = capsys.readouterr()
+        assert run_main(tmp_path, config(size)) == 0
+        assert capsys.readouterr() == unit
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_wave_vector_norm_is_a_config_error(self, tmp_path, capsys):
+        incident = {"amplitude": [0, 0, 1], "omega1": 1.0, "k": [1, -1e308, 0]}
+        assert run_main(tmp_path, make_config(incident=incident)) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["message"] == "config.incident.k: must be a unit vector (|k| = inf)"
+
+
 NAN, INF = float("nan"), float("inf")
 VERIFY_TERMS = [{"amplitude": [1.0], "omega": 1.0}, {"amplitude": [-1.0], "omega": 2.0}]
 

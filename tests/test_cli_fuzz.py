@@ -1,11 +1,13 @@
 """CLI fuzz: mutated configs exit 0, 2, 3 or 4, never with a traceback.
 
-Each example takes a valid solve, sweep (at most 4 points), cascade (at
-most 6 segments) or verify config and applies one to three mutations: a
-key deleted, an unknown key added, a number negated, or a value replaced
-by a wrong type, a list or object, 0, a negative, +-1e+-300 or +-1e308.  A
-non-zero exit must leave exactly one error record on stderr, and exit-0
-output must be strict JSON, without NaN or Infinity.
+Each example takes a valid solve, sweep (at most 4 points), oracle (a
+coarse tolerance and three ramp widths), cascade (at most 6 segments) or
+verify config and applies one to three mutations: a key deleted, an
+unknown key added, a number negated, or a value replaced by a wrong type,
+a list or object, 0, a negative, +-1e+-300 or +-1e308.  A non-zero exit
+must leave exactly one error record on stderr, exit-0 output must be
+strict JSON, without NaN or Infinity, and no run may raise a numpy
+RuntimeWarning.
 """
 
 import contextlib
@@ -34,6 +36,12 @@ BASES = {
                 {"path": "incident.omega1", "start": 0.5, "stop": 2.0, "num": 2, "spacing": "log"},
             ]
         },
+    },
+    "oracle": {
+        "command": "oracle",
+        "media": MEDIA,
+        "incident": INCIDENT,
+        "oracle": {"tau": 0.1, "tol": 1e-6, "tau_list": [0.2, 0.1, 0.05]},
     },
     "cascade": {
         "command": "cascade",
@@ -99,10 +107,12 @@ def run_cli(tmp_path_factory, config):
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     stdout, stderr = io.StringIO(), io.StringIO()
-    # Numerical warnings are kept apart from what the CLI itself writes.
-    with warnings.catch_warnings(record=True), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    # Numerical warnings are kept apart from what the CLI itself writes, and none may be raised.
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
         code = main([str(path), "--no-timestamp"])
+    numpy_warnings = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not numpy_warnings, f"RuntimeWarning from {json.dumps(config)}: {numpy_warnings}"
     return code, stdout.getvalue(), stderr.getvalue()
 
 

@@ -132,6 +132,16 @@ class TestAmplitudes:
         with pytest.raises(DegenerateCaseError):
             amplitudes(Y_HAT.astype(complex), 1.0, 0.5, 0.5, 1.0, 4.0)
 
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_extreme_incident_amplitude(self, size):
+        # A tiny B_i is not zero, though the squares in its norm underflow.
+        B_r, B_t = amplitudes([size, 0.0, 0.0], 1.0, -0.5, 0.5, 1.0, 4.0)
+        assert B_r.tolist() == [-0.125 * size, 0.0, 0.0] and B_t.tolist() == [0.375 * size, 0.0, 0.0]
+
+    def test_zero_incident_amplitude_rejected(self):
+        with pytest.raises(DomainError, match="B_i must be nonzero"):
+            amplitudes(np.zeros(3), 1.0, -0.5, 0.5, 1.0, 4.0)
+
     def test_amplitude_sum_identity(self):
         rng = np.random.default_rng(11)
         for _ in range(300):

@@ -8,8 +8,14 @@ from numpy.testing import assert_allclose
 
 from timescatter import (
     DomainError,
+    ExponentialSum,
+    MediumState,
+    ModeAmplitudes,
+    ModeState,
     PlaneWave,
+    TemporalProfile,
     evaluate_E,
+    integrate,
     magnetic_from_electric,
     phase_vector,
     transversality_residual,
@@ -117,7 +123,7 @@ class TestPhaseVector:
         assert m.tolist() == [4.0, 0.0, 0.0]
 
     def test_overflow_rejected(self):
-        with np.errstate(over="ignore"), pytest.raises(DomainError, match="m must be finite"):
+        with pytest.raises(DomainError, match="m must be finite"):
             phase_vector(wave(Y_HAT, 1e300, X_HAT, 1e-300))
 
 
@@ -138,3 +144,28 @@ class TestInvariants:
         w = wave(Y_HAT)
         with pytest.raises(ValueError):
             w.amplitude[0] = 1.0
+
+
+class TestCallerArraysStayWriteable:
+    """Each record stores a read-only copy: the caller's own array is never frozen or aliased."""
+
+    def test_constructors_copy(self):
+        amplitude, k = Y_HAT.astype(complex), X_HAT.copy()
+        w = PlaneWave(amplitude, 1.0, k, 1.0)
+        D, B = Y_HAT.astype(complex), Z_HAT.astype(complex)
+        state = ModeState(D, B, 0.0)
+        polarization = Y_HAT.astype(complex)
+        amps = ModeAmplitudes(1.0, 0.0, polarization)
+        terms, omegas = np.array([[1.0 + 0j, 2.0]]), np.array([1.0])
+        exp_sum = ExponentialSum(terms, omegas)
+        m = X_HAT.copy()
+        integrate(TemporalProfile.constant(MediumState(1, 1)), m, state, 1.0)
+        stored = [w.amplitude, w.k, state.D, state.B, amps.polarization, exp_sum.amplitudes, exp_sum.omegas]
+        for array in (amplitude, k, D, B, polarization, terms, omegas, m):
+            assert array.flags.writeable
+            assert not any(np.shares_memory(array, kept) for kept in stored)
+        assert not any(kept.flags.writeable for kept in stored)
+
+    def test_mode_state_shape_is_checked_by_name(self):
+        with pytest.raises(DomainError, match=r"B must be a 3-vector, got shape \(2,\)"):
+            ModeState(Y_HAT.astype(complex), [1.0, 0.0], 0.0)
