@@ -16,138 +16,23 @@ executable checks of the exponential-independence argument underlying
 the frequency matching.  Units: c = 1; epsilon and mu are relative.
 """
 
-from .errors import (
-    AmbiguityError,
-    ConfigError,
-    ConsistencyError,
-    ConstraintError,
-    DegenerateCaseError,
-    DomainError,
-    NoSolutionError,
-    NumericalDegeneracyWarning,
-    ResolutionError,
-    StiffnessError,
-    TimescatterError,
-)
-from .media import (
-    VACUUM,
-    MediumState,
-    TemporalProfile,
-    impedance,
-    refractive_index,
-    wave_speed,
-)
-from .waves import (
-    PlaneWave,
-    evaluate_E,
-    magnetic_from_electric,
-    phase_vector,
-    transversality_residual,
-)
-from .scatter import (
-    DEFAULT_CONVENTION,
-    FrequencyConvention,
-    ScatteringResult,
-    amplitudes,
-    boundary_residual,
-    coefficients,
-    degenerate_amplitude,
-    frequencies,
-    scatter_grid,
-    scatter_interface,
-    scatter_kernel,
-    swapped_coefficients,
-    wave_vectors,
-)
-from .oracle import (
-    ConvergenceStudy,
-    ModeAmplitudes,
-    ModeState,
-    convergence_study,
-    integrate,
-    mode_decompose,
-    mode_reconstruct,
-    mode_rhs,
-    numeric_rt,
-    plane_wave_mode_state,
-)
-from .cascade import (
-    CascadeResult,
-    FloquetResult,
-    TimelineSegment,
-    cascade_scatter,
-    floquet_exponent,
-    floquet_from_net,
-    interface_matrix,
-    propagate,
-)
-from .verify import (
-    ExponentialSum,
-    assert_forced_equality,
-    canonical_grid,
-    sum_residual,
-    vandermonde_product,
-)
+from . import cascade, errors, media, oracle, scatter, verify, waves
+from .cascade import *
+from .errors import *
+from .media import *
+from .oracle import *
+from .scatter import *
+from .verify import *
+from .waves import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguityError",
-    "CascadeResult",
-    "ConfigError",
-    "ConsistencyError",
-    "ConstraintError",
-    "ConvergenceStudy",
-    "DEFAULT_CONVENTION",
-    "DegenerateCaseError",
-    "DomainError",
-    "ExponentialSum",
-    "FloquetResult",
-    "FrequencyConvention",
-    "MediumState",
-    "ModeAmplitudes",
-    "ModeState",
-    "NoSolutionError",
-    "NumericalDegeneracyWarning",
-    "PlaneWave",
-    "ResolutionError",
-    "ScatteringResult",
-    "StiffnessError",
-    "TemporalProfile",
-    "TimelineSegment",
-    "TimescatterError",
-    "VACUUM",
-    "amplitudes",
-    "assert_forced_equality",
-    "boundary_residual",
-    "canonical_grid",
-    "cascade_scatter",
-    "coefficients",
-    "convergence_study",
-    "degenerate_amplitude",
-    "evaluate_E",
-    "floquet_exponent",
-    "floquet_from_net",
-    "frequencies",
-    "impedance",
-    "integrate",
-    "interface_matrix",
-    "magnetic_from_electric",
-    "mode_decompose",
-    "mode_reconstruct",
-    "mode_rhs",
-    "numeric_rt",
-    "phase_vector",
-    "plane_wave_mode_state",
-    "propagate",
-    "refractive_index",
-    "scatter_grid",
-    "scatter_interface",
-    "scatter_kernel",
-    "sum_residual",
-    "swapped_coefficients",
-    "transversality_residual",
-    "vandermonde_product",
-    "wave_speed",
-    "wave_vectors",
-]
+# Each module's __all__ is the one list of its public names; the package exports their union.
+__all__ = []
+__all__ += errors.__all__
+__all__ += media.__all__
+__all__ += waves.__all__
+__all__ += scatter.__all__
+__all__ += oracle.__all__
+__all__ += cascade.__all__
+__all__ += verify.__all__

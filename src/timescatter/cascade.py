@@ -42,6 +42,14 @@ _DEGENERACY_TOL = 1e-9
 _GAP_TOL = 1e-9  # |lambda| of a pass band is 1 to a few ulp either side
 
 
+def _duration(value) -> float:
+    """``value`` as a float; DomainError unless it is finite and >= 0."""
+    duration = float(value)
+    if not (duration >= 0.0 and math.isfinite(duration)):
+        raise DomainError(f"duration must be finite and >= 0, got {duration}")
+    return duration
+
+
 @dataclass(frozen=True)
 class TimelineSegment:
     """A constant medium held for a duration (zero dwell allowed)."""
@@ -50,9 +58,7 @@ class TimelineSegment:
     duration: float
 
     def __post_init__(self):
-        object.__setattr__(self, "duration", float(self.duration))
-        if not (self.duration >= 0.0 and math.isfinite(self.duration)):
-            raise DomainError(f"duration must be finite and >= 0, got {self.duration}")
+        object.__setattr__(self, "duration", _duration(self.duration))
 
 
 def _read_only(matrix: np.ndarray) -> np.ndarray:
@@ -95,9 +101,7 @@ def _dwell(omega: float, duration: float) -> tuple:
 
 def propagate(omega: float, duration: float) -> np.ndarray:
     """Free-propagation phases diag(exp(-i|w|d), exp(+i|w|d))."""
-    if duration < 0.0:
-        raise DomainError(f"duration must be >= 0, got {duration}")
-    return _matrix(_dwell(omega, duration))
+    return _matrix(_dwell(omega, _duration(duration)))
 
 
 def _event_labels(count: int) -> tuple[list, list]:
@@ -243,6 +247,8 @@ def floquet_exponent(cell, omega_in: float) -> FloquetResult:
     segments = list(cell)
     period = _cell_period(segments)
     omega = abs(float(omega_in))
+    if not math.isfinite(omega):
+        raise DomainError(f"omega_in must be finite, got {omega_in}")
     if omega == 0.0:
         raise DomainError("omega_in must be nonzero")
     return _floquet(_closed(segments, _timeline_product(segments, omega)[0]), period)

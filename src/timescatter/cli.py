@@ -690,15 +690,11 @@ def execute(config: RunConfig) -> dict:
 
 
 def _flatten_for_csv(payload: dict) -> tuple[list, Sequence]:
-    """Columns and rows for CSV output of any command payload."""
-    command = payload["command"]
-    if command == "sweep":
-        return payload["columns"], payload["rows"]
-    if command == "oracle" and "convergence" in payload:
-        return payload["convergence"]["columns"], payload["convergence"]["rows"]
-    if command == "cascade":
-        return payload["trace"]["columns"], payload["trace"]["rows"]
-    # Single-record commands: one flat row.
+    """Columns and rows for CSV output: the payload's one row table, at the top level or in a section."""
+    for section in (payload, *payload.values()):
+        if isinstance(section, dict) and isinstance(section.get("rows"), RowTable):
+            return section["columns"], section["rows"]
+    # No table: the result as one flat row.
     flat = {}
 
     def walk(prefix, value):
@@ -793,10 +789,10 @@ def _apply_override(raw: dict, dotted: str, value):
     target[keys[-1]] = value
 
 
-def _error_payload(code: int, exc: Exception) -> str:
-    return json.dumps(
-        {"error": {"code": code, "type": type(exc).__name__, "message": str(exc)}}
-    )
+def _exit_with(code: int, exc: Exception) -> int:
+    """Write ``exc``'s error record to stderr and return the exit code."""
+    sys.stderr.write(json.dumps({"error": {"code": code, "type": type(exc).__name__, "message": str(exc)}}) + "\n")
+    return code
 
 
 def main(argv=None) -> int:
@@ -821,13 +817,7 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        sys.stderr.write(_error_payload(2, exc) + "\n")
-        return 2
-
-    try:
-        raw = _document(text)
+            raw = _document(handle.read())
         for override in args.set:
             if "=" not in override:
                 raise ConfigError(f"--set expects PATH=VALUE, got {override!r}")
@@ -841,22 +831,13 @@ def main(argv=None) -> int:
         for key, value in flags.items():
             if value is not None:
                 _apply_override(raw, f"output.{key}", value)
-        config = parse_config(raw)
-    except ConfigError as exc:
-        sys.stderr.write(_error_payload(2, exc) + "\n")
-        return 2
-
-    try:
-        return run(config)
-    except OSError as exc:  # the output path cannot be written
-        sys.stderr.write(_error_payload(2, exc) + "\n")
-        return 2
+        return run(parse_config(raw))
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:  # unreadable config, bad config, unwritable output
+        return _exit_with(2, exc)
     except (DegenerateCaseError, NoSolutionError) as exc:
-        sys.stderr.write(_error_payload(4, exc) + "\n")
-        return 4
+        return _exit_with(4, exc)
     except TimescatterError as exc:
-        sys.stderr.write(_error_payload(3, exc) + "\n")
-        return 3
+        return _exit_with(3, exc)
 
 
 if __name__ == "__main__":

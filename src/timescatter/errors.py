@@ -2,6 +2,20 @@
 
 import numpy as np
 
+__all__ = [
+    "TimescatterError",
+    "DomainError",
+    "AmbiguityError",
+    "ConsistencyError",
+    "DegenerateCaseError",
+    "NoSolutionError",
+    "StiffnessError",
+    "ConstraintError",
+    "ResolutionError",
+    "ConfigError",
+    "NumericalDegeneracyWarning",
+]
+
 
 class TimescatterError(Exception):
     """Base class for all errors raised by this package."""

@@ -22,8 +22,6 @@ __all__ = [
     "TemporalProfile",
     "VACUUM",
     "wave_speed",
-    "phase_speed",
-    "check_medium",
     "impedance",
     "refractive_index",
 ]

@@ -79,8 +79,9 @@ class PlaneWave:
         object.__setattr__(self, "v", float(self.v))
         if not amp.any():  # a norm would overflow for huge amplitudes
             raise DomainError("zero amplitude rejected at construction")
-        if abs(np.linalg.norm(k) - 1.0) > _UNIT_TOL:
-            raise DomainError(f"|k| must be 1 within {_UNIT_TOL}, got {np.linalg.norm(k)}")
+        norm = math.hypot(*k.tolist())  # neither over- nor underflows, unlike np.linalg.norm
+        if abs(norm - 1.0) > _UNIT_TOL:
+            raise DomainError(f"|k| must be 1 within {_UNIT_TOL}, got {norm}")
         if self.omega == 0.0 or not math.isfinite(self.omega):
             raise DomainError("omega must be a nonzero finite real")
         if self.v == 0.0 or not math.isfinite(self.v):

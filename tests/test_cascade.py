@@ -82,6 +82,13 @@ class TestPropagate:
         with pytest.raises(DomainError):
             propagate(1.0, -1.0)
 
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
+    def test_duration_checked_as_timeline_segment_checks_it(self, duration):
+        message = rf"^duration must be finite and >= 0, got {duration}$"
+        for build in (lambda: propagate(1.0, duration), lambda: TimelineSegment(VACUUM, duration)):
+            with pytest.raises(DomainError, match=message):
+                build()
+
 
 class TestCascadeScatter:
     def test_single_zero_length_segment_passes_through(self):
@@ -234,6 +241,15 @@ class TestFloquet:
     def test_zero_duration_cell_rejected(self):
         with pytest.raises(DomainError):
             floquet_exponent([TimelineSegment(VACUUM, 0.0)], 1.0)
+
+    @pytest.mark.parametrize("omega_in", [math.nan, math.inf, -math.inf])
+    def test_non_finite_omega_rejected_by_name(self, omega_in):
+        with pytest.raises(DomainError, match=r"^omega_in must be finite, got"):
+            floquet_exponent([TimelineSegment(VACUUM, 1.0), TimelineSegment(DENSE, 0.5)], omega_in)
+
+    def test_zero_omega_rejected(self):
+        with pytest.raises(DomainError, match="^omega_in must be nonzero$"):
+            floquet_exponent([TimelineSegment(VACUUM, 1.0)], 0.0)
 
 
 class TestPlainArrays:

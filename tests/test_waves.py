@@ -1,6 +1,7 @@
 """Plane-wave fields, magnetic construction, and transversality checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -131,6 +132,12 @@ class TestInvariants:
     def test_nonunit_k_rejected(self):
         with pytest.raises(DomainError):
             PlaneWave(Y_HAT.astype(complex), 1.0, np.array([1.0, 1.0, 0.0]), 1.0)
+
+    @pytest.mark.parametrize("scale, shown", [(1e200, "1e+200"), (1e-200, "1e-200")])
+    def test_extreme_k_rejected_with_its_norm(self, scale, shown):
+        # The squares in np.linalg.norm overflow (a RuntimeWarning) or underflow (|k| = 0.0).
+        with pytest.raises(DomainError, match=re.escape(f"|k| must be 1 within 1e-12, got {shown}")):
+            PlaneWave(Y_HAT.astype(complex), 1.0, scale * X_HAT, 1.0)
 
     def test_zero_omega_rejected(self):
         with pytest.raises(DomainError):
