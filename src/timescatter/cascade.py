@@ -25,7 +25,7 @@ from .errors import DegenerateCaseError, DomainError, NumericalDegeneracyWarning
 from .media import MediumState, wave_speed
 from .oracle import ModeAmplitudes
 from .scatter import scatter_kernel
-from .waves import PlaneWave, _rescaled
+from .waves import PlaneWave, _check_incident, _rescaled
 
 __all__ = [
     "TimelineSegment",
@@ -100,8 +100,11 @@ def _dwell(omega: float, duration: float) -> tuple:
 
 
 def propagate(omega: float, duration: float) -> np.ndarray:
-    """Free-propagation phases diag(exp(-i|w|d), exp(+i|w|d))."""
-    return _matrix(_dwell(omega, _duration(duration)))
+    """Free-propagation phases diag(exp(-i|w|d), exp(+i|w|d)); DomainError unless |w|*d is finite."""
+    duration = _duration(duration)
+    if not math.isfinite(abs(omega) * duration):  # a NaN or infinite omega, or an overflowing phase
+        raise DomainError(f"phase |omega|*duration must be finite, got omega={omega}, duration={duration}")
+    return _matrix(_dwell(omega, duration))
 
 
 def _event_labels(count: int) -> tuple[list, list]:
@@ -180,11 +183,7 @@ def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
     segments = list(timeline)
     if not segments:
         raise DomainError("timeline must contain at least one segment")
-    v0 = wave_speed(segments[0].medium)
-    if abs(incident.v - v0) > 1e-9 * abs(v0):
-        raise DomainError(
-            f"incident wave speed {incident.v} does not match the first segment ({v0})"
-        )
+    _check_incident(incident.amplitude, incident.k, incident.v, wave_speed(segments[0].medium))
     if incident.omega <= 0.0:
         raise DomainError("incident frequency must be positive")
 

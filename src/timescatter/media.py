@@ -106,10 +106,8 @@ def impedance(m: MediumState) -> float:
 
 def refractive_index(m: MediumState) -> float:
     """Signed index branch * sqrt(|epsilon*mu|); reciprocal of wave_speed."""
-    product = m.epsilon * m.mu
-    if not math.isfinite(product) or product == 0.0:
-        raise DomainError(f"epsilon*mu must be finite and nonzero, got {product}")
-    return m.branch * math.sqrt(abs(product))
+    wave_speed(m)  # raises unless epsilon*mu is finite and nonzero
+    return m.branch * math.sqrt(abs(m.epsilon * m.mu))
 
 
 @dataclass(frozen=True)

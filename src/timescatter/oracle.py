@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConstraintError, DomainError, StiffnessError
 from .media import MediumState, TemporalProfile, wave_speed
 from .scatter import coefficients
-from .waves import PlaneWave, _magnetic_amplitude, _norm, _rescaled, _vector3, phase_vector
+from .waves import PlaneWave, _check_incident, _magnetic_amplitude, _norm, _rescaled, _vector3, phase_vector
 
 __all__ = [
     "ModeState",
@@ -325,8 +325,6 @@ def integrate(
 
 
 def _transverse_check(vec: np.ndarray, kappa: np.ndarray, norm: float, what: str):
-    if norm == 0.0:
-        return
     if abs(np.dot(vec, kappa)) > 1e-8 * norm:
         raise ConstraintError(f"{what} is not transversal to the phase vector")
 
@@ -417,8 +415,9 @@ def numeric_rt(
     if any(b - a <= 0.0 for a, b in intervals):
         raise DomainError("numeric_rt requires smooth (nonzero-width) transitions")
     before = profile.sample(intervals[0][0])
-    if abs(incident.v - wave_speed(before)) > 1e-9 * abs(incident.v):
-        raise DomainError("incident wave speed does not match the profile's first medium")
+    _check_incident(incident.amplitude, incident.k, incident.v, wave_speed(before))
+    if incident.omega <= 0.0:
+        raise DomainError("incident frequency must be positive")
 
     m, mag = _modulus(phase_vector(incident))
     amplitude, e = _rescaled(incident.amplitude)

@@ -36,7 +36,7 @@ from .errors import (
     reject,
 )
 from .media import MediumState, TemporalProfile, check_medium, phase_speed
-from .waves import PlaneWave, _magnetic_amplitude, _phase
+from .waves import PlaneWave, _check_incident, _magnetic_amplitude, _phase
 
 __all__ = [
     "FrequencyConvention",
@@ -60,7 +60,6 @@ _SCALE_MESSAGE = (
     f"{_SCALE_TOL}; frequencies inconsistent with speeds"
 )
 _DEGENERATE_RTOL = 1e-12
-_TRANSVERSALITY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,6 @@ class FrequencyConvention:
             raise DomainError(f"transmitted must be 'forward' or 'backward', got {self.transmitted!r}")
         if self.reflected not in ("negative", "positive"):
             raise DomainError(f"reflected must be 'negative' or 'positive', got {self.reflected!r}")
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.reflected == "positive"
 
 
 DEFAULT_CONVENTION = FrequencyConvention()
@@ -359,20 +354,14 @@ def _interface(omega1, amplitude, k, before: tuple, after: tuple, conv, reject, 
     """The checked algebra of one step interface or a grid of them, each check once.
 
     ``before`` and ``after`` are (epsilon, mu, branch).  The checks run in
-    this order: both phase speeds, the incident speed (when given), the
-    incident wave's transversality, then scatter_kernel's frequency,
-    wave-vector-scale and factor checks, and finally a finite amplitude.
+    this order: both phase speeds, _check_incident's speed (when given)
+    and transversality, then scatter_kernel's frequency, wave-vector-scale
+    and factor checks, and finally a finite amplitude.
     Returns (v_plus, omega2, omega3, r, t, (scale_r, scale_t)).
     """
     v_minus = phase_speed(*before, reject)
     v_plus = phase_speed(*after, reject)
-    if incident_speed is not None:
-        bad = abs(incident_speed - v_minus) > 1e-9 * abs(v_minus)
-        message = "incident wave speed {} does not match the before medium ({})"
-        reject(bad, DomainError, message, incident_speed, v_minus)
-    # hypot: |A| near the float limit stays finite, so a huge A.k is still caught
-    bad = abs(np.dot(amplitude, k)) > _TRANSVERSALITY_RTOL * math.hypot(*np.abs(amplitude))
-    reject(bool(bad), DomainError, "incident wave is not transversal (A.k != 0)")
+    _check_incident(amplitude, k, incident_speed, v_minus, reject)
     omega2, omega3, r, t, scales = _algebra(omega1, v_minus, v_plus, before[0], after[0], conv, reject)
     reject((abs(r) + abs(t)) * 0.0 != 0.0, DomainError, "amplitude must be finite")
     return v_plus, omega2, omega3, r, t, scales
@@ -385,7 +374,7 @@ def scatter_interface(
 ) -> ScatteringResult:
     """Solve a step profile end to end: frequencies, wave vectors, amplitudes.
 
-    The incident wave must be transversal (|A.k| < 1e-9 |A|), have positive
+    The incident wave must be transversal (|A.k| <= 1e-9 |A|), have positive
     frequency, and propagate at the before-medium speed.  The returned
     waves carry A amplitudes recovered from the B algebra by the inverse
     phase factor exp(+i*omega*t0).
@@ -417,7 +406,7 @@ def scatter_interface(
         energy_sum=R + T,
         omega2=omega2,
         omega3=omega3,
-        degenerate=conv.is_degenerate,
+        degenerate=conv.reflected == "positive",
         before=before,
         after=after,
         t0=t0,

@@ -62,10 +62,6 @@ class ExponentialSum:
         amps, omegas = zip(*((np.atleast_1d(a), w) for a, w in terms))
         return cls(np.vstack([a[None, :] for a in amps]), np.array(omegas))
 
-    @property
-    def n_terms(self) -> int:
-        return self.amplitudes.shape[0]
-
     def evaluate(self, x) -> np.ndarray:
         """Sum value at point(s) x; shape (n,) for a scalar x, (len(x), n) else."""
         x_arr = np.asarray(x, dtype=np.float64)
@@ -92,15 +88,15 @@ def vandermonde_product(omegas) -> complex:
 def sum_residual(s: ExponentialSum, x_grid) -> float:
     """max over the grid of the Euclidean norm of the sum; 0 means cancellation."""
     x = np.atleast_1d(np.asarray(x_grid, dtype=np.float64))
-    if np.unique(x).size < 2 * s.n_terms:
+    if np.unique(x).size < 2 * len(s.omegas):
         raise DomainError(
-            f"grid needs at least {2 * s.n_terms} distinct points, got {np.unique(x).size}"
+            f"grid needs at least {2 * len(s.omegas)} distinct points, got {np.unique(x).size}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         residual = float(np.max(np.linalg.norm(s.evaluate(x), axis=-1)))
     if not math.isfinite(residual):
         raise DomainError(
-            f"residual of a sum of {s.n_terms} terms overflows: the norm of the sum exceeds the float range"
+            f"residual of a sum of {len(s.omegas)} terms overflows: the norm of the sum exceeds the float range"
         )
     return residual
 
@@ -111,7 +107,8 @@ def _amplitude_scale(s: ExponentialSum) -> float:
         scale = float(np.sum(np.linalg.norm(s.amplitudes, axis=1)))
     if not math.isfinite(scale):
         raise DomainError(
-            f"amplitude scale of {s.n_terms} terms overflows: the sum of the amplitude norms exceeds the float range"
+            f"amplitude scale of {len(s.omegas)} terms overflows: "
+            "the sum of the amplitude norms exceeds the float range"
         )
     return scale
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, reject
 
 __all__ = [
     "PlaneWave",
@@ -124,6 +124,21 @@ def magnetic_from_electric(w: PlaneWave, mu: float) -> PlaneWave:
     if mu == 0.0:
         raise DomainError("mu must be nonzero")
     return PlaneWave(_magnetic_amplitude(w, mu), w.omega, w.k, w.v)
+
+
+def _check_incident(amplitude, k, v, v_first, reject=reject):
+    """What the jump conditions ask of an incident wave; every solver calls this one check.
+
+    Its speed ``v`` (None skips this test) must be the first medium's phase
+    speed ``v_first`` within 1e-9 of it, and it must be transversal:
+    |A.k| <= 1e-9 |A|.  scatter_grid passes a ``reject`` that records failures.
+    """
+    if v is not None:
+        bad = abs(v - v_first) > 1e-9 * abs(v_first)
+        reject(bad, DomainError, "incident wave speed {} does not match the first medium ({})", v, v_first)
+    # hypot: |A| near the float limit stays finite, so a huge A.k is still caught
+    bad = abs(np.dot(amplitude, k)) > 1e-9 * math.hypot(*np.abs(amplitude))
+    reject(bool(bad), DomainError, "incident wave is not transversal (A.k != 0)")
 
 
 def transversality_residual(w: PlaneWave) -> float:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
@@ -82,6 +83,14 @@ class TestPropagate:
         with pytest.raises(DomainError):
             propagate(1.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "omega, duration", [(math.nan, 1.0), (math.inf, 1.0), (math.inf, 0.0), (1e308, 1e10)]
+    )
+    def test_non_finite_phase_rejected(self, omega, duration):
+        message = "^" + re.escape(f"phase |omega|*duration must be finite, got omega={omega}, duration={duration}") + "$"
+        with pytest.raises(DomainError, match=message):
+            propagate(omega, duration)
+
     @pytest.mark.parametrize("duration", [math.nan, math.inf, -1.0])
     def test_duration_checked_as_timeline_segment_checks_it(self, duration):
         message = rf"^duration must be finite and >= 0, got {duration}$"
@@ -153,6 +162,10 @@ class TestCascadeScatter:
         with pytest.raises(DomainError):
             cascade_scatter([TimelineSegment(DENSE, 1.0)], vacuum_wave())
 
+    def test_negative_frequency_rejected(self):
+        with pytest.raises(DomainError, match="^incident frequency must be positive$"):
+            cascade_scatter([TimelineSegment(VACUUM, 1.0)], vacuum_wave(omega=-1.0))
+
     def test_negative_duration_rejected(self):
         with pytest.raises(DomainError):
             TimelineSegment(VACUUM, -1.0)
@@ -187,6 +200,11 @@ class TestOracleConsistency:
 
 
 class TestFloquet:
+    def test_empty_cell_rejected(self):
+        for floquet in (lambda: floquet_exponent([], 1.0), lambda: floquet_from_net([], np.eye(2))):
+            with pytest.raises(DomainError, match="^cell must contain at least one segment$"):
+                floquet()
+
     def test_trivial_cell(self):
         result = floquet_exponent([TimelineSegment(VACUUM, 1.0)], 1.0)
         imag_parts = sorted(exp.imag for exp in result.exponents)

@@ -5,11 +5,16 @@ import dataclasses
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import timescatter
 from timescatter import (
     ConfigError,
     DomainError,
@@ -834,6 +839,13 @@ class TestOverflowExits3:
         config = json.dumps({"command": "cascade", "timeline": timeline, "incident": make_incident(), "floquet": True})
         self.expect_domain_error(tmp_path, capsys, config, "cell total duration overflows")
 
+    @pytest.mark.parametrize("command", ["cascade", "oracle"])
+    def test_longitudinal_wave_exits_3_before_solving(self, tmp_path, capsys, command):
+        incident = {"amplitude": [1, 0, 0], "omega1": 1.0, "k": [1, 0, 0]}
+        timeline = [{"epsilon": 1, "mu": 1, "duration": 1.0}, {"epsilon": 4, "mu": 1, "duration": 1.0}]
+        config = make_config(command=command, incident=incident, timeline=timeline)
+        self.expect_domain_error(tmp_path, capsys, config, "incident wave is not transversal (A.k != 0)")
+
     def test_huge_longitudinal_amplitude_is_not_transversal(self, tmp_path, capsys):
         incident = {"amplitude": [1e308, [1, 0.5], 0], "omega1": 1.0, "k": [1, 0, 0]}
         self.expect_domain_error(tmp_path, capsys, make_config(incident=incident), "not transversal")
@@ -939,3 +951,24 @@ class TestExit2WithOneRecord:
             "ConfigError",
             f"config.sweep.axes[0]: {10**20} values do not fit in memory: as float64 they take {8 * 10**20} bytes",
         )
+
+
+class TestModuleEntryPoint:
+    """``python -m timescatter`` is ``main``: the same stdout, stderr and exit code."""
+
+    @pytest.mark.parametrize(
+        "config_text, code", [(make_config(), 0), (json.dumps({"command": "nope"}), 2)], ids=["solve", "config-error"]
+    )
+    def test_matches_main(self, tmp_path, capsys, config_text, code):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config_text, encoding="utf-8")
+        args = [str(config_path), "--no-timestamp"]
+        env = dict(os.environ)  # the subprocess imports the same copy of the package as the tests
+        package_root = str(Path(timescatter.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "timescatter", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)

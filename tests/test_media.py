@@ -40,6 +40,11 @@ class TestMediumState:
         assert refractive_index(MediumState(4, 1)) == 2.0
         assert refractive_index(MediumState(-1, -4, branch=-1)) == -2.0
 
+    def test_refractive_index_of_an_overflowing_product_rejected(self):
+        # Each parameter is finite, so the medium is valid; epsilon*mu is not.
+        with pytest.raises(DomainError, match=r"^epsilon\*mu must be finite and nonzero, got inf$"):
+            refractive_index(MediumState(1e200, 1e200))
+
     def test_double_negative_impedance_positive(self):
         assert impedance(MediumState(-1, -4, branch=-1)) == 2.0
 

@@ -82,6 +82,12 @@ class TestModeRhs:
 
 
 class TestIntegrate:
+    def test_zero_span_returns_the_initial_state(self):
+        profile = Recorded(TemporalProfile.ramp(VACUUM, DENSE, tau=0.01))
+        initial = plane_wave_mode_state(vacuum_wave(), VACUUM, 0.0)
+        assert integrate(profile, phase_vector(vacuum_wave()), initial, 0.0) is initial
+        assert profile.instants == []
+
     def test_one_period_in_constant_vacuum(self):
         wave = vacuum_wave()
         m = phase_vector(wave)
@@ -278,6 +284,12 @@ class TestModeDecompose:
         with pytest.raises(DomainError):
             mode_decompose(state, MediumState(-1, -1, branch=-1), m)
 
+    def test_zero_state_has_zero_amplitudes_and_a_transverse_polarization(self):
+        zero = ModeState(np.zeros(3, complex), np.zeros(3, complex), 0.0)
+        amps = mode_decompose(zero, VACUUM, phase_vector(vacuum_wave()))
+        assert (amps.forward, amps.backward) == (0.0, 0.0)
+        assert amps.polarization.tolist() == [0.0, 1.0, 0.0]
+
 
 class TestNumericRT:
     def test_identity_medium(self):
@@ -309,6 +321,30 @@ class TestNumericRT:
         profile = TemporalProfile.ramp(VACUUM, DENSE, tau=0.01)
         with pytest.raises(DomainError):
             numeric_rt(profile, wave)
+
+    def test_non_transversal_wave_rejected_before_integrating(self):
+        profile = Recorded(TemporalProfile.ramp(VACUUM, DENSE, tau=0.01))
+        with pytest.raises(DomainError, match=r"^incident wave is not transversal \(A\.k != 0\)$"):
+            numeric_rt(profile, PlaneWave(X_HAT.astype(complex), 1.0, X_HAT, 1.0))
+        assert profile.instants == [-0.005]  # the first medium's lookup, and no integration step
+
+    def test_negative_frequency_rejected(self):
+        # A reversed wave would give R and T swapped: (0.375, 0.125).
+        profile = TemporalProfile.ramp(VACUUM, DENSE, tau=0.01)
+        with pytest.raises(DomainError, match="^incident frequency must be positive$"):
+            numeric_rt(profile, vacuum_wave(omega=-1.0))
+
+    @pytest.mark.parametrize(
+        "profile, message",
+        [
+            (TemporalProfile.periodic(VACUUM, DENSE), "^numeric_rt needs a profile with finitely many transitions$"),
+            (TemporalProfile.constant(VACUUM), "^profile has no transition; nothing to scatter off$"),
+        ],
+        ids=["periodic", "constant"],
+    )
+    def test_profile_without_finite_ramps_rejected(self, profile, message):
+        with pytest.raises(DomainError, match=message):
+            numeric_rt(profile, vacuum_wave())
 
 
 class TestExtremeAmplitudes:

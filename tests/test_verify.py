@@ -19,7 +19,26 @@ def scalar_sum(pairs):
     return ExponentialSum.from_terms([(np.array([a], dtype=complex), w) for a, w in pairs])
 
 
+class TestExponentialSumChecks:
+    @pytest.mark.parametrize(
+        "amplitudes, omegas, message",
+        [
+            ([[1.0], [2.0]], [1.0], "^need one amplitude vector per frequency$"),
+            (np.zeros((0, 1)), [], "^need at least one term$"),
+            ([[1.0]], [np.inf], "^frequencies must be finite$"),
+        ],
+        ids=["mismatched-lengths", "no-terms", "non-finite-frequency"],
+    )
+    def test_malformed_sum_rejected(self, amplitudes, omegas, message):
+        with pytest.raises(DomainError, match=message):
+            ExponentialSum(amplitudes, omegas)
+
+
 class TestVandermondeProduct:
+    def test_no_frequencies_rejected(self):
+        with pytest.raises(DomainError, match="^need at least one frequency$"):
+            vandermonde_product([])
+
     def test_single_frequency_empty_product(self):
         assert vandermonde_product([1.0]) == 1.0 + 0.0j
 
@@ -98,6 +117,10 @@ class TestForcedEquality:
         s = ExponentialSum.from_terms(terms)
         assert sum_residual(s, canonical_grid(s.omegas)) <= 1e-12
         assert assert_forced_equality(s, 1e-9) is True
+
+    def test_non_positive_tol_rejected(self):
+        with pytest.raises(DomainError, match="^tol must be positive, got 0.0$"):
+            assert_forced_equality(scalar_sum([(1.0, 3.0)]), 0.0)
 
     def test_single_term(self):
         assert assert_forced_equality(scalar_sum([(1.0, 3.0)]), 1e-9) is True

@@ -15,10 +15,14 @@ from timescatter import (
     ModeState,
     PlaneWave,
     TemporalProfile,
+    TimelineSegment,
+    cascade_scatter,
     evaluate_E,
     integrate,
     magnetic_from_electric,
+    numeric_rt,
     phase_vector,
+    scatter_interface,
     transversality_residual,
 )
 
@@ -106,6 +110,31 @@ class TestTransversality:
     def test_circular_polarization(self):
         amp = np.array([1.0, 1.0j, 0.0]) / math.sqrt(2)
         assert transversality_residual(wave(amp, k=Z_HAT)) == 0.0
+
+
+VACUUM = MediumState(1, 1)
+DENSE = MediumState(4, 1)
+# The three solvers that take an incident wave, each for vacuum switching to epsilon = 4.
+SOLVERS = {
+    "solve": lambda w: scatter_interface(w, TemporalProfile.step(VACUUM, DENSE)),
+    "cascade": lambda w: cascade_scatter([TimelineSegment(VACUUM, 1.0), TimelineSegment(DENSE, 1.0)], w),
+    "oracle": lambda w: numeric_rt(TemporalProfile.ramp(VACUUM, DENSE, tau=0.01), w),
+}
+
+
+class TestIncidentWaveCheck:
+    """Every solver rejects an incident wave the jump conditions do not hold for, with one message."""
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_speed_mismatch(self, solver):
+        message = r"^incident wave speed 0\.5 does not match the first medium \(1\.0\)$"
+        with pytest.raises(DomainError, match=message):
+            SOLVERS[solver](wave(Y_HAT, k=X_HAT, v=0.5))
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_longitudinal_wave(self, solver):
+        with pytest.raises(DomainError, match=r"^incident wave is not transversal \(A\.k != 0\)$"):
+            SOLVERS[solver](wave(X_HAT, k=X_HAT))
 
 
 class TestPhaseVector:
