@@ -178,7 +178,9 @@ def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
     the first segment's medium.  Amplitudes are E-field scalars relative
     to the incident amplitude, starting at (1, 0); the working frequency
     is rescaled by |v_next/v_prev| at every interface and drives the
-    propagation phases.
+    propagation phases.  A cascade whose amplitudes (by modulus), frequency
+    or net matrix leave the float range raises DomainError naming the
+    first trace step that does.
     """
     segments = list(timeline)
     if not segments:
@@ -187,7 +189,16 @@ def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
     if incident.omega <= 0.0:
         raise DomainError("incident frequency must be positive")
 
-    net, omega, omegas, trace = _timeline_product(segments, incident.omega, trace=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, naming its step
+        net, omega, omegas, trace = _timeline_product(segments, incident.omega, trace=True)
+        finite = np.isfinite(np.abs(trace)).all(axis=1) & np.isfinite(omegas)
+    if not (finite.all() and np.isfinite(net).all()):
+        k = int(np.argmin(finite)) if not finite.all() else len(finite) - 1
+        kinds, indices = _event_labels(k + 1)
+        raise DomainError(
+            f"cascade overflows at trace step {k} ({kinds[k]} {indices[k]}): "
+            "the amplitudes or the frequency exceed the float range"
+        )
     amplitude = _rescaled(incident.amplitude)[0]  # so that its norm neither over- nor underflows
     polarization = amplitude / np.linalg.norm(amplitude)
     forward, backward = trace[-1].tolist()
@@ -260,7 +271,8 @@ def floquet_from_net(cell, net_matrix: np.ndarray) -> FloquetResult:
     """
     segments = list(cell)
     period = _cell_period(segments)
-    return _floquet(_closed(segments, net_matrix), period)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing period matrix raises in _floquet
+        return _floquet(_closed(segments, net_matrix), period)
 
 
 def _floquet(matrix: np.ndarray, period: float) -> FloquetResult:

@@ -170,6 +170,18 @@ class TestCascadeScatter:
         with pytest.raises(DomainError):
             TimelineSegment(VACUUM, -1.0)
 
+    def test_overflowing_phase_rejected_at_its_step(self):
+        # |omega| * d = 1e310 overflows in the first dwell.
+        timeline = [TimelineSegment(VACUUM, 1e300), TimelineSegment(DENSE, 1.0)]
+        message = "cascade overflows at trace step 0 (propagate 0): the amplitudes or the frequency exceed the float range"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            cascade_scatter(timeline, vacuum_wave(omega=1e10))
+
+    def test_overflowing_amplitudes_raise_without_a_numpy_warning(self):
+        # The suite turns RuntimeWarnings into errors, so a leaked matmul overflow would fail here.
+        with pytest.raises(DomainError, match=re.escape("cascade overflows at trace step 6679 (interface 3339)")):
+            cascade_scatter(GAP_CELL * 3000, vacuum_wave())
+
 
 class TestOracleConsistency:
     def test_dwell_cascade_matches_double_ramp_integration(self):
@@ -370,6 +382,12 @@ class TestFloquetUnitDeterminant:
         net = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 0.0]])
         with pytest.raises(DomainError, match="no finite nonzero Floquet eigenvalues"):
             floquet_from_net([TimelineSegment(VACUUM, 1.0)], net)
+
+    def test_overflowing_net_matrix_rejected_without_a_numpy_warning(self):
+        # The closing interface's product overflows; the suite turns a leaked RuntimeWarning into an error.
+        net = np.full((2, 2), 1e308, dtype=complex)
+        with pytest.raises(DomainError, match="no finite nonzero Floquet eigenvalues"):
+            floquet_from_net(GAP_CELL, net)
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -344,6 +345,12 @@ class TestMain:
         assert main([cfg]) == 2
         error = json.loads(capsys.readouterr().err)
         assert error["error"]["code"] == 2
+
+    @pytest.mark.parametrize("command", ["nope", ["solve"], {"solve": 1}])
+    def test_unknown_command_names_the_commands(self, command):
+        message = f"config.command: {command!r} not in ['solve', 'sweep', 'oracle', 'cascade', 'verify']"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config({"command": command})
 
     def test_bad_oracle_and_sweep_values_exit_2(self, tmp_path, capsys):
         for config in (
@@ -702,6 +709,17 @@ class TestSweepGrid:
             "DomainError", "incident wave is not transversal (A.k != 0)",
         )
 
+    def test_grid_too_large_for_memory_exits_3(self, tmp_path, capsys):
+        # Four axes of 1e5 values each are 1e20 points; numpy rejects the shape before allocating it.
+        paths = ["after.epsilon", "after.mu", "before.epsilon", "before.mu"]
+        axes = [{"path": path, "start": 1.0, "stop": 2.0, "num": 100000} for path in paths]
+        assert run_main(tmp_path, sweep_config(axes)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"].startswith("the sweep grid does not fit in memory: ")
+
 
 class TestTableParser:
     def test_decoded_document_parses_like_its_text(self):
@@ -764,7 +782,6 @@ class TestCascadeFloquetUnitDeterminant:
         assert abs(lam1 * lam2 - 1.0) <= 1e-9
         assert floquet["momentum_gap"] is True
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_timeline_exits_3(self, tmp_path, capsys):
         config = json.dumps(
             {"command": "cascade", "timeline": GAP_CELL * 2000, "incident": make_incident(), "floquet": True}
@@ -772,7 +789,23 @@ class TestCascadeFloquetUnitDeterminant:
         assert run_main(tmp_path, config) == 3
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "DomainError"
-        assert error["message"].startswith("one-period matrix has no finite nonzero Floquet eigenvalues")
+        assert error["message"] == (
+            "cascade overflows at trace step 6679 (interface 3339): "
+            "the amplitudes or the frequency exceed the float range"
+        )
+
+    def test_overflow_error_does_not_depend_on_floquet(self, tmp_path, capsys):
+        records = []
+        for floquet in (False, True):
+            config = json.dumps(
+                {"command": "cascade", "timeline": GAP_CELL * 3000, "incident": make_incident(), "floquet": floquet}
+            )
+            assert run_main(tmp_path, config) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            records.append(captured.err)
+        assert records[0] == records[1]
+        assert json.loads(records[0])["error"]["type"] == "DomainError"
 
 
 def make_incident():
@@ -851,7 +884,7 @@ class TestOverflowExits3:
         self.expect_domain_error(tmp_path, capsys, make_config(incident=incident), "not transversal")
 
     def test_cascade_amplitude_overflow_without_floquet(self, tmp_path, capsys):
-        # With "floquet": true the same timeline fails in the Floquet step (test_overflowing_timeline_exits_3).
+        # With "floquet": true the same timeline fails with the same message (test_overflowing_timeline_exits_3).
         config = json.dumps({"command": "cascade", "timeline": GAP_CELL * 3000, "incident": make_incident()})
         self.expect_domain_error(tmp_path, capsys, config, "cascade overflows at trace step 6679 (interface 3339)")
 
