@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-# floquet_exponent is not called here; bench/tracing.py wraps it under this module's name.
+# floquet_exponent, numeric_rt and coefficients are not called here; bench/tracing.py wraps them by name.
 from .cascade import TimelineSegment, _event_labels, cascade_scatter, floquet_exponent, floquet_from_net  # noqa: F401
 from .errors import (
     ConfigError,
@@ -42,7 +42,7 @@ from .errors import (
     TimescatterError,
 )
 from .media import MediumState, TemporalProfile, wave_speed
-from .oracle import DEFAULT_TOL, convergence_study, numeric_rt
+from .oracle import DEFAULT_TOL, convergence_study, numeric_rt  # noqa: F401
 from .scatter import (
     DEFAULT_CONVENTION,
     FrequencyConvention,
@@ -582,28 +582,24 @@ def execute(config: RunConfig) -> dict:
 
     elif config.command == "oracle":
         wave = config.incident.plane_wave(config.before)
-        tau_abs = config.oracle_tau * wave.period
-        profile = TemporalProfile.ramp(config.before, config.after, config.t0, tau_abs)
-        R_num, T_num = numeric_rt(profile, wave, tol=config.oracle_tol)
-        R, T, _ = coefficients(config.before, config.after)
+        tau = config.oracle_tau
+        studies = [
+            convergence_study(config.before, config.after, wave, taus, t0=config.t0, tol=config.oracle_tol)
+            for taus in ((tau,) if tau not in config.tau_list else (), config.tau_list)
+            if taus
+        ]
+        at, i = studies[0], studies[0].taus.index(tau)
         payload["result"] = {
-            "tau": config.oracle_tau,
-            "R_numeric": R_num,
-            "T_numeric": T_num,
-            "R_analytic": R,
-            "T_analytic": T,
-            "R_error": abs(R_num - R),
-            "T_error": abs(T_num - T),
+            "tau": tau,
+            "R_numeric": at.R_numeric[i],
+            "T_numeric": at.T_numeric[i],
+            "R_analytic": at.R_analytic,
+            "T_analytic": at.T_analytic,
+            "R_error": at.R_errors[i],
+            "T_error": at.T_errors[i],
         }
         if config.tau_list:
-            study = convergence_study(
-                config.before,
-                config.after,
-                wave,
-                config.tau_list,
-                t0=config.t0,
-                tol=config.oracle_tol,
-            )
+            study = studies[-1]
             columns = {"tau": study.taus, "R_error": study.R_errors, "T_error": study.T_errors}
             payload["convergence"] = {
                 "columns": list(columns),

@@ -212,6 +212,13 @@ def _finite(y, t: float):
     raise DomainError(f"mode state is not finite at t={t}: {y}")
 
 
+def _finite_state(D, B, t) -> ModeState:
+    """ModeState(D, B, t), checked as :func:`integrate` checks its initial state."""
+    state = ModeState(D, B, t)
+    _finite(state.D.tolist() + state.B.tolist(), state.t)
+    return state
+
+
 def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
     """Adaptive Dormand-Prince 5(4) from t to t_end through a varying medium.
 
@@ -222,6 +229,11 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
     """
     direction = 1.0 if t_end > t else -1.0
     span = abs(t_end - t)
+    if span <= _MIN_STEP_REL * max(1.0, abs(t_end)):
+        raise StiffnessError(
+            f"varying interval from t={t} to t={t_end} is narrower than the step floor 1e-14 * max(1, |t|)",
+            smallest_step=0.0,
+        )
     medium = sample(t)
     # Initial step: a fraction of the local oscillation period.
     omega0 = mag * abs(wave_speed(medium))
@@ -235,7 +247,7 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
     check = np.empty((2, 6), dtype=np.complex128)  # error estimate and new state, for |.|
     for _ in range(_MAX_STEPS):
         remaining = abs(t_end - t)
-        if remaining <= 1e-14 * max(1.0, abs(t_end)):
+        if remaining <= _MIN_STEP_REL * max(1.0, abs(t_end)):
             return y
         h_abs = min(h, remaining)
         if h_abs < _MIN_STEP_REL * max(abs(t), 1.0):
@@ -294,8 +306,9 @@ def integrate(
     A profile without ``switch_intervals`` is integrated by Dormand-Prince
     over the whole span.  A ``tol`` below float64 resolution raises
     :class:`StiffnessError` at once, and so does a Dormand-Prince step below
-    1e-14 * max(1, |t|): a ramp narrow against its distance from t = 0
-    cannot be resolved.  A NaN or infinite state raises :class:`DomainError`.
+    1e-14 * max(1, |t|), or a whole varying interval no wider than that
+    floor: a ramp narrow against its distance from t = 0 cannot be resolved.
+    A NaN or infinite state raises :class:`DomainError`.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -376,23 +389,24 @@ def mode_decompose(state: ModeState, medium: MediumState, m: np.ndarray) -> Mode
 def mode_reconstruct(
     amps: ModeAmplitudes, medium: MediumState, m: np.ndarray, t: float
 ) -> ModeState:
-    """Inverse of :func:`mode_decompose` at time t."""
+    """Inverse of :func:`mode_decompose` at time t; DomainError if the state is not finite."""
     m, mag = _modulus(m)
     kappa = m / mag
     v = wave_speed(medium)
-    D = (amps.forward + amps.backward) * amps.polarization
-    E_diff = (amps.forward - amps.backward) / medium.epsilon
-    B = (E_diff / v) * np.cross(kappa, amps.polarization)
-    return ModeState(D, B, t)
+    with np.errstate(all="ignore"):  # a state that overflows is rejected below
+        D = (amps.forward + amps.backward) * amps.polarization
+        E_diff = (amps.forward - amps.backward) / medium.epsilon
+        B = (E_diff / v) * np.cross(kappa, amps.polarization)
+    return _finite_state(D, B, t)
 
 
 def plane_wave_mode_state(wave: PlaneWave, medium: MediumState, t: float) -> ModeState:
-    """Mode state (D, B) of a plane wave at time t, for its own phase vector."""
-    with np.errstate(over="ignore", invalid="ignore"):  # integrate rejects a state that overflows
+    """Mode state (D, B) of a plane wave at time t, for its own phase vector; DomainError if not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows is rejected below
         phase = np.exp(-1j * wave.omega * t)
         D = medium.epsilon * wave.amplitude * phase
         B = medium.mu * _magnetic_amplitude(wave, medium.mu) * phase
-    return ModeState(D, B, t)
+    return _finite_state(D, B, t)
 
 
 def numeric_rt(
@@ -444,6 +458,8 @@ class ConvergenceStudy:
     """Ramp-width convergence table against the analytic step solution."""
 
     taus: tuple
+    R_numeric: tuple
+    T_numeric: tuple
     R_errors: tuple
     T_errors: tuple
     R_analytic: float
@@ -464,23 +480,23 @@ def convergence_study(
 ) -> ConvergenceStudy:
     """|R_num - R| and |T_num - T| across a family of ramp widths.
 
-    ``taus`` are ramp widths in units of the incident period, strictly
-    decreasing with at least three entries.  The empirical order is the
-    least-squares slope of log(error) against log(tau), measured rather
-    than asserted.
+    ``taus`` are one or more strictly decreasing ramp widths in units of the
+    incident period, each integrated once by :func:`numeric_rt`.  The empirical
+    order is the least-squares slope of log(error) against log(tau), measured
+    rather than asserted; it is NaN unless two or more errors are nonzero.
     """
     taus = [float(x) for x in taus]
-    if len(taus) < 3:
-        raise DomainError(f"need at least 3 ramp widths, got {len(taus)}")
+    if not taus:
+        raise DomainError("need at least one ramp width")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise DomainError("ramp widths must be strictly decreasing")
+    R_numeric, T_numeric = zip(*(
+        numeric_rt(TemporalProfile.ramp(before, after, t0=t0, tau=tau * incident.period), incident, tol=tol)
+        for tau in taus
+    ))
     R, T, _ = coefficients(before, after)
-    R_errors, T_errors = [], []
-    for tau in taus:
-        profile = TemporalProfile.ramp(before, after, t0=t0, tau=tau * incident.period)
-        R_num, T_num = numeric_rt(profile, incident, tol=tol)
-        R_errors.append(abs(R_num - R))
-        T_errors.append(abs(T_num - T))
+    R_errors = [abs(R_num - R) for R_num in R_numeric]
+    T_errors = [abs(T_num - T) for T_num in T_numeric]
     log_tau = np.log(taus)
     combined = np.asarray(R_errors) + np.asarray(T_errors)
     positive = combined > 0
@@ -490,6 +506,8 @@ def convergence_study(
         order = float("nan")
     return ConvergenceStudy(
         taus=tuple(taus),
+        R_numeric=R_numeric,
+        T_numeric=T_numeric,
         R_errors=tuple(R_errors),
         T_errors=tuple(T_errors),
         R_analytic=R,

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 import timescatter
+import timescatter.cli as cli_module
+import timescatter.oracle as oracle_module
 from timescatter import (
     ConfigError,
     DomainError,
@@ -23,9 +25,11 @@ from timescatter import (
     MediumState,
     NoSolutionError,
     PlaneWave,
+    StiffnessError,
     TemporalProfile,
     coefficients,
     floquet_exponent,
+    numeric_rt,
     scatter_interface,
 )
 from timescatter.cli import (
@@ -1005,3 +1009,71 @@ class TestModuleEntryPoint:
         assert main(args) == code
         captured = capsys.readouterr()
         assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+
+
+class TestOracleRoute:
+    """The oracle result is a row of convergence_study, and each ramp width is integrated once per run."""
+
+    @pytest.mark.parametrize(
+        "oracle, calls",
+        [
+            ({"tau": 1e-3, "tau_list": [0.1, 0.01, 1e-3]}, 3),
+            ({"tau": 0.05, "tau_list": [0.1, 0.01, 1e-3]}, 4),
+            ({"tau": 0.05}, 1),
+        ],
+        ids=["tau-in-list", "tau-not-in-list", "no-list"],
+    )
+    def test_numeric_rt_calls_per_run(self, tmp_path, capsys, monkeypatch, oracle, calls):
+        counted = []
+
+        def counting(*args, **kwargs):
+            counted.append(args[0])
+            return numeric_rt(*args, **kwargs)
+
+        for module in (oracle_module, cli_module):
+            monkeypatch.setattr(module, "numeric_rt", counting)
+        assert run_main(tmp_path, make_config(command="oracle", t0=0.3, oracle=oracle)) == 0
+        capsys.readouterr()
+        assert len(counted) == calls
+
+    def test_width_not_in_the_table_is_a_direct_numeric_rt(self):
+        config = parse_config(
+            make_config(command="oracle", t0=0.3, oracle={"tau": 0.05, "tau_list": [0.5, 0.1, 0.02]})
+        )
+        wave = config.incident.plane_wave(config.before)
+        profile = TemporalProfile.ramp(config.before, config.after, config.t0, 0.05 * wave.period)
+        R_num, T_num = numeric_rt(profile, wave)
+        R, T, _ = coefficients(config.before, config.after)
+        assert execute(config)["result"] == {
+            "tau": 0.05,
+            "R_numeric": R_num,
+            "T_numeric": T_num,
+            "R_analytic": R,
+            "T_analytic": T,
+            "R_error": abs(R_num - R),
+            "T_error": abs(T_num - T),
+        }
+
+    def test_first_width_to_fail_in_table_order_is_reported(self, tmp_path, capsys):
+        # At t0 = 1e11 every width underflows the step floor; the widest is integrated first.
+        config = make_config(command="oracle", t0=1e11, oracle={"tau": 0.05, "tau_list": [0.2, 0.1, 0.05]})
+        assert run_main(tmp_path, config) == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        wave = parse_config(config).incident.plane_wave(MediumState(1, 1))
+        failures = []
+        for tau in (0.2, 0.05):
+            with pytest.raises(StiffnessError) as failure:
+                numeric_rt(TemporalProfile.ramp(MediumState(1, 1), MediumState(4, 1), 1e11, tau * wave.period), wave)
+            failures.append(str(failure.value))
+        assert failures[0] != failures[1]
+        assert (error["type"], error["message"]) == ("StiffnessError", failures[0])
+
+    @pytest.mark.parametrize("t0", [1e14, 1e15])
+    def test_ramp_below_the_step_floor_exits_3(self, tmp_path, capsys, t0):
+        # Crossed unchanged, the ramp gave R of the sharp step (t0 = 1e14) or a value 12.9 % off (1e15).
+        assert run_main(tmp_path, make_config(command="oracle", t0=t0, oracle={"tau": 0.05})) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "StiffnessError"
+        assert "is narrower than the step floor 1e-14 * max(1, |t|)" in error["message"]

@@ -1,6 +1,7 @@
 """Mode-ODE integration oracle: eigenmodes, conservation, convergence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,31 @@ class TestModeDecompose:
         assert amps.polarization.tolist() == [0.0, 1.0, 0.0]
 
 
+class TestStateBuilders:
+    """A state that overflows raises the DomainError integrate would raise, with no numpy warning."""
+
+    def test_plane_wave_state_with_overflowing_phase(self):
+        wave = PlaneWave(Y_HAT.astype(complex), 1e10, X_HAT, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^mode state is not finite at t=1e\+300: "):
+                plane_wave_mode_state(wave, VACUUM, 1e300)
+
+    @pytest.mark.parametrize(
+        "amps, medium, m",
+        [
+            (ModeAmplitudes(1e300, -1e300, Y_HAT), MediumState(1e-10, 1e-10), [1e10, 0.0, 0.0]),
+            (ModeAmplitudes(1e308, 1e308, Y_HAT), VACUUM, X_HAT),
+        ],
+        ids=["B-overflows", "D-overflows"],
+    )
+    def test_reconstructed_state_that_overflows(self, amps, medium, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"^mode state is not finite at t=0\.0: "):
+                mode_reconstruct(amps, medium, m, 0.0)
+
+
 class TestNumericRT:
     def test_identity_medium(self):
         wave = vacuum_wave()
@@ -333,6 +359,14 @@ class TestNumericRT:
         profile = TemporalProfile.ramp(VACUUM, DENSE, tau=0.01)
         with pytest.raises(DomainError, match="^incident frequency must be positive$"):
             numeric_rt(profile, vacuum_wave(omega=-1.0))
+
+    @pytest.mark.parametrize("t0", [1e14, 1e15])
+    def test_ramp_narrower_than_the_step_floor_raises(self, t0):
+        # 0.05 periods is about 0.31 time units, under 1e-14 * t0; crossed unchanged, it would read as a step.
+        wave = vacuum_wave()
+        profile = TemporalProfile.ramp(VACUUM, DENSE, t0=t0, tau=0.05 * wave.period)
+        with pytest.raises(StiffnessError, match=r"^varying interval from t=\S+ to t=\S+ is narrower than the step floor"):
+            numeric_rt(profile, wave)
 
     @pytest.mark.parametrize(
         "profile, message",
@@ -437,9 +471,27 @@ class TestConvergenceStudy:
         assert study.R_analytic == pytest.approx(0.125)
         assert math.isfinite(study.empirical_order)
 
+    def test_rows_are_the_numeric_rt_pairs(self):
+        wave = vacuum_wave()
+        study = convergence_study(VACUUM, DENSE, wave, [0.5, 0.1, 0.02], t0=0.3)
+        for tau, R_num, T_num, R_err, T_err in zip(
+            study.taus, study.R_numeric, study.T_numeric, study.R_errors, study.T_errors
+        ):
+            profile = TemporalProfile.ramp(VACUUM, DENSE, t0=0.3, tau=tau * wave.period)
+            assert (R_num, T_num) == numeric_rt(profile, wave)
+            assert (R_err, T_err) == (abs(R_num - study.R_analytic), abs(T_num - study.T_analytic))
+
+    def test_one_width_is_one_row_without_an_order(self):
+        wave = vacuum_wave()
+        study = convergence_study(VACUUM, DENSE, wave, [0.5])
+        R_num, T_num = numeric_rt(TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=0.5 * wave.period), wave)
+        assert (study.taus, study.R_numeric, study.T_numeric) == ((0.5,), (R_num,), (T_num,))
+        assert study.R_errors == (abs(R_num - study.R_analytic),)
+        assert math.isnan(study.empirical_order)
+
     def test_too_few_widths_rejected(self):
         with pytest.raises(DomainError):
-            convergence_study(VACUUM, DENSE, vacuum_wave(), [0.5])
+            convergence_study(VACUUM, DENSE, vacuum_wave(), [])
 
     def test_non_decreasing_widths_rejected(self):
         with pytest.raises(DomainError):
