@@ -30,7 +30,7 @@ for name, after in [("eps: 1 -> 4", MediumState(4.0, 1.0)),
     print(f"\n{name}   (analytic R = {R}, T = {T})")
     print(f"  {'tau/period':>12} {'|R_num - R|':>14} {'|T_num - T|':>14}")
     study = convergence_study(vacuum, after, incident, taus)
-    for tau, err_r, err_t in study.rows():
+    for tau, err_r, err_t in zip(study.taus, study.R_errors, study.T_errors):
         print(f"  {tau:>12.0e} {err_r:>14.3e} {err_t:>14.3e}")
     print(f"  empirical order in tau: {study.empirical_order:.2f}")
 

@@ -238,7 +238,7 @@ def _closed(segments, net: np.ndarray) -> np.ndarray:
     """``net`` followed by the interface from the last segment's medium back to the first's."""
     if segments[-1].medium == segments[0].medium:
         return net
-    return _read_only(_matrix(_interface(segments[-1].medium, segments[0].medium)[0]) @ net)
+    return _read_only(interface_matrix(segments[-1].medium, segments[0].medium) @ net)
 
 
 def floquet_exponent(cell, omega_in: float) -> FloquetResult:

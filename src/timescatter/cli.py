@@ -430,7 +430,7 @@ def _scattering_json(result: ScatteringResult) -> dict:
 
 # Row tables.  The rows of a sweep, a cascade trace or a convergence study
 # are kept as columns.  They render to the bytes json.dumps(indent=2) and
-# csv.DictWriter give for the same row dicts: each column's texts are made
+# csv.writer give for the same row dicts: each column's texts are made
 # once and interleaved with the separators of the row shape.  The rest of
 # a JSON document still goes through json.dumps.
 
@@ -527,7 +527,7 @@ class RowTable(Sequence):
         out[-1] = f"\n{pad}  }}\n{pad}]"  # the last row takes no comma
 
     def csv_parts(self, header: list, out: list):
-        """Append the header and rows as csv.DictWriter writes them; a repeated name repeats its column."""
+        """Append the header and rows as csv.writer writes them, row by row; a repeated name repeats its column."""
         out.append(",".join(map(_csv_field, header)) + "\r\n")
         out.extend(self._rows(header, ["", *[","] * (len(header) - 1), "\r\n"], False))
 
@@ -667,7 +667,7 @@ def execute(config: RunConfig) -> dict:
 
 
 def _flatten_for_csv(payload: dict) -> tuple[list, Sequence]:
-    """Columns and rows for CSV output: the payload's one row table, at the top level or in a section."""
+    """CSV header and rows: the payload's row table (top level or a section), else the result's values as one row."""
     for section in (payload, *payload.values()):
         if isinstance(section, dict) and isinstance(section.get("rows"), RowTable):
             return section["columns"], section["rows"]
@@ -685,7 +685,7 @@ def _flatten_for_csv(payload: dict) -> tuple[list, Sequence]:
             flat[prefix] = value
 
     walk("", payload.get("result", {}))
-    return list(flat.keys()), [flat]
+    return list(flat), list(flat.values())
 
 
 def _timestamp() -> str:
@@ -718,11 +718,9 @@ def render_csv(payload: dict, timestamp: bool) -> str:
     out = [f"# generated_at={_timestamp()}\r\n"] if timestamp else []
     if isinstance(rows, RowTable):
         rows.csv_parts(columns, out)
-    else:  # one flat record, for which csv.DictWriter is cheaper than a table's set-up
+    else:  # one flat record, for which csv.writer is cheaper than a table's set-up
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=columns, extrasaction="ignore", lineterminator="\r\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        csv.writer(buffer, lineterminator="\r\n").writerows([columns, rows])
         out.append(buffer.getvalue())
     return "".join(out)
 

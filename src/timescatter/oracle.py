@@ -56,19 +56,26 @@ DEFAULT_TOL = 1e-10  # local error per unit time
 LAUNCH_PADDING_PERIODS = 5.0
 
 
+def _finite(y, t: float):
+    """The state y, or DomainError naming it if a component is NaN or infinite."""
+    if all(map(cmath.isfinite, y)):
+        return y
+    raise DomainError(f"mode state is not finite at t={t}: {y}")
+
+
 @dataclass(frozen=True, eq=False)
 class ModeState:
-    """Electric and magnetic flux amplitudes of one spatial mode at time t."""
+    """Electric and magnetic flux amplitudes of one spatial mode at time t; DomainError if not finite."""
 
     D: np.ndarray
     B: np.ndarray
     t: float
 
     def __post_init__(self):
-        # Not checked as finite: integrate raises its own "mode state is not finite".
         object.__setattr__(self, "D", _vector3(self.D, "D", finite=False))
         object.__setattr__(self, "B", _vector3(self.B, "B", finite=False))
         object.__setattr__(self, "t", float(self.t))
+        _finite(self.D.tolist() + self.B.tolist(), self.t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,20 +212,6 @@ def _propagate_exact(y, rows, mag: float, medium: MediumState, h: float):
     return [a + s * b + c * d for a, b, d in zip(y, Ay, _rhs(Ay, rows, medium))]
 
 
-def _finite(y, t: float):
-    """The state y, or DomainError naming it if a component is NaN or infinite."""
-    if all(map(cmath.isfinite, y)):
-        return y
-    raise DomainError(f"mode state is not finite at t={t}: {y}")
-
-
-def _finite_state(D, B, t) -> ModeState:
-    """ModeState(D, B, t), checked as :func:`integrate` checks its initial state."""
-    state = ModeState(D, B, t)
-    _finite(state.D.tolist() + state.B.tolist(), state.t)
-    return state
-
-
 def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
     """Adaptive Dormand-Prince 5(4) from t to t_end through a varying medium.
 
@@ -326,7 +319,7 @@ def integrate(
     if t_end < t:
         pieces = [(b, a, varying) for a, b, varying in reversed(pieces)]
 
-    y = _finite(initial.D.tolist() + initial.B.tolist(), t)
+    y = initial.D.tolist() + initial.B.tolist()
     with np.errstate(all="ignore"):  # a state that overflows raises DomainError instead
         for start, end, varying in pieces:
             if varying:
@@ -397,7 +390,7 @@ def mode_reconstruct(
         D = (amps.forward + amps.backward) * amps.polarization
         E_diff = (amps.forward - amps.backward) / medium.epsilon
         B = (E_diff / v) * np.cross(kappa, amps.polarization)
-    return _finite_state(D, B, t)
+    return ModeState(D, B, t)
 
 
 def plane_wave_mode_state(wave: PlaneWave, medium: MediumState, t: float) -> ModeState:
@@ -406,7 +399,7 @@ def plane_wave_mode_state(wave: PlaneWave, medium: MediumState, t: float) -> Mod
         phase = np.exp(-1j * wave.omega * t)
         D = medium.epsilon * wave.amplitude * phase
         B = medium.mu * _magnetic_amplitude(wave, medium.mu) * phase
-    return _finite_state(D, B, t)
+    return ModeState(D, B, t)
 
 
 def numeric_rt(
@@ -465,9 +458,6 @@ class ConvergenceStudy:
     R_analytic: float
     T_analytic: float
     empirical_order: float
-
-    def rows(self):
-        return list(zip(self.taus, self.R_errors, self.T_errors))
 
 
 def convergence_study(

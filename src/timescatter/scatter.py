@@ -128,7 +128,11 @@ def _frequencies(omega1, v_minus, v_plus, conv, reject):
     bad = (v_minus == 0.0) | (v_plus == 0.0)
     if bad is not False:
         reject(bad, DomainError, "phase speeds must be nonzero")
-    mag = abs(v_plus / v_minus) * omega1
+    ratio = abs(v_plus / v_minus)
+    bad = ratio == math.inf  # else inf frequencies pass the scale check and read as degenerate
+    if bad is not False:
+        reject(bad, DomainError, "speed ratio |v+/v-| = |{} / {}| exceeds the float range", v_plus, v_minus)
+    mag = ratio * omega1
     omega3 = mag if conv.transmitted == "forward" else -mag
     omega2 = -omega3 if conv.reflected == "negative" else omega3
     return omega2, omega3

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResolutionError
+from .waves import _norm
 
 __all__ = [
     "ExponentialSum",
@@ -93,7 +94,7 @@ def sum_residual(s: ExponentialSum, x_grid) -> float:
             f"grid needs at least {2 * len(s.omegas)} distinct points, got {np.unique(x).size}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        residual = float(np.max(np.linalg.norm(s.evaluate(x), axis=-1)))
+        residual = float(np.max(_norm(s.evaluate(x), axis=-1)))
     if not math.isfinite(residual):
         raise DomainError(
             f"residual of a sum of {len(s.omegas)} terms overflows: the norm of the sum exceeds the float range"
@@ -104,7 +105,7 @@ def sum_residual(s: ExponentialSum, x_grid) -> float:
 def _amplitude_scale(s: ExponentialSum) -> float:
     """Sum of the amplitude norms, the scale a residual is judged against."""
     with np.errstate(over="ignore"):  # an overflow raises below
-        scale = float(np.sum(np.linalg.norm(s.amplitudes, axis=1)))
+        scale = float(np.sum(_norm(s.amplitudes, axis=1)))
     if not math.isfinite(scale):
         raise DomainError(
             f"amplitude scale of {len(s.omegas)} terms overflows: "

@@ -50,11 +50,12 @@ def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(parts, e).view(v.dtype), e
 
 
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm(v), computed on _rescaled(v): the same bits where no rescaling is needed."""
+def _norm(v: np.ndarray, axis=None):
+    """np.linalg.norm(v, axis=axis), a float for axis None, on _rescaled(v): the same bits where not rescaled."""
     scaled, e = _rescaled(v)
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
-        return float(np.ldexp(np.linalg.norm(scaled), -e))
+        norm = np.ldexp(np.linalg.norm(scaled, axis=axis), -e)
+    return float(norm) if axis is None else norm
 
 
 @dataclass(frozen=True, eq=False)

@@ -266,6 +266,9 @@ SCATTER_CHECKS = [
     ("sweep-no-solution", as_sweep(_DEGENERATE, "after.epsilon", [2.0, 4.0, -1.0]), _NO_TIMESTAMP),
     ("solve-non-finite-amplitude", _NON_FINITE, _NO_TIMESTAMP),
     ("sweep-non-finite-amplitude", as_sweep(_NON_FINITE, "after.mu", [1e200]), _NO_TIMESTAMP),
+    ("solve-speed-ratio-overflow", edit(
+        SOLVE, ("media", {"before": {"epsilon": 1e154, "mu": 1e154}, "after": {"epsilon": 2.3e-162, "mu": 2.3e-162}})
+    ), _NO_TIMESTAMP),
     ("sweep-medium-crossing-zero", axis(path="after.epsilon", start=2.0, stop=-2.0, num=9), _NO_TIMESTAMP),
     ("sweep-branch-crossing", as_sweep(
         edit(SOLVE, ("media.after", {"epsilon": -1, "mu": -1, "branch": -1})), "after.mu", [-1.0, 1.0]
@@ -343,6 +346,9 @@ OUTPUTS = [
     ("out-verify", VERIFY, _NO_TIMESTAMP),
     ("out-verify-csv", VERIFY, _CSV),
     ("out-verify-forced-equal", edit(VERIFY, ("verify.terms.1.omega", 1.0)), _NO_TIMESTAMP),
+    ("out-verify-large-cancelling", edit(
+        VERIFY, ("verify.terms", [{"amplitude": [1e200], "omega": 1.0}, {"amplitude": [-1e200], "omega": 1.0}])
+    ), _NO_TIMESTAMP),
     ("out-set-override", SOLVE, ["--no-timestamp", "--set", "media.after={\"epsilon\": 9, \"mu\": 1}"]),
 ]
 

@@ -23,6 +23,7 @@ from timescatter import (
     TimelineSegment,
     TimescatterError,
     cascade_scatter,
+    coefficients,
     floquet_exponent,
     floquet_from_net,
     interface_matrix,
@@ -500,14 +501,22 @@ class TestOnePassProduct:
         assert not hasattr(result, "trace")
 
     def test_interior_degenerate_interface_message(self):
-        # v+/v- overflows, so omega2 = -omega3 = inf and the amplitude split is not unique.
+        # v+/v- overflows: a DomainError naming the ratio, not a degenerate interface with omega2 = -omega3 = inf.
         cell = [TimelineSegment(MediumState(1e154, 1e154), 1.0), TimelineSegment(MediumState(1e-162, 1e-161), 1.0)]
-        with pytest.raises(DegenerateCaseError) as raised:
+        with pytest.raises(DomainError) as raised:
             floquet_exponent(cell, 1.0)
-        assert str(raised.value) == (
-            "interface 0 is degenerate: no unique interface matrix: "
-            "omega2 = omega3 = -inf: amplitude split is not unique; use degenerate_amplitude"
-        )
+        assert str(raised.value) == "speed ratio |v+/v-| = |3.181212452095196e+161 / 1e-154| exceeds the float range"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_speed_ratio_is_a_domain_error_on_every_path(self):
+        before, after = MediumState(1e154, 1e154), MediumState(2.3e-162, 2.3e-162)
+        cell = [TimelineSegment(before, 1.0), TimelineSegment(after, 1.0)]
+        incident = PlaneWave(Y_HAT.astype(complex), 1.0, X_HAT, wave_speed(before))
+        message = r"^speed ratio \|v\+/v-\| = \|4\.4989137945431964e\+161 / 1e-154\| exceeds the float range$"
+        for call in (lambda: coefficients(before, after), lambda: cascade_scatter(cell, incident),
+                     lambda: floquet_exponent(cell, 1.0)):
+            with pytest.raises(DomainError, match=message):
+                call()
 
     @pytest.mark.parametrize("failing, message", [
         (DENSE, "interface 1 is degenerate: no unique interface matrix: kernel says no"),

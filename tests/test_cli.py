@@ -457,6 +457,19 @@ class TestSolveExtremeMagnitudes:
         assert solve_error["type"] == "ConsistencyError"
         assert solve_error["message"].startswith("transmitted wave-vector scale has modulus inf")
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_speed_ratio_exits_3_as_the_sweep_does(self, tmp_path, capsys):
+        # |v+/v-| = 4.5e161 / 1e-154 overflows; the infinite frequencies used to read as a degenerate interface.
+        media = {"before": {"epsilon": 1e154, "mu": 1e154}, "after": {"epsilon": 2.3e-162, "mu": 2.3e-162}}
+        assert run_main(tmp_path, make_config(media=media)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "DomainError"
+        assert error["message"] == "speed ratio |v+/v-| = |4.4989137945431964e+161 / 1e-154| exceeds the float range"
+        assert run_main(tmp_path, sweep_config([{"path": "after.mu", "values": [2.3e-162]}], media=media)) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
     def test_overflowing_ramp_width_exits_3_naming_tau(self, tmp_path, capsys):
         # tau (in periods) times the period 2*pi/omega1 overflows to inf.
         incident = {"amplitude": [0, 1, 0], "omega1": 1e-10, "k": [1, 0, 0]}
@@ -935,9 +948,23 @@ class TestOverflowExits3:
         assert run_main(tmp_path, json.dumps({"command": "verify", "verify": {"terms": terms}})) == 0
         assert json.loads(capsys.readouterr().out)["result"]["verdict"] == "non-cancelling"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("terms, expected", [
+        ([(1e200, 1.0), (-1e200, 1.0)], ("cancelling-forced-equal", 0.0, 2e200)),
+        ([(1e200, 1.0), (1e200, 2.0)], ("non-cancelling", 2e200, 2e200)),
+        ([(1e-200, 1.0)], ("non-cancelling", 1e-200, 1e-200)),
+    ], ids=["huge-cancelling", "huge", "tiny-alone"])
+    def test_verify_norms_of_huge_and_tiny_amplitudes(self, tmp_path, capsys, terms, expected):
+        # The squares of 1e200 overflow and those of 1e-200 underflow (a lone tiny term read as
+        # cancelling); the norms are taken on a copy scaled by a power of two.
+        terms = [{"amplitude": [a], "omega": w} for a, w in terms]
+        assert run_main(tmp_path, json.dumps({"command": "verify", "verify": {"terms": terms}})) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["verdict"], result["residual"], result["amplitude_scale"]) == expected
+
     def test_verify_amplitude_scale_overflow(self, tmp_path, capsys):
-        # The two terms cancel exactly, so the residual is 0, but each amplitude norm overflows.
-        terms = [{"amplitude": [1e200], "omega": 1.0}, {"amplitude": [-1e200], "omega": 1.0}]
+        # The two terms cancel exactly, so the residual is 0, but the sum of the amplitude norms overflows.
+        terms = [{"amplitude": [1e308], "omega": 1.0}, {"amplitude": [-1e308], "omega": 1.0}]
         config = json.dumps({"command": "verify", "verify": {"terms": terms}})
         self.expect_domain_error(tmp_path, capsys, config, "amplitude scale of 2 terms overflows")
 

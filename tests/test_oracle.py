@@ -632,6 +632,28 @@ class TestExactPropagation:
         assert np.max(np.abs(exact.D - stepped.D)) <= bound
         assert np.max(np.abs(exact.B - stepped.B)) <= bound
 
+    class Declared:
+        """A profile's sample with the switch intervals it is given."""
+
+        def __init__(self, profile, intervals):
+            self.sample, self.intervals = profile.sample, intervals
+
+        def switch_intervals(self):
+            return self.intervals
+
+    @pytest.mark.parametrize(
+        "intervals", [[(-1.0, 0.5), (0.0, 1.0)], [(-1.0, 1.0), (-0.5, 0.5)]], ids=["overlapping", "nested"]
+    )
+    def test_overlapping_intervals_merge_into_one(self, intervals):
+        # The varying pieces merge into the one declared interval, so Dormand-Prince takes the same steps.
+        profile = TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=2.0)
+        wave = vacuum_wave()
+        m = phase_vector(wave)
+        initial = plane_wave_mode_state(wave, VACUUM, -2.0)
+        expected = integrate(self.Declared(profile, [(-1.0, 1.0)]), m, initial, 2.5)
+        got = integrate(self.Declared(profile, intervals), m, initial, 2.5)
+        assert (got.D.tolist(), got.B.tolist()) == (expected.D.tolist(), expected.B.tolist())
+
 
 # --- Reference integrator: the array form of the mode ODE, one numpy call per operation. ---
 # The scalar-stage integrator in timescatter.oracle must take exactly its steps and

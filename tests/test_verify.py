@@ -13,6 +13,7 @@ from timescatter import (
     sum_residual,
     vandermonde_product,
 )
+from timescatter.verify import _amplitude_scale
 
 
 def scalar_sum(pairs):
@@ -95,6 +96,16 @@ class TestSumResidual:
         # The squares of 1e-200 underflow, so a norm would call this amplitude zero.
         s = scalar_sum([(1e-200, 1.0), (1.0, 2.0)])
         assert sum_residual(s, canonical_grid(s.omegas)) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_norm_squares_neither_underflow_nor_overflow(self, size):
+        # The squares of 1e-200 underflow to 0 and those of 1e200 overflow to inf; the norms are
+        # taken on a copy scaled by a power of two, so the residual and the scale are exact.
+        s = scalar_sum([(size, 1.0), (size, 2.0)])
+        assert sum_residual(s, canonical_grid(s.omegas)) == 2 * size
+        assert _amplitude_scale(s) == 2 * size
+        single = scalar_sum([(size, 1.0)])
+        assert sum_residual(single, canonical_grid(single.omegas)) == _amplitude_scale(single) == size
 
 
 class TestForcedEquality:
