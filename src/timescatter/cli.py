@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -66,8 +67,6 @@ __all__ = ["RunConfig", "parse_config", "execute", "run", "main"]
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "TIMESCATTER_OUTPUT_DIR"
-_RESIDUAL_SAMPLES = 100
-_RESIDUAL_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -390,10 +389,7 @@ def _complex_json(z: complex) -> dict:
 
 
 def _vector_json(vec) -> list:
-    arr = np.asarray(vec)
-    if np.iscomplexobj(arr):
-        return [_complex_json(complex(z)) for z in arr]
-    return [float(x) for x in arr]
+    return [_complex_json(z) if isinstance(z, complex) else float(z) for z in np.asarray(vec).tolist()]
 
 
 def _wave_json(wave: Optional[PlaneWave], b_amp: np.ndarray) -> Optional[dict]:
@@ -408,10 +404,16 @@ def _wave_json(wave: Optional[PlaneWave], b_amp: np.ndarray) -> Optional[dict]:
     }
 
 
+@functools.cache
+def _residual_samples() -> np.ndarray:
+    """The 100 read-only points where solve checks the jumps; drawn on first use, so import skips numpy.random."""
+    samples = np.random.default_rng(0).uniform(-10.0, 10.0, size=(100, 3))
+    samples.setflags(write=False)
+    return samples
+
+
 def _scattering_json(result: ScatteringResult) -> dict:
-    rng = np.random.default_rng(_RESIDUAL_SEED)
-    samples = rng.uniform(-10.0, 10.0, size=(_RESIDUAL_SAMPLES, 3))
-    res_E, res_H = boundary_residual(result, samples)
+    res_E, res_H = boundary_residual(result, _residual_samples())
     return {
         "omega1": result.incident.omega,
         "omega2": result.omega2,
@@ -745,10 +747,14 @@ def run(config: RunConfig) -> int:
     if path is None:
         sys.stdout.write(text)
     else:
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        try:
+            handle = open(path, "w", encoding="utf-8", newline="")
+        except OSError:  # a missing directory is made; any other failure recurs on the second open
+            directory = os.path.dirname(path)
+            if directory:
+                os.makedirs(directory, exist_ok=True)
+            handle = open(path, "w", encoding="utf-8", newline="")
+        with handle:
             handle.write(text)
     return 0
 
@@ -770,25 +776,25 @@ def _exit_with(code: int, exc: Exception) -> int:
     return code
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's one parser, built on first use rather than at import; parse_args copies --set's default list."""
     parser = argparse.ArgumentParser(
-        prog="timescatter",
-        description="Scattering of plane waves at temporal interfaces.",
+        prog="timescatter", description="Scattering of plane waves at temporal interfaces."
     )
     parser.add_argument("config", help="path to a JSON configuration file")
     parser.add_argument("--out", help="override output.path")
     parser.add_argument("--format", choices=("json", "csv"), help="override output.format")
+    parser.add_argument("--no-timestamp", action="store_true", help="suppress the timestamp header")
     parser.add_argument(
-        "--no-timestamp", action="store_true", help="suppress the timestamp header"
-    )
-    parser.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="PATH=VALUE",
+        "--set", action="append", default=[], metavar="PATH=VALUE",
         help="override a config field, e.g. --set media.after.epsilon=9",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:

@@ -36,7 +36,7 @@ from .errors import (
     reject,
 )
 from .media import MediumState, TemporalProfile, check_medium, phase_speed
-from .waves import PlaneWave, _check_incident, _magnetic_amplitude, _phase
+from .waves import PlaneWave, _check_incident, _magnetic_amplitude, _norm, _phase
 
 __all__ = [
     "FrequencyConvention",
@@ -478,8 +478,8 @@ def boundary_residual(result: ScatteringResult, x_samples) -> tuple[float, float
             factor = np.exp(_phase(wave, x, result.t0))[:, None]
             jump_E += sign * medium.epsilon * (factor * wave.amplitude[None, :])
             jump_H += sign * medium.mu * (factor * _magnetic_amplitude(wave, medium.mu)[None, :])
-        res_E = float(np.max(np.linalg.norm(jump_E, axis=1)))
-        res_H = float(np.max(np.linalg.norm(jump_H, axis=1)))
+        res_E = float(np.max(_norm(jump_E, axis=1)))
+        res_H = float(np.max(_norm(jump_H, axis=1)))
     if not (math.isfinite(res_E) and math.isfinite(res_H)):
         raise DomainError(
             f"boundary residuals overflow (res_E = {res_E}, res_H = {res_H}): a phase "

@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12
+_NEXT, _PREV = np.array([1, 2, 0]), np.array([2, 0, 1])  # component i of a x k is a[_NEXT]k[_PREV] - a[_PREV]k[_NEXT]
 
 
 def _vector3(values, name: str, dtype=complex, finite: bool = True) -> np.ndarray:
@@ -99,8 +100,8 @@ def _phase(w: PlaneWave, x: np.ndarray, t: float):
 
 
 def _magnetic_amplitude(w: PlaneWave, mu: float) -> np.ndarray:
-    """H amplitude -(1/mu) A x k / v of a transversal plane wave."""
-    return -np.cross(w.amplitude, w.k) / (mu * w.v)
+    """H amplitude -(1/mu) A x k / v of a transversal plane wave; np.cross's products and differences, its bits."""
+    return -(w.amplitude[_NEXT] * w.k[_PREV] - w.amplitude[_PREV] * w.k[_NEXT]) / (mu * w.v)
 
 
 def evaluate_E(w: PlaneWave, x, t: float) -> np.ndarray:
@@ -124,7 +125,8 @@ def magnetic_from_electric(w: PlaneWave, mu: float) -> PlaneWave:
     """
     if mu == 0.0:
         raise DomainError("mu must be nonzero")
-    return PlaneWave(_magnetic_amplitude(w, mu), w.omega, w.k, w.v)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H amplitude raises in PlaneWave
+        return PlaneWave(_magnetic_amplitude(w, mu), w.omega, w.k, w.v)
 
 
 def _check_incident(amplitude, k, v, v_first, reject=reject):

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -416,12 +417,69 @@ class TestMain:
         header = text.splitlines()[0]
         assert "R" in header.split(",")
 
+    def test_missing_output_directories_are_created(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, make_config())
+        out = tmp_path / "a" / "b" / "result.json"
+        assert main([cfg, "--out", str(out), "--no-timestamp"]) == 0
+        assert main([cfg, "--no-timestamp"]) == 0
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
     def test_output_dir_env_redirect(self, tmp_path, monkeypatch):
         outdir = tmp_path / "redirected"
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
         cfg = self.write_config(tmp_path, make_config(output={"path": "result.json"}))
         assert main([cfg]) == 0
         assert (outdir / "result.json").exists()
+
+
+class TestSharedParser:
+    """main parses its flags with one parser per process; no call leaves anything behind for the next."""
+
+    def fresh_process(self, args):
+        env = dict(os.environ)  # the subprocess imports the same copy of the package as the tests
+        package_root = str(Path(timescatter.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "timescatter", *args], env=env, capture_output=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(make_config(), encoding="utf-8")
+        out = tmp_path / "first.json"
+        assert main([str(config_path), "--set", "media.after.epsilon=9", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["result"]["R"] == pytest.approx(1 / 9)
+        capsys.readouterr()
+        assert main([str(config_path), "--no-timestamp"]) == 0
+        second = capsys.readouterr().out.encode()
+        assert second == self.fresh_process([str(config_path), "--no-timestamp"])
+        assert json.loads(second)["result"]["R"] == pytest.approx(0.125)
+
+    def test_help_exits_0_and_an_unknown_flag_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as help_exit:
+            main(["--help"])
+        assert help_exit.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: timescatter ")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(make_config(), encoding="utf-8")
+        with pytest.raises(SystemExit) as bad_flag:
+            main([str(config_path), "--bogus"])
+        assert bad_flag.value.code == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main([str(config_path), "--no-timestamp"]) == 0
+        assert capsys.readouterr().out.encode() == self.fresh_process([str(config_path), "--no-timestamp"])
+
+
+class TestResidualSamples:
+    def test_samples_are_the_seeded_draw_and_read_only(self):
+        samples = cli_module._residual_samples()
+        assert samples is cli_module._residual_samples()
+        np.testing.assert_array_equal(samples, np.random.default_rng(0).uniform(-10, 10, (100, 3)))
+        assert not samples.flags.writeable
+        with pytest.raises(ValueError):
+            samples[0, 0] = 0.0
 
 
 class TestSolveExtremeMagnitudes:
@@ -871,8 +929,23 @@ class TestOverflowExits3:
         self.expect_domain_error(tmp_path, capsys, make_config(incident=incident), "boundary residuals overflow")
 
     def test_solve_field_norm_overflow(self, tmp_path, capsys):
+        # The squares in the residual norms overflow, the norms do not: they are taken on rescaled jumps.
         incident = {"amplitude": [0, 1e200, 0], "omega1": 1.0, "k": [1, 0, 0]}
-        self.expect_domain_error(tmp_path, capsys, make_config(incident=incident), "boundary residuals overflow")
+        assert run_main(tmp_path, make_config(incident=incident)) == 0
+        residuals = json.loads(capsys.readouterr().out)["result"]["boundary_residuals"]
+        assert residuals["res_E"] == pytest.approx(1.9e184, rel=0.01)
+        assert residuals["res_H"] == pytest.approx(8.5e183, rel=0.01)
+
+    def test_solve_jump_overflow(self, tmp_path, capsys):
+        # eps- |A| = 1e350: the E jump itself leaves the float range; the H jump stays finite.
+        media = {"before": {"epsilon": 1e150, "mu": 1}, "after": {"epsilon": 4e150, "mu": 1}}
+        incident = {"amplitude": [0, 1e200, 0], "omega1": 1.0, "k": [1, 0, 0]}
+        assert run_main(tmp_path, make_config(media=media, incident=incident)) == 3
+        captured = capsys.readouterr()
+        error = json.loads(captured.err)["error"]
+        prefix = "boundary residuals overflow (res_E = nan, res_H = "
+        assert captured.out == "" and error["type"] == "DomainError" and error["message"].startswith(prefix)
+        assert math.isfinite(float(error["message"][len(prefix):].split(")")[0]))
 
     def test_verify_spread_overflow(self, tmp_path, capsys):
         terms = [{"amplitude": [1.0], "omega": 1e308}, {"amplitude": [2.0], "omega": -1e308}]

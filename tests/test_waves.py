@@ -25,6 +25,7 @@ from timescatter import (
     scatter_interface,
     transversality_residual,
 )
+from timescatter.waves import _magnetic_amplitude
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -98,6 +99,26 @@ class TestMagneticFromElectric:
             w = PlaneWave(amp, 1.3, k, 0.7)
             h = magnetic_from_electric(w, mu=2.0)
             assert transversality_residual(h) <= 1e-12 * np.linalg.norm(h.amplitude)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_amplitude_raises_without_a_numpy_warning(self):
+        w = wave([0.0, 1e300, 0.0], k=X_HAT, v=1e-10)
+        with pytest.raises(DomainError, match="^amplitude must be finite$"):
+            magnetic_from_electric(w, mu=1e-10)
+
+    @pytest.mark.parametrize("v", [0.7, -0.7])
+    @pytest.mark.parametrize("k", [X_HAT, -Y_HAT, Z_HAT, -X_HAT], ids=["x", "-y", "z", "-x"])
+    def test_amplitude_has_the_bits_of_np_cross(self, k, v):
+        # Signed zeros come from the zero components of k and of A.
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            amp = rng.normal(size=3) + 1j * rng.normal(size=3)
+            amp[rng.integers(3)] = 0.0
+            amp[rng.integers(3)] *= -1j
+            w = PlaneWave(amp, 1.3, k, v)
+            for mu in (2.0, -0.3):
+                expected = -np.cross(w.amplitude, w.k) / (mu * w.v)
+                np.testing.assert_array_equal(_magnetic_amplitude(w, mu).view(np.uint64), expected.view(np.uint64))
 
 
 class TestTransversality:
