@@ -432,16 +432,21 @@ class TestMain:
         assert (outdir / "result.json").exists()
 
 
+def run_module(args):
+    """``python -m timescatter`` in a fresh process that imports the same copy of the package as the tests."""
+    env = dict(os.environ)
+    package_root = str(Path(timescatter.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "timescatter", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 class TestSharedParser:
     """main parses its flags with one parser per process; no call leaves anything behind for the next."""
 
     def fresh_process(self, args):
-        env = dict(os.environ)  # the subprocess imports the same copy of the package as the tests
-        package_root = str(Path(timescatter.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "timescatter", *args], env=env, capture_output=True, timeout=120
-        )
+        done = run_module(args)
         assert done.returncode == 0, done.stderr
         return done.stdout
 
@@ -453,7 +458,7 @@ class TestSharedParser:
         assert json.loads(out.read_text())["result"]["R"] == pytest.approx(1 / 9)
         capsys.readouterr()
         assert main([str(config_path), "--no-timestamp"]) == 0
-        second = capsys.readouterr().out.encode()
+        second = capsys.readouterr().out
         assert second == self.fresh_process([str(config_path), "--no-timestamp"])
         assert json.loads(second)["result"]["R"] == pytest.approx(0.125)
 
@@ -469,7 +474,7 @@ class TestSharedParser:
         assert bad_flag.value.code == 2
         assert "unrecognized arguments: --bogus" in capsys.readouterr().err
         assert main([str(config_path), "--no-timestamp"]) == 0
-        assert capsys.readouterr().out.encode() == self.fresh_process([str(config_path), "--no-timestamp"])
+        assert capsys.readouterr().out == self.fresh_process([str(config_path), "--no-timestamp"])
 
 
 class TestResidualSamples:
@@ -1100,12 +1105,7 @@ class TestModuleEntryPoint:
         config_path = tmp_path / "config.json"
         config_path.write_text(config_text, encoding="utf-8")
         args = [str(config_path), "--no-timestamp"]
-        env = dict(os.environ)  # the subprocess imports the same copy of the package as the tests
-        package_root = str(Path(timescatter.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "timescatter", *args], env=env, capture_output=True, text=True, timeout=120
-        )
+        done = run_module(args)
         assert main(args) == code
         captured = capsys.readouterr()
         assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
