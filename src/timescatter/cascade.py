@@ -234,13 +234,6 @@ def _cell_period(segments) -> float:
     return period
 
 
-def _closed(segments, net: np.ndarray) -> np.ndarray:
-    """``net`` followed by the interface from the last segment's medium back to the first's."""
-    if segments[-1].medium == segments[0].medium:
-        return net
-    return _read_only(interface_matrix(segments[-1].medium, segments[0].medium) @ net)
-
-
 def floquet_exponent(cell, omega_in: float) -> FloquetResult:
     """Eigen-exponents of the one-period matrix of a periodic cell.
 
@@ -261,7 +254,8 @@ def floquet_exponent(cell, omega_in: float) -> FloquetResult:
         raise DomainError(f"omega_in must be finite, got {omega_in}")
     if omega == 0.0:
         raise DomainError("omega_in must be nonzero")
-    return _floquet(_closed(segments, _timeline_product(segments, omega)[0]), period)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing period matrix raises in _floquet
+        return _floquet(segments, _timeline_product(segments, omega)[0], period)
 
 
 def floquet_from_net(cell, net_matrix: np.ndarray) -> FloquetResult:
@@ -272,24 +266,25 @@ def floquet_from_net(cell, net_matrix: np.ndarray) -> FloquetResult:
     segments = list(cell)
     period = _cell_period(segments)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing period matrix raises in _floquet
-        return _floquet(_closed(segments, net_matrix), period)
+        return _floquet(segments, net_matrix, period)
 
 
-def _floquet(matrix: np.ndarray, period: float) -> FloquetResult:
-    """The eigen-step shared by floquet_exponent and floquet_from_net.
+def _floquet(segments, matrix: np.ndarray, period: float) -> FloquetResult:
+    """The closing and eigen-step shared by floquet_exponent and floquet_from_net.
 
-    A closed cell has det = 1, so the eigenvalues are the roots of
+    ``matrix``, closed by the interface from the last segment's medium back
+    to the first's, has det = 1, so the eigenvalues are the roots of
     lam**2 - tr*lam + 1; lam1 is (tr + sqrt(tr**2 - 4)) / 2.  The root of
     larger modulus is taken without cancellation and the other is its
     reciprocal, so lam1 * lam2 = 1 however large the trace.
     """
+    if segments[-1].medium != segments[0].medium:
+        matrix = _read_only(interface_matrix(segments[-1].medium, segments[0].medium) @ matrix)
     tr = complex(matrix[0, 0] + matrix[1, 1])
     try:
         modulus = abs(tr)
     except OverflowError:  # both parts finite, the modulus beyond the float range
         modulus = math.inf
-    if not math.isfinite(modulus):
-        raise DomainError(f"one-period matrix has no finite nonzero Floquet eigenvalues (trace {tr})")
     # sqrt(tr**2 - 4) / 2, with a large trace scaled by a power of two (exact) so tr**2 stays finite.
     exponent = max(math.frexp(modulus)[1], 0)
     scaled = math.ldexp(1.0, -exponent) * tr

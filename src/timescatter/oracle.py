@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ConstraintError, DomainError, StiffnessError
 from .media import MediumState, TemporalProfile, wave_speed
 from .scatter import coefficients
-from .waves import PlaneWave, _check_incident, _magnetic_amplitude, _norm, _rescaled, _vector3, phase_vector
+from .waves import PlaneWave, _check_incident, _magnetic_amplitude, _norm, _vector3, phase_vector
 
 __all__ = [
     "ModeState",
@@ -427,9 +427,10 @@ def numeric_rt(
         raise DomainError("incident frequency must be positive")
 
     m, mag = _modulus(phase_vector(incident))
-    amplitude, e = _rescaled(incident.amplitude)
-    if e > 0:  # a tiny state would meet integrate's absolute error floor; R and T are ratios, so scale it up
-        incident = PlaneWave(amplitude, incident.omega, incident.k, incident.v)
+    # R and T are ratios: launch at a largest part in [1, 2) (exact), where integrate's error budget is relative.
+    parts = incident.amplitude.view(np.float64)
+    e = 1 - math.frexp(float(np.max(np.abs(parts))))[1]
+    incident = PlaneWave(np.ldexp(parts, e).view(np.complex128), incident.omega, incident.k, incident.v)
     after = profile.sample(intervals[-1][1])
     omega_after = mag * abs(wave_speed(after))
 

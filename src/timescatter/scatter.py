@@ -14,8 +14,8 @@ coefficients are the moduli ratios |B_r|/|B_i| and |B_t|/|B_i|.  Their
 sum is not 1: switching the medium exchanges energy with the wave.
 
 The closed-form algebra lives in :func:`scatter_kernel`, which takes
-numbers or numpy arrays; ``frequencies``, ``amplitude_factors``,
-``coefficients`` and the other formula functions are views of it, and
+numbers or numpy arrays; ``frequencies``, ``coefficients`` and the
+other formula functions are views of it, and
 :func:`scatter_grid` evaluates a whole grid of interfaces in one call.
 """
 
@@ -239,22 +239,11 @@ def amplitudes(
 
     and they satisfy B_r + B_t = (e-/e+) B_i exactly up to rounding.
     """
-    r, t = amplitude_factors(omega1, omega2, omega3, eps_minus, eps_plus)
+    r, t = _factors(omega1, omega2, omega3, eps_minus, eps_plus, reject)
     B_i = np.asarray(B_i, dtype=np.complex128)
     if not B_i.any():  # a norm of tiny entries underflows to 0
         raise DomainError("B_i must be nonzero")
     return r * B_i, t * B_i
-
-
-def amplitude_factors(
-    omega1: float,
-    omega2: float,
-    omega3: float,
-    eps_minus: float,
-    eps_plus: float,
-) -> tuple[float, float]:
-    """Scalar multipliers (B_r/B_i, B_t/B_i) of the amplitude formulas."""
-    return _factors(omega1, omega2, omega3, eps_minus, eps_plus, reject)
 
 
 def degenerate_amplitude(

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -21,7 +21,6 @@ from timescatter import (
     PlaneWave,
     TemporalProfile,
     TimelineSegment,
-    TimescatterError,
     cascade_scatter,
     coefficients,
     floquet_exponent,
@@ -373,9 +372,9 @@ class TestFloquetUnitDeterminant:
         assert result.eigenvalues[0] == pytest.approx(0.5 * (tr + cmath.sqrt(tr * tr - 4.0)), rel=1e-12)
         assert abs(result.eigenvalues[0]) < 1.0 < abs(result.eigenvalues[1])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_period_matrix_rejected(self):
-        with pytest.raises(TimescatterError, match="no finite nonzero Floquet eigenvalues"):
+        # The product overflows; the suite turns a leaked RuntimeWarning into an error.
+        with pytest.raises(DomainError, match="no finite nonzero Floquet eigenvalues"):
             floquet_exponent(GAP_CELL * 2000, 1.0)
 
     def test_trace_modulus_overflow_rejected(self):
@@ -488,6 +487,18 @@ class TestOnePassProduct:
             period_matrix = floquet_exponent(segments, omega).period_matrix
             assert same_bits(period_matrix, reference_product(segments, omega, close=True)[0])
 
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(segments=timelines(max_size=12), omega=st.floats(0.3, 3.0))
+    def test_floquet_exponent_and_floquet_from_net_agree_to_the_bit(self, segments, omega):
+        assume(sum(segment.duration for segment in segments) > 0.0)
+        incident = PlaneWave(Y_HAT.astype(complex), omega, X_HAT, wave_speed(segments[0].medium))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericalDegeneracyWarning)
+            direct = floquet_exponent(segments, omega)
+            from_net = floquet_from_net(segments, cascade_scatter(segments, incident).net_matrix)
+        for field in ("period_matrix", "eigenvalues", "exponents", "half_trace", "momentum_gap", "period"):
+            assert same_bits(getattr(direct, field), getattr(from_net, field)), field
+
     def test_trace_columns_match_trace_steps(self):
         timeline = [TimelineSegment(VACUUM, 0.4), TimelineSegment(DENSE, 0.0), TimelineSegment(STRONG, 1.1)]
         result = cascade_scatter(timeline, vacuum_wave(1.2))
@@ -507,7 +518,6 @@ class TestOnePassProduct:
             floquet_exponent(cell, 1.0)
         assert str(raised.value) == "speed ratio |v+/v-| = |3.181212452095196e+161 / 1e-154| exceeds the float range"
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_speed_ratio_is_a_domain_error_on_every_path(self):
         before, after = MediumState(1e154, 1e154), MediumState(2.3e-162, 2.3e-162)
         cell = [TimelineSegment(before, 1.0), TimelineSegment(after, 1.0)]

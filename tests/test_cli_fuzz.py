@@ -8,6 +8,11 @@ a list or object, 0, a negative, +-1e+-300 or +-1e308.  A non-zero exit
 must leave exactly one error record on stderr, exit-0 output must be
 strict JSON, without NaN or Infinity, and no run may raise a numpy
 RuntimeWarning.
+
+Two more mutations run on their own, where each run exits 0 or 2: a
+value nested deeper than the JSON decoder follows, in the config file or
+in a ``--set`` value, and an ``output.path`` that is a directory, lies
+under a regular file or lies in a missing directory.
 """
 
 import contextlib
@@ -103,17 +108,29 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def run_cli(tmp_path_factory, config):
+def run_cli(tmp_path_factory, config, *flags):
+    """main on ``config`` (a document, or its JSON text) and ``flags``: exit code, stdout, stderr."""
+    text = config if isinstance(config, str) else json.dumps(config)
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     stdout, stderr = io.StringIO(), io.StringIO()
     # Numerical warnings are kept apart from what the CLI itself writes, and none may be raised.
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
-        code = main([str(path), "--no-timestamp"])
+        code = main([str(path), "--no-timestamp", *flags])
     numpy_warnings = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert not numpy_warnings, f"RuntimeWarning from {json.dumps(config)}: {numpy_warnings}"
+    assert not numpy_warnings, f"RuntimeWarning from {text[:1000]}: {numpy_warnings}"
     return code, stdout.getvalue(), stderr.getvalue()
+
+
+def error_record(code, stdout, stderr):
+    """The one error record a failed run leaves on stderr, with nothing on stdout."""
+    assert stdout == ""
+    lines = stderr.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["code"] == code and error["type"] and error["message"]
+    return error
 
 
 @pytest.mark.parametrize("command", sorted(BASES))
@@ -140,6 +157,57 @@ def test_mutated_configs_exit_cleanly(command, tmp_path_factory):
         assert error["code"] == code and error["type"] and error["message"]
 
     check()
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # far beyond the decoder's recursion limit
+MARKER = "deeply nested value"
+
+
+@pytest.mark.parametrize("command", sorted(BASES))
+def test_too_deeply_nested_values_exit_2(command, tmp_path_factory):
+    @settings(
+        max_examples=10,
+        derandomize=True,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(path=st.sampled_from(list(paths(BASES[command]))), via_set=st.booleans())
+    def check(path, via_set):
+        if via_set:
+            dotted = ".".join(map(str, path))
+            run = run_cli(tmp_path_factory, BASES[command], "--set", f"{dotted}={DEEP}")
+            what = f"--set {dotted}"
+        else:
+            config = copy.deepcopy(BASES[command])
+            parent = config
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = MARKER
+            run = run_cli(tmp_path_factory, json.dumps(config).replace(json.dumps(MARKER), DEEP))
+            what = "config"
+        assert run[0] == 2
+        assert error_record(*run) == {
+            "code": 2, "type": "ConfigError", "message": f"{what} is nested too deeply to decode"
+        }
+
+    check()
+
+
+@pytest.mark.parametrize("command", sorted(BASES))
+@pytest.mark.parametrize("where", ["directory", "under-a-file", "missing-directory"])
+def test_output_paths_that_cannot_be_opened_as_given(command, where, tmp_path_factory):
+    root = tmp_path_factory.mktemp("out")
+    (root / "file").write_text("", encoding="utf-8")
+    target = {"directory": root, "under-a-file": root / "file" / "out.json", "missing-directory": root / "a" / "b.json"}
+    config = dict(BASES[command], output={"path": str(target[where])})
+    code, stdout, stderr = run_cli(tmp_path_factory, config)
+    assert code in (0, 2)
+    if code == 0:
+        assert stdout == stderr == ""
+        assert strict_json(target[where].read_text(encoding="utf-8"))["command"] == command
+    else:
+        assert error_record(code, stdout, stderr)["type"] in ("IsADirectoryError", "NotADirectoryError", "FileExistsError")
 
 
 @pytest.mark.parametrize("command", sorted(BASES))

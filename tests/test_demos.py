@@ -18,7 +18,7 @@ PACKAGE_ROOT = str(Path(timescatter.__file__).resolve().parents[1])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    # -W: the RuntimeWarning filter that pyproject.toml gives the in-process tests.
-    command = [sys.executable, "-W", "error::RuntimeWarning", str(demo)]
+    # -W: the warnings filter that pyproject.toml gives the in-process tests.
+    command = [sys.executable, "-W", "error", str(demo)]
     done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -188,6 +188,14 @@ class TestIntegrate:
             integrate(profile, m, ModeState(D, state.B, -1.0), 1.0)
         with pytest.raises(DomainError, match="mode state is not finite at t=-0.25"):
             integrate(TestExactPropagation.SampleOnly(profile), m, ModeState(D, state.B, -0.25), 1.0)
+
+    def test_state_that_overflows_in_a_step_raises(self):
+        # A finite launch near the float maximum: the first Dormand-Prince step leaves the float range.
+        wave = PlaneWave(1e308 * Y_HAT.astype(complex), 1.0, X_HAT, 1.0)
+        profile = TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=0.05)
+        initial = plane_wave_mode_state(wave, VACUUM, -1.0)
+        with pytest.raises(DomainError, match=r"mode state is not finite in the step from t=-0\.025 to t=0\.025"):
+            integrate(profile, phase_vector(wave), initial, 1.0)
 
     def test_phase_vector_below_normal_square_rejected(self):
         initial = plane_wave_mode_state(vacuum_wave(), VACUUM, 0.0)
@@ -384,12 +392,29 @@ class TestNumericRT:
 class TestExtremeAmplitudes:
     """R and T are ratios: an incident amplitude whose squares leave the float range changes nothing."""
 
-    @pytest.mark.parametrize("scale", [1e-170, 1e-200, 1e-320, 1e200, 1e300])
+    # 1e-100 and 1e-150 once met integrate's absolute error budget: R was 3.7e-5 relative off.
+    @pytest.mark.parametrize("scale", [1e-100, 1e-150, 1e-170, 1e-200, 1e-320, 1e200, 1e300, 1e308])
     def test_numeric_rt_matches_unit_amplitude(self, scale):
         profile = TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=0.01 * vacuum_wave().period)
         unit = numeric_rt(profile, vacuum_wave())
         scaled = numeric_rt(profile, PlaneWave(scale * Y_HAT.astype(complex), 1.0, X_HAT, 1.0))
-        assert_allclose(scaled, unit, rtol=1e-12, atol=0.0)
+        assert_allclose(scaled, unit, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(
+        parts=st.lists(st.integers(-2**20, 2**20), min_size=4, max_size=4).filter(any),
+        j=st.integers(-1000, 1000),
+    )
+    @example(parts=[3 * 2**18, 2**19, 0, -2**18], j=-1068)  # largest part 0.75 * 2**-1068, subnormal
+    def test_numeric_rt_is_bit_identical_under_power_of_two_scaling(self, parts, j):
+        # Parts of at most 21 significant bits stay exact when scaled by 2**j, down to the subnormals.
+        y, z = np.ldexp(np.array(parts, dtype=float), -20).view(complex)
+        profile = TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=0.01 * vacuum_wave().period)
+        amplitude = np.array([0.0, y, z])
+        unit = numeric_rt(profile, PlaneWave(amplitude, 1.0, X_HAT, 1.0))
+        scaled = np.ldexp(amplitude.view(float), j).view(complex)
+        assert np.array_equal(np.ldexp(scaled.view(float), -j), amplitude.view(float))
+        assert numeric_rt(profile, PlaneWave(scaled, 1.0, X_HAT, 1.0)) == unit
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_mode_decompose_scales_linearly(self, scale):

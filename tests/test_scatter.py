@@ -36,7 +36,7 @@ from timescatter import (
     wave_vectors,
 )
 from timescatter.errors import reject
-from timescatter.scatter import _interface, amplitude_factors, scatter_grid
+from timescatter.scatter import _interface, scatter_grid
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -491,13 +491,28 @@ class TestScatterKernel:
         for k, values in enumerate(zip(*points)):
             assert_array_max_ulp(grid[k], np.array(values), maxulp=1)
 
+    @pytest.mark.parametrize("conv, sign", [(DEFAULT_CONVENTION, 1.0), (BACKWARD, -1.0)], ids=["forward", "backward"])
+    def test_difference_of_squares_law(self, conv, sign):
+        # t**2 - r**2 = +-(eps-/eps+) |v+/v-|, + for forward and - for backward transmission, with the
+        # speed ratio taken here from sqrt(eps mu), not from the kernel's phase speeds.  Given t, the
+        # law fixes |r| but not the sign of r: it is even in r.
+        rng = np.random.default_rng(37)
+        n = 4000
+        eps_m, mu_m, eps_p, mu_p = 10.0 ** rng.uniform(-1, 1, size=(4, n))
+        sign_m, sign_p = np.where(rng.uniform(size=(2, n)) < 0.4, -1, 1)  # about 40 % double-negative
+        omega1 = 10.0 ** rng.uniform(-1, 1, size=n)
+        _, _, r, t = scatter_kernel(
+            omega1, sign_m * eps_m, sign_m * mu_m, sign_m, sign_p * eps_p, sign_p * mu_p, sign_p, conv
+        )
+        expected = sign * (sign_m * eps_m) / (sign_p * eps_p) * np.sqrt(eps_m * mu_m / (eps_p * mu_p))
+        assert np.max(np.abs(t * t - r * r - expected) / np.abs(expected)) <= 1e-13
+
     def test_scalar_calls_return_python_floats(self):
         double_negative = MediumState(-1.0, -4.0, branch=-1)
         outputs = [
             *scatter_kernel(1.0, 1.0, 1.0, 1, -1.0, -4.0, -1),
             *scatter_kernel(1.0, 1.0, 1.0, 1, 2.0, 2.0, 1, FrequencyConvention(reflected="positive")),
             *frequencies(1.0, 1.0, 0.5),
-            *amplitude_factors(1.0, -0.5, 0.5, 1.0, 4.0),
             *coefficients(VACUUM, double_negative),
             *swapped_coefficients(VACUUM, double_negative),
         ]
