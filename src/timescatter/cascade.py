@@ -66,6 +66,9 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
+_IDENTITY = _read_only(np.eye(2, dtype=np.complex128))
+
+
 def _matrix(entries) -> np.ndarray:
     """Read-only (2, 2) complex matrix from its four entries in row-major order."""
     return _read_only(np.array(entries, dtype=np.complex128).reshape(2, 2))
@@ -99,11 +102,15 @@ def _dwell(omega: float, duration: float) -> tuple:
     return cmath.exp(-1j * phase), 0.0, 0.0, cmath.exp(1j * phase)
 
 
+def _check_phase(omega: float, duration: float, where: str = ""):
+    if not math.isfinite(abs(omega) * duration):  # a NaN or infinite omega, or an overflowing phase
+        raise DomainError(f"{where}phase |omega|*duration must be finite, got omega={omega}, duration={duration}")
+
+
 def propagate(omega: float, duration: float) -> np.ndarray:
     """Free-propagation phases diag(exp(-i|w|d), exp(+i|w|d)); DomainError unless |w|*d is finite."""
     duration = _duration(duration)
-    if not math.isfinite(abs(omega) * duration):  # a NaN or infinite omega, or an overflowing phase
-        raise DomainError(f"phase |omega|*duration must be finite, got omega={omega}, duration={duration}")
+    _check_phase(omega, duration)
     return _matrix(_dwell(omega, duration))
 
 
@@ -133,40 +140,48 @@ def _timeline_product(segments, omega: float, trace=False):
     """Product of a timeline's dwell and interface matrices in one pass.
 
     ``omega`` drives the phases and is rescaled by |v_next/v_prev| at each
-    interface.  Every event matrix goes into one stacked array, and the
-    products run over it in event order (``net = step @ net``, and with
-    ``trace`` ``amps = step @ amps`` from (1, 0)), each into a buffer, so
-    each product is the same BLAS call as for separate matrices and the
-    bits match an event-by-event product.  Returns the net matrix, the
-    final frequency, the frequency after each event and, with ``trace``,
-    the (events, 2) amplitudes after each event.
+    interface; each distinct (before, after) media pair is solved once.
+    Every event matrix goes into one stacked array, and the products run
+    over it in event order (``net = step @ net``, and with ``trace`` ``amps
+    = step @ amps`` from (1, 0)), each into a buffer through
+    ``ndarray.dot``, which is ``np.dot`` without its
+    ``__array_function__`` dispatch: on these contiguous complex operands
+    it makes the BLAS zgemm and zgemv calls ``@`` makes on separate
+    matrices, with less overhead, so the bits match an event-by-event
+    product.  Returns the net matrix, the final frequency, the frequency
+    after each event and, with ``trace``, the (events, 2) amplitudes after
+    each event.
     """
     count = len(segments)
     # Each event's (2, 2) matrix row-major, and the frequency after it; sized up front, since a
     # list grown entry by entry leaves holes in the heap that outlive the call.
     entries, omegas = [0.0] * (8 * count - 4), [omega] * (2 * count - 1)
+    solved = {}  # (before, after) media -> _interface(before, after)
     for j, segment in enumerate(segments):
         entries[8 * j:8 * j + 4] = _dwell(omega, segment.duration)
         omegas[2 * j] = omega
         if j + 1 < count:
-            try:
-                entries[8 * j + 4:8 * j + 8], factor = _interface(segment.medium, segments[j + 1].medium)
-            except DegenerateCaseError as exc:
-                raise DegenerateCaseError(f"interface {j} is degenerate: {exc}") from exc
+            pair = segment.medium, segments[j + 1].medium
+            interface = solved.get(pair)
+            if interface is None:
+                try:
+                    interface = solved[pair] = _interface(*pair)
+                except DegenerateCaseError as exc:
+                    raise DegenerateCaseError(f"interface {j} is degenerate: {exc}") from exc
+            entries[8 * j + 4:8 * j + 8], factor = interface
             omega *= factor
             omegas[2 * j + 1] = omega
     steps = np.array(entries, dtype=np.complex128).reshape(-1, 2, 2)
-    matmul = np.matmul
-    net, spare = np.eye(2, dtype=np.complex128), np.empty((2, 2), dtype=np.complex128)
+    net, spare = _IDENTITY.copy(), np.empty((2, 2), dtype=np.complex128)
     if not trace:
         for step in steps:
-            net, spare = matmul(step, net, spare), net
+            net, spare = step.dot(net, spare), net
         return _read_only(net), omega, omegas, None
     amps = np.empty((len(steps), 2), dtype=np.complex128)
     column = np.array([1.0, 0.0], dtype=np.complex128)
     for step, row in zip(steps, amps):
-        net, spare = matmul(step, net, spare), net
-        column = matmul(step, column, row)
+        net, spare = step.dot(net, spare), net
+        column = step.dot(column, row)
     return _read_only(net), omega, omegas, _read_only(amps)
 
 
@@ -245,7 +260,8 @@ def floquet_exponent(cell, omega_in: float) -> FloquetResult:
     period) and flags max|eigenvalue| > 1 + 1e-9 as a momentum-gap
     (amplifying) cell.  A defective matrix within tolerance triggers
     :class:`NumericalDegeneracyWarning`; a matrix without finite
-    eigenvalues raises :class:`DomainError`.
+    eigenvalues raises :class:`DomainError`, which names the first segment
+    whose dwell phase overflows, if one does.
     """
     segments = list(cell)
     period = _cell_period(segments)
@@ -255,7 +271,13 @@ def floquet_exponent(cell, omega_in: float) -> FloquetResult:
     if omega == 0.0:
         raise DomainError("omega_in must be nonzero")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing period matrix raises in _floquet
-        return _floquet(segments, _timeline_product(segments, omega)[0], period)
+        matrix, _, omegas, _ = _timeline_product(segments, omega)
+        try:
+            return _floquet(segments, matrix, period)
+        except DomainError:  # name an overflowing dwell phase, if that is the cause
+            for j, (segment, omega) in enumerate(zip(segments, omegas[::2])):
+                _check_phase(omega, segment.duration, f"segment {j}: ")
+            raise
 
 
 def floquet_from_net(cell, net_matrix: np.ndarray) -> FloquetResult:

@@ -179,6 +179,7 @@ def _object(*rows, message: str = "expected an object"):
     A row with key None builds its field as ``check(**fields so far)``, and
     a TimescatterError it raises becomes a ConfigError at the object's path;
     if it is the last row, that field is the object's value, else all fields are.
+    The check's ``keys`` attribute is the set of allowed keys.
     """
     rows = [row if len(row) == 4 else (*row, _ABSENT) for row in rows]
     keys = frozenset(row[0] for row in rows if row[0] is not None)
@@ -213,6 +214,7 @@ def _object(*rows, message: str = "expected an object"):
                 fields[field] = parsed
         return fields if value_field is None else fields[value_field]
 
+    walk.keys = keys
     return walk
 
 
@@ -267,6 +269,47 @@ _SEGMENT = _object(
     ("duration", "duration", _where(_number, lambda d: d >= 0.0, "must be >= 0"), _REQUIRED),
     (None, "segment", lambda medium, duration, **_: TimelineSegment(medium, duration)),
 )
+_SEGMENTS = _list(_SEGMENT, "expected a non-empty list of segments")
+
+
+def _timeline(value, path: str) -> tuple:
+    """_SEGMENTS's value, taking plain segments directly and building each distinct medium once.
+
+    A plain segment is a dict of allowed keys with finite epsilon, mu and
+    duration >= 0, each a float or an int (taken as its float, as _number
+    does), and, if present, an int branch.  At the first other segment, or
+    one whose medium is invalid, the whole list goes through _SEGMENTS, so
+    every error message is its own.
+    """
+    if isinstance(value, list) and value:
+        keys, media, segments = _SEGMENT.keys, {}, []
+        for raw in value:
+            if type(raw) is not dict or not keys.issuperset(raw):
+                break
+            try:
+                epsilon, mu, duration = (
+                    float(x) if type(x) is int else x for x in (raw.get("epsilon"), raw.get("mu"), raw.get("duration"))
+                )
+            except OverflowError:  # an int beyond the float range
+                break
+            branch = raw.get("branch", 1)
+            if not (
+                type(epsilon) is float and type(mu) is float and type(duration) is float and type(branch) is int
+                and math.isfinite(epsilon) and math.isfinite(mu) and 0.0 <= duration < math.inf
+            ):
+                break
+            medium = media.get((epsilon, mu, branch))
+            if medium is None:
+                try:
+                    medium = media[epsilon, mu, branch] = MediumState(epsilon, mu, branch)
+                except TimescatterError:
+                    break
+            segments.append(TimelineSegment(medium, duration))
+        else:
+            return tuple(segments)
+    return _SEGMENTS(value, path)
+
+
 _AMPLITUDE = _where(_list(_complex, "expected a 3-element list", 3, 3), any, "must be nonzero")
 _INCIDENT = _object(
     ("amplitude", "amplitude", _AMPLITUDE, _REQUIRED),
@@ -337,7 +380,7 @@ _CONFIG = _object(
     ("incident", "incident", _INCIDENT),
     ("t0", "t0", _number),
     ("convention", "convention", _CONVENTION),
-    ("timeline", "timeline", _list(_SEGMENT, "expected a non-empty list of segments")),
+    ("timeline", "timeline", _timeline),
     ("floquet", "floquet", _FLAG),
     ("oracle", None, _object(
         ("tau", "oracle_tau", _POSITIVE),

@@ -83,4 +83,4 @@ def reject(bad, error, message, *values):
     if bad is False or (bad is not True and not np.any(bad)):
         return
     point = np.flatnonzero(bad)[0]
-    raise error(message.format(*(np.broadcast_to(v, np.shape(bad)).flat[point].item() for v in values)))
+    raise error(message.format(*(np.broadcast_to(v, np.shape(bad)).item(point) for v in values)))

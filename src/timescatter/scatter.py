@@ -121,10 +121,14 @@ def _algebra(omega1, v_minus, v_plus, eps_minus, eps_plus, conv, reject):
     return omega2, omega3, r, t, scales
 
 
-def _frequencies(omega1, v_minus, v_plus, conv, reject):
+def _check_omega1(omega1, reject):
     bad = (omega1 <= 0.0) | (omega1 * 0.0 != 0.0)  # not positive, or not finite
     if bad is not False:
         reject(bad, DomainError, "omega1 must be positive, got {}", omega1)
+
+
+def _frequencies(omega1, v_minus, v_plus, conv, reject):
+    _check_omega1(omega1, reject)
     bad = (v_minus == 0.0) | (v_plus == 0.0)
     if bad is not False:
         reject(bad, DomainError, "phase speeds must be nonzero")
@@ -239,6 +243,7 @@ def amplitudes(
 
     and they satisfy B_r + B_t = (e-/e+) B_i exactly up to rounding.
     """
+    _check_omega1(omega1, reject)
     r, t = _factors(omega1, omega2, omega3, eps_minus, eps_plus, reject)
     B_i = np.asarray(B_i, dtype=np.complex128)
     if not B_i.any():  # a norm of tiny entries underflows to 0
@@ -340,7 +345,14 @@ def _at_interface(wave: Optional[PlaneWave], t0: float) -> np.ndarray:
     """B = A * exp(-i*omega*t0), a wave's complex amplitude at the interface; zeros for an absent wave."""
     if wave is None:
         return np.zeros(3, dtype=np.complex128)
-    return wave.amplitude * cmath.exp(-1j * wave.omega * t0)
+    return wave.amplitude * _phase_factor(-1j, wave.omega, t0)
+
+
+def _phase_factor(unit: complex, omega: float, t0: float) -> complex:
+    """exp(unit*omega*t0) for unit = +-1j; DomainError when omega*t0 leaves the float range, where cmath.exp fails."""
+    if not math.isfinite(omega * t0):
+        raise DomainError(f"phase omega*t0 = {omega} * {t0} exceeds the float range")
+    return cmath.exp(unit * omega * t0)
 
 
 def _interface(omega1, amplitude, k, before: tuple, after: tuple, conv, reject, incident_speed=None):
@@ -387,7 +399,7 @@ def scatter_interface(
     B_i = _at_interface(incident, t0)
 
     def scattered(factor, omega, scale):
-        A = factor * B_i * cmath.exp(1j * omega * t0)
+        A = factor * B_i * _phase_factor(1j, omega, t0)
         return PlaneWave(A, omega, math.copysign(1.0, scale) * incident.k, v_plus)
 
     return ScatteringResult(

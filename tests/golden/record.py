@@ -269,6 +269,9 @@ SCATTER_CHECKS = [
     ("solve-speed-ratio-overflow", edit(
         SOLVE, ("media", {"before": {"epsilon": 1e154, "mu": 1e154}, "after": {"epsilon": 2.3e-162, "mu": 2.3e-162}})
     ), _NO_TIMESTAMP),
+    ("solve-scattered-phase-overflow", edit(
+        SOLVE, ("media.after", {"epsilon": 1e-100, "mu": 1e-100}), ("incident.omega1", 1e100), ("t0", 1e110)
+    ), _NO_TIMESTAMP),
     ("sweep-medium-crossing-zero", axis(path="after.epsilon", start=2.0, stop=-2.0, num=9), _NO_TIMESTAMP),
     ("sweep-branch-crossing", as_sweep(
         edit(SOLVE, ("media.after", {"epsilon": -1, "mu": -1, "branch": -1})), "after.mu", [-1.0, 1.0]

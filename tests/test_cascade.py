@@ -377,6 +377,19 @@ class TestFloquetUnitDeterminant:
         with pytest.raises(DomainError, match="no finite nonzero Floquet eigenvalues"):
             floquet_exponent(GAP_CELL * 2000, 1.0)
 
+    @pytest.mark.parametrize("cell, omega, message", [
+        # The first dwell phase 1e10 * 1e300 overflows; the eigen-step used to name only a NaN trace.
+        ([TimelineSegment(VACUUM, 1e300), TimelineSegment(DENSE, 1.0)], 1e10,
+         "segment 0: phase |omega|*duration must be finite, got omega=10000000000.0, duration=1e+300"),
+        # The second segment's frequency is halved by the switch into DENSE, and its phase still overflows.
+        ([TimelineSegment(VACUUM, 1.0), TimelineSegment(DENSE, 1e300), TimelineSegment(VACUUM, 1e300)], 1e10,
+         "segment 1: phase |omega|*duration must be finite, got omega=5000000000.0, duration=1e+300"),
+    ], ids=["first-segment", "after-a-switch"])
+    def test_overflowing_dwell_phase_is_named(self, cell, omega, message):
+        with pytest.raises(DomainError) as raised:
+            floquet_exponent(cell, omega)
+        assert str(raised.value) == message
+
     def test_trace_modulus_overflow_rejected(self):
         # Both parts of the trace are finite, but its modulus is beyond the float range.
         net = np.array([[1.5e308 + 1.5e308j, 0.0], [0.0, 0.0]])
@@ -498,6 +511,25 @@ class TestOnePassProduct:
             from_net = floquet_from_net(segments, cascade_scatter(segments, incident).net_matrix)
         for field in ("period_matrix", "eigenvalues", "exponents", "half_trace", "momentum_gap", "period"):
             assert same_bits(getattr(direct, field), getattr(from_net, field)), field
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(segments=timelines(max_size=12), omega=st.floats(0.3, 3.0))
+    def test_equal_media_give_the_bits_of_shared_media(self, segments, omega):
+        # Each distinct interface is solved once per call, keyed on the media's values: one
+        # object per distinct medium and a fresh object per segment must give the same bits.
+        shared = {}
+        shared_segments = [TimelineSegment(shared.setdefault(s.medium, s.medium), s.duration) for s in segments]
+        distinct = [TimelineSegment(MediumState(s.medium.epsilon, s.medium.mu, s.medium.branch), s.duration)
+                    for s in segments]
+        incident = PlaneWave(Y_HAT.astype(complex), omega, X_HAT, wave_speed(segments[0].medium))
+        results = [cascade_scatter(timeline, incident) for timeline in (shared_segments, distinct)]
+        for field in ("net_matrix", "omega_final", "trace_omega", "trace_amplitudes"):
+            assert same_bits(getattr(results[0], field), getattr(results[1], field)), field
+        if sum(segment.duration for segment in segments) > 0.0:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", NumericalDegeneracyWarning)
+                matrices = [floquet_exponent(timeline, omega).period_matrix for timeline in (shared_segments, distinct)]
+            assert same_bits(*matrices)
 
     def test_trace_columns_match_trace_steps(self):
         timeline = [TimelineSegment(VACUUM, 0.4), TimelineSegment(DENSE, 0.0), TimelineSegment(STRONG, 1.1)]

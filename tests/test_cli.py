@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import timescatter
 import timescatter.cli as cli_module
@@ -885,6 +887,75 @@ class TestCascadeFloquetUnitDeterminant:
 
 def make_incident():
     return {"amplitude": [0, 1, 0], "omega1": 1.0, "k": [1, 0, 0]}
+
+
+# Values a mutation puts in a segment: wrong types, ints, non-finite and huge numbers, a bad branch.
+ODD_VALUES = [True, False, None, "1", [], 1, 4, -1, 2, 0.0, -0.0, -0.5, -1.0, math.nan, math.inf, -math.inf, 10**400, 1e308]
+
+
+@st.composite
+def mutated_timelines(draw):
+    """Segments over a small pool of media (some double-negative, some integer-valued), then 0 to 3 mutations."""
+    number = st.floats(0.2, 9.0) | st.integers(1, 9)
+    pool = draw(st.lists(st.tuples(number, number, st.booleans()), min_size=1, max_size=3))
+    timeline = []
+    for eps, mu, negative in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)):
+        segment = {"epsilon": -eps, "mu": -mu, "branch": -1} if negative else {"epsilon": eps, "mu": mu}
+        timeline.append(dict(segment, duration=draw(st.floats(0.0, 3.0) | st.integers(0, 3))))
+    for _ in range(draw(st.integers(0, 3))):
+        index = draw(st.integers(0, len(timeline) - 1))
+        segment = timeline[index]
+        if not isinstance(segment, dict):
+            continue
+        key = draw(st.sampled_from(["epsilon", "mu", "branch", "duration"]))
+        kind = draw(st.sampled_from(["value", "extra", "delete", "negate", "not-object"]))
+        if kind == "value":
+            segment[key] = draw(st.sampled_from(ODD_VALUES))
+        elif kind == "extra":
+            segment["loss"] = 0.0
+        elif kind == "delete":
+            segment.pop(key, None)
+        elif kind == "negate":  # epsilon*mu <= 0, a branch that may not fit the medium, or a negative duration
+            value = segment.get(key, 1)
+            segment[key] = -value if isinstance(value, (int, float)) else value
+        else:
+            timeline[index] = draw(st.sampled_from([5, [], "segment"]))
+    return timeline
+
+
+def timeline_outcome(check, timeline):
+    """repr of the parsed segments (so -0.0 and a bool branch show), or the error text."""
+    try:
+        return repr(check(timeline))
+    except ConfigError as exc:
+        return str(exc)
+
+
+class TestTimelineRow:
+    """The timeline row gives the per-segment walk's values or error text, taking plain segments directly."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(timeline=mutated_timelines())
+    @example(timeline=[])
+    @example(timeline={"epsilon": 1.0, "mu": 1.0, "duration": 1.0})
+    @example(timeline=[{"epsilon": 1.0, "mu": 1.0, "duration": -0.0}, {"epsilon": 1.0, "mu": 1.0, "duration": 0.0}])
+    @example(timeline=[{"epsilon": 1e200, "mu": 1e200, "duration": 1.0}, {"epsilon": 4.0, "mu": 1.0, "duration": 1.0}])
+    @example(timeline=[{"epsilon": 4, "mu": 1, "duration": 1}, {"epsilon": 10**400, "mu": 1, "duration": 1}])
+    @example(timeline=[{"epsilon": 4, "mu": 1, "duration": -1}])
+    @example(timeline=[{"epsilon": 4, "mu": 1, "branch": True, "duration": 1}])
+    @example(timeline=[{"epsilon": True, "mu": 1, "duration": 1}, {"epsilon": 4, "mu": 1, "duration": False}])
+    @example(timeline=[{"epsilon": 4, "mu": 1, "duration": False}])
+    def test_same_segments_or_message_as_the_segment_walk(self, timeline):
+        config = {"command": "cascade", "timeline": timeline, "incident": make_incident()}
+        parsed = timeline_outcome(lambda value: parse_config(dict(config, timeline=value)).timeline, timeline)
+        assert parsed == timeline_outcome(lambda value: cli_module._SEGMENTS(value, "config.timeline"), timeline)
+
+    @pytest.mark.parametrize("epsilon, mu, duration", [(4.0, 1.0, 0.5), (4, 1, 1)], ids=["floats", "ints"])
+    def test_equal_media_share_one_medium_state(self, epsilon, mu, duration):
+        # Integer-valued configs, as written by hand, take the direct path too.
+        segments = [{"epsilon": epsilon, "mu": mu, "duration": duration}, {"epsilon": 1.0, "mu": 1.0, "duration": 0.5}] * 3
+        timeline = parse_config({"command": "cascade", "timeline": segments, "incident": make_incident()}).timeline
+        assert len({id(segment.medium) for segment in timeline}) == 2
 
 
 def run_with_flags(tmp_path, config_text, *flags):

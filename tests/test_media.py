@@ -62,6 +62,11 @@ class TestMediumState:
         with pytest.raises(DomainError):
             MediumState(2.0, 3.0, branch=0)
 
+    def test_branch_beyond_int64_is_named(self):
+        # An int that no numpy integer holds used to end in AttributeError while the message was built.
+        with pytest.raises(DomainError, match=r"branch must be \+1 or -1, got 1180591620717411303424$"):
+            MediumState(1.0, 1.0, branch=2**70)
+
     @hyp.settings(max_examples=50, deadline=None)
     @hyp.given(eps=positive_param, mu=positive_param, negate=st.booleans())
     def test_speed_times_index_is_one(self, eps, mu, negate):

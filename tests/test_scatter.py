@@ -142,6 +142,12 @@ class TestAmplitudes:
         with pytest.raises(DomainError, match="B_i must be nonzero"):
             amplitudes(np.zeros(3), 1.0, -0.5, 0.5, 1.0, 4.0)
 
+    @pytest.mark.parametrize("omega1", [0.0, -1.0, math.inf, math.nan])
+    def test_omega1_checked_as_frequencies_checks_it(self, omega1):
+        # omega1 = 0 used to divide by zero in the factors.
+        with pytest.raises(DomainError, match=r"^omega1 must be positive, got "):
+            amplitudes(Y_HAT.astype(complex), omega1, -0.5, 0.5, 1.0, 4.0)
+
     def test_amplitude_sum_identity(self):
         rng = np.random.default_rng(11)
         for _ in range(300):
@@ -245,6 +251,18 @@ class TestScatterInterface:
         assert_allclose(result.transmitted.amplitude, result.incident.amplitude)
         assert result.transmitted.omega == result.incident.omega
         assert_allclose(result.transmitted.k, result.incident.k)
+
+    @pytest.mark.parametrize("after, omega, t0, message", [
+        # omega3 = 1e200 (the speed ratio is 1e100), so omega3 * t0 overflows: cmath.exp used to fail.
+        (MediumState(1e-100, 1e-100), 1e100, 1e110, "phase omega*t0 = 1e+200 * 1e+110 exceeds the float range"),
+        (MediumState(1e-100, 1e-100), 1e100, -1e110, "phase omega*t0 = 1e+200 * -1e+110 exceeds the float range"),
+        # omega1 * t0 overflows for the incident wave's own phase factor.
+        (DENSE_EPS, 1e200, 1e200, "phase omega*t0 = 1e+200 * 1e+200 exceeds the float range"),
+    ], ids=["scattered", "scattered-negative-t0", "incident"])
+    def test_overflowing_interface_phase_raises(self, after, omega, t0, message):
+        with pytest.raises(DomainError) as raised:
+            scatter_interface(incident_wave(omega=omega), TemporalProfile.step(VACUUM, after, t0=t0))
+        assert str(raised.value) == message
 
     def test_interface_time_only_changes_phases(self):
         res0 = scatter_interface(incident_wave(), TemporalProfile.step(VACUUM, DENSE_EPS, t0=0.0))
