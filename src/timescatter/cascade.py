@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateCaseError, DomainError, NumericalDegeneracyWarning
 from .media import MediumState, wave_speed
 from .oracle import ModeAmplitudes
-from .scatter import scatter_kernel
+from .scatter import _NONFINITE_AMPLITUDE, scatter_kernel
 from .waves import PlaneWave, _check_incident, _rescaled
 
 __all__ = [
@@ -168,6 +168,10 @@ def _timeline_product(segments, omega: float, trace=False):
                     interface = solved[pair] = _interface(*pair)
                 except DegenerateCaseError as exc:
                     raise DegenerateCaseError(f"interface {j} is degenerate: {exc}") from exc
+                except DomainError as exc:
+                    if str(exc) != _NONFINITE_AMPLITUDE:  # a speed ratio beyond the float range names itself
+                        raise
+                    raise DomainError(f"interface {j}: {exc}") from exc
             entries[8 * j + 4:8 * j + 8], factor = interface
             omega *= factor
             omegas[2 * j + 1] = omega

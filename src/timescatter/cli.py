@@ -122,7 +122,7 @@ def _raw(value, path: str):
 def _number(value, path: str) -> float:
     if type(value) is float and math.isfinite(value):  # most config numbers
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, (int, float))):
         _fail(path, f"expected a number, got {value!r}")
     try:
         number = float(value)
@@ -264,50 +264,36 @@ _MEDIUM_ROWS = (
     (None, "medium", MediumState),
 )
 _MEDIUM = _object(*_MEDIUM_ROWS, message="expected an object with epsilon/mu")
+_DURATION = _where(_number, lambda d: d >= 0.0, "must be >= 0")
 _SEGMENT = _object(
     *_MEDIUM_ROWS,
-    ("duration", "duration", _where(_number, lambda d: d >= 0.0, "must be >= 0"), _REQUIRED),
+    ("duration", "duration", _DURATION, _REQUIRED),
     (None, "segment", lambda medium, duration, **_: TimelineSegment(medium, duration)),
 )
 _SEGMENTS = _list(_SEGMENT, "expected a non-empty list of segments")
 
 
 def _timeline(value, path: str) -> tuple:
-    """_SEGMENTS's value, taking plain segments directly and building each distinct medium once.
+    """_SEGMENTS's value in one pass, building each distinct medium once.
 
-    A plain segment is a dict of allowed keys with finite epsilon, mu and
-    duration >= 0, each a float or an int (taken as its float, as _number
-    does), and, if present, an int branch.  At the first other segment, or
-    one whose medium is invalid, the whole list goes through _SEGMENTS, so
-    every error message is its own.
+    A dict of allowed keys whose branch is absent or an int takes _SEGMENT's
+    number and duration checks directly; any other segment, or one those
+    checks or MediumState reject, goes through _SEGMENT at its own index.
     """
-    if isinstance(value, list) and value:
-        keys, media, segments = _SEGMENT.keys, {}, []
-        for raw in value:
-            if type(raw) is not dict or not keys.issuperset(raw):
-                break
+    if not isinstance(value, list) or not value:
+        return _SEGMENTS(value, path)
+    keys, media, segments = _SEGMENT.keys, {}, []
+    for i, raw in enumerate(value):
+        if type(raw) is dict and keys.issuperset(raw) and type(branch := raw.get("branch", 1)) is int:
             try:
-                epsilon, mu, duration = (
-                    float(x) if type(x) is int else x for x in (raw.get("epsilon"), raw.get("mu"), raw.get("duration"))
-                )
-            except OverflowError:  # an int beyond the float range
-                break
-            branch = raw.get("branch", 1)
-            if not (
-                type(epsilon) is float and type(mu) is float and type(duration) is float and type(branch) is int
-                and math.isfinite(epsilon) and math.isfinite(mu) and 0.0 <= duration < math.inf
-            ):
-                break
-            medium = media.get((epsilon, mu, branch))
-            if medium is None:
-                try:
-                    medium = media[epsilon, mu, branch] = MediumState(epsilon, mu, branch)
-                except TimescatterError:
-                    break
-            segments.append(TimelineSegment(medium, duration))
-        else:
-            return tuple(segments)
-    return _SEGMENTS(value, path)
+                key = _number(raw["epsilon"], path), _number(raw["mu"], path), branch
+                medium = media.get(key) or media.setdefault(key, MediumState(*key))
+                segments.append(TimelineSegment(medium, _DURATION(raw["duration"], path)))
+                continue
+            except (KeyError, TimescatterError):  # _SEGMENT below raises with this segment's own message
+                pass
+        segments.append(_SEGMENT(raw, f"{path}[{i}]"))
+    return tuple(segments)
 
 
 _AMPLITUDE = _where(_list(_complex, "expected a 3-element list", 3, 3), any, "must be nonzero")

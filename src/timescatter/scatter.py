@@ -60,6 +60,7 @@ _SCALE_MESSAGE = (
     f"{_SCALE_TOL}; frequencies inconsistent with speeds"
 )
 _DEGENERATE_RTOL = 1e-12
+_NONFINITE_AMPLITUDE = "amplitude must be finite"
 
 
 @dataclass(frozen=True)
@@ -102,8 +103,9 @@ def scatter_kernel(
     |v+/v-| * omega1 with v = branch / sqrt(eps*mu), signed by ``conv``,
     and the amplitude factors r = B_r/B_i, t = B_t/B_i.  Under the
     degenerate convention r = 0 and t = eps-/eps+ is the merged wave's
-    factor.  Python numbers give Python floats; ndarrays broadcast.  A
-    failed check raises at once (for arrays, at the first failing point).
+    factor, and r and t must be finite.  Python numbers give Python
+    floats; ndarrays broadcast.  A failed check raises at once (for arrays,
+    at the first failing point).
     """
     v_minus = phase_speed(eps_minus, mu_minus, branch_minus)
     v_plus = phase_speed(eps_plus, mu_plus, branch_plus)
@@ -116,8 +118,12 @@ def _algebra(omega1, v_minus, v_plus, eps_minus, eps_plus, conv, reject):
     scales = _scales(omega1, omega2, omega3, v_minus, v_plus, reject)
     if conv.reflected == "positive":  # degenerate: omega2 = omega3
         t = _merged_factor(omega1, omega2, eps_minus, eps_plus, reject)
-        return omega2, omega3, 0.0 * t, t, scales
-    r, t = _factors(omega1, omega2, omega3, eps_minus, eps_plus, reject)
+        r = 0.0 * t
+    else:
+        r, t = _factors(omega1, omega2, omega3, eps_minus, eps_plus, reject)
+    bad = (abs(r) + abs(t)) * 0.0 != 0.0
+    if bad is not False:
+        reject(bad, DomainError, _NONFINITE_AMPLITUDE)
     return omega2, omega3, r, t, scales
 
 
@@ -248,7 +254,7 @@ def amplitudes(
     B_i = np.asarray(B_i, dtype=np.complex128)
     if not B_i.any():  # a norm of tiny entries underflows to 0
         raise DomainError("B_i must be nonzero")
-    return r * B_i, t * B_i
+    return _times(r, B_i), _times(t, B_i)
 
 
 def degenerate_amplitude(
@@ -266,7 +272,16 @@ def degenerate_amplitude(
     the split into transmitted and reflected parts is not unique.
     """
     factor = _merged_factor(omega1, omega2, eps_minus, eps_plus, reject)
-    return factor * np.asarray(B_i, dtype=np.complex128)
+    return _times(factor, B_i)
+
+
+def _times(factor, B_i) -> np.ndarray:
+    """factor * B_i as a complex array; DomainError unless it is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        B = factor * np.asarray(B_i, dtype=np.complex128)
+    if not np.isfinite(B).all():
+        raise DomainError(_NONFINITE_AMPLITUDE)
+    return B
 
 
 def _media_kernel(
@@ -360,15 +375,14 @@ def _interface(omega1, amplitude, k, before: tuple, after: tuple, conv, reject, 
 
     ``before`` and ``after`` are (epsilon, mu, branch).  The checks run in
     this order: both phase speeds, _check_incident's speed (when given)
-    and transversality, then scatter_kernel's frequency, wave-vector-scale
-    and factor checks, and finally a finite amplitude.
+    and transversality, then scatter_kernel's frequency, wave-vector-scale,
+    factor and finite-amplitude checks.
     Returns (v_plus, omega2, omega3, r, t, (scale_r, scale_t)).
     """
     v_minus = phase_speed(*before, reject)
     v_plus = phase_speed(*after, reject)
     _check_incident(amplitude, k, incident_speed, v_minus, reject)
     omega2, omega3, r, t, scales = _algebra(omega1, v_minus, v_plus, before[0], after[0], conv, reject)
-    reject((abs(r) + abs(t)) * 0.0 != 0.0, DomainError, "amplitude must be finite")
     return v_plus, omega2, omega3, r, t, scales
 
 

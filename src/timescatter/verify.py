@@ -64,11 +64,16 @@ class ExponentialSum:
         return cls(np.vstack([a[None, :] for a in amps]), np.array(omegas))
 
     def evaluate(self, x) -> np.ndarray:
-        """Sum value at point(s) x; shape (n,) for a scalar x, (len(x), n) else."""
-        x_arr = np.asarray(x, dtype=np.float64)
-        phases = np.exp(1j * np.multiply.outer(x_arr, self.omegas))
-        values = phases @ self.amplitudes
+        """Sum value at point(s) x; shape (n,) for a scalar x, (len(x), n) else; DomainError unless finite."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+            values = self._values(x)
+        if not np.isfinite(values).all():
+            raise DomainError(f"value of a sum of {len(self.omegas)} terms is not finite")
         return values
+
+    def _values(self, x) -> np.ndarray:
+        phases = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=np.float64), self.omegas))
+        return phases @ self.amplitudes
 
 
 def vandermonde_product(omegas) -> complex:
@@ -94,7 +99,7 @@ def sum_residual(s: ExponentialSum, x_grid) -> float:
             f"grid needs at least {2 * len(s.omegas)} distinct points, got {np.unique(x).size}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        residual = float(np.max(_norm(s.evaluate(x), axis=-1)))
+        residual = float(np.max(_norm(s._values(x), axis=-1)))
     if not math.isfinite(residual):
         raise DomainError(
             f"residual of a sum of {len(s.omegas)} terms overflows: the norm of the sum exceeds the float range"
@@ -140,13 +145,17 @@ def canonical_grid(omegas) -> np.ndarray:
     """
     omegas = np.atleast_1d(np.asarray(omegas, dtype=np.float64))
     n = omegas.size
+    if n < 1:
+        raise DomainError("need at least one frequency")
+    if not np.all(np.isfinite(omegas)):
+        raise DomainError("frequencies must be finite")
     gap = _min_gap(omegas)
     if math.isinf(gap):
-        base = abs(omegas[0]) if omegas[0] != 0.0 else 1.0
-        span = 2.0 * math.pi / base
-    else:
-        span = 2.0 * math.pi / gap
-    return np.linspace(0.0, span, max(4 * n, 2 * n + 1))
+        gap = abs(float(omegas[0])) or 1.0
+    span = 2.0 * math.pi / gap
+    if span == math.inf:
+        raise DomainError(f"grid span 2*pi / {gap} exceeds the float range")
+    return np.linspace(0.0, span, 4 * n)
 
 
 def assert_forced_equality(s: ExponentialSum, tol: float) -> bool:

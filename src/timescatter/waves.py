@@ -108,13 +108,15 @@ def evaluate_E(w: PlaneWave, x, t: float) -> np.ndarray:
     """Electric field A * exp(i*omega*(k.x/v - t)) at position(s) x and time t.
 
     x may be a single 3-vector or an (N, 3) batch; the result has matching
-    shape (3,) or (N, 3).
+    shape (3,) or (N, 3).  DomainError if the field leaves the float range.
     """
     x = np.asarray(x, dtype=np.float64)
-    factor = np.exp(_phase(w, x, t))
-    if x.ndim == 1:
-        return w.amplitude * factor
-    return factor[:, None] * w.amplitude[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite field raises below
+        factor = np.exp(_phase(w, x, t))
+        field = w.amplitude * factor if x.ndim == 1 else factor[:, None] * w.amplitude[None, :]
+    if not np.isfinite(field).all():
+        raise DomainError(f"E field is not finite at t={t}")
+    return field
 
 
 def magnetic_from_electric(w: PlaneWave, mu: float) -> PlaneWave:

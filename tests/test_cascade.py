@@ -63,6 +63,10 @@ class TestInterfaceMatrix:
         assert out[0] == pytest.approx(ratio_t, rel=1e-14)
         assert out[1] == pytest.approx(ratio_r, rel=1e-14)
 
+    def test_overflowing_factors_raise(self):
+        with pytest.raises(DomainError, match="^amplitude must be finite$"):
+            interface_matrix(MediumState(1e30, 1e-320), MediumState(-1e-320, -0.5))
+
     def test_symmetric_structure(self):
         matrix = interface_matrix(VACUUM, DENSE)
         assert matrix[0, 0] == matrix[1, 1]
@@ -558,6 +562,14 @@ class TestOnePassProduct:
         for call in (lambda: coefficients(before, after), lambda: cascade_scatter(cell, incident),
                      lambda: floquet_exponent(cell, 1.0)):
             with pytest.raises(DomainError, match=message):
+                call()
+
+    def test_overflowing_interface_is_named(self):
+        # The switch into the last medium overflows r and t; the closing switch back to vacuum does not.
+        cell = [TimelineSegment(VACUUM, 1.0), TimelineSegment(MediumState(1e30, 1e-320), 1.0),
+                TimelineSegment(MediumState(-1e-320, -0.5), 1.0)]
+        for call in (lambda: cascade_scatter(cell, vacuum_wave()), lambda: floquet_exponent(cell, 1.0)):
+            with pytest.raises(DomainError, match="^interface 1: amplitude must be finite$"):
                 call()
 
     @pytest.mark.parametrize("failing, message", [

@@ -167,6 +167,10 @@ class TestExecute:
 
         compare(payload, reread)
 
+    def test_json_rejects_an_object_it_cannot_serialize(self):
+        with pytest.raises(TypeError, match="^Object of type complex is not JSON serializable$"):
+            render_json({"result": 1j}, timestamp=False)
+
     def test_deterministic_output(self):
         config = parse_config(make_config())
         first = render_json(execute(config), timestamp=False)
@@ -945,6 +949,7 @@ class TestTimelineRow:
     @example(timeline=[{"epsilon": 4, "mu": 1, "branch": True, "duration": 1}])
     @example(timeline=[{"epsilon": True, "mu": 1, "duration": 1}, {"epsilon": 4, "mu": 1, "duration": False}])
     @example(timeline=[{"epsilon": 4, "mu": 1, "duration": False}])
+    @example(timeline=[{"epsilon": 4, "mu": 1, "branch": 1, "duration": 1}, {"epsilon": 4, "mu": 1, "branch": True, "duration": 1}])
     def test_same_segments_or_message_as_the_segment_walk(self, timeline):
         config = {"command": "cascade", "timeline": timeline, "incident": make_incident()}
         parsed = timeline_outcome(lambda value: parse_config(dict(config, timeline=value)).timeline, timeline)

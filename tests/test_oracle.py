@@ -155,6 +155,15 @@ class TestIntegrate:
             integrate(TemporalProfile.constant(VACUUM), m, initial, 1.0, tol=1e-30)
         assert excinfo.value.smallest_step is not None
 
+    def test_step_cap_raises_stiffness_error(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "_MAX_STEPS", 3)
+        wave = vacuum_wave()
+        profile = TemporalProfile.ramp(VACUUM, DENSE, tau=0.5 * wave.period)
+        with pytest.raises(StiffnessError, match=r"^exceeded 3 steps \(smallest step \S+\)$") as excinfo:
+            numeric_rt(profile, wave)
+        smallest = excinfo.value.smallest_step
+        assert 0.0 < smallest < math.inf and str(excinfo.value).endswith(f"(smallest step {smallest:.3e})")
+
     def test_invalid_tol_rejected(self):
         wave = vacuum_wave()
         with pytest.raises(DomainError):

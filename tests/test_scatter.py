@@ -138,6 +138,11 @@ class TestAmplitudes:
         B_r, B_t = amplitudes([size, 0.0, 0.0], 1.0, -0.5, 0.5, 1.0, 4.0)
         assert B_r.tolist() == [-0.125 * size, 0.0, 0.0] and B_t.tolist() == [0.375 * size, 0.0, 0.0]
 
+    def test_overflowing_amplitudes_raise_without_a_numpy_warning(self):
+        # r = 4 and t = 6 times B_i = 1e308 leave the float range.
+        with pytest.raises(DomainError, match="^amplitude must be finite$"):
+            amplitudes([0, 1e308, 0], 1, -2, 2, 1, 0.1)
+
     def test_zero_incident_amplitude_rejected(self):
         with pytest.raises(DomainError, match="B_i must be nonzero"):
             amplitudes(np.zeros(3), 1.0, -0.5, 0.5, 1.0, 4.0)
@@ -196,6 +201,10 @@ class TestDegenerateAmplitude:
         B_i = np.array([0.3 + 0.4j, 1.0, -0.2j])
         assert_allclose(degenerate_amplitude(B_i, 1.0, 1.0, 1.0, 1.0), B_i)
 
+    def test_overflowing_amplitude_raises_without_a_numpy_warning(self):
+        with pytest.raises(DomainError, match="^amplitude must be finite$"):
+            degenerate_amplitude([0, 1e308, 0], 1.0, 2.0, 2.0, 1.0)
+
 
 class TestCoefficients:
     def test_eps_jump(self):
@@ -217,6 +226,12 @@ class TestCoefficients:
         assert swapped_coefficients(VACUUM, DENSE_EPS) == pytest.approx((0.375, 0.125))
         assert swapped_coefficients(VACUUM, MediumState(1, 1)) == (1.0, 0.0)
         assert swapped_coefficients(VACUUM, DENSE_MU) == pytest.approx((0.75, 0.25))
+
+    @pytest.mark.parametrize("solve", [coefficients, swapped_coefficients])
+    def test_overflowing_factors_raise(self, solve):
+        # eps-/eps+ overflows, so r and t would be infinite (and R + T NaN).
+        with pytest.raises(DomainError, match="^amplitude must be finite$"):
+            solve(MediumState(1e30, 1e-320), MediumState(-1e-320, -0.5))
 
     def test_energy_sum_identity(self):
         rng = np.random.default_rng(5)
@@ -541,6 +556,10 @@ class TestScatterKernel:
         R, T, total = coefficients(VACUUM, double_negative)
         assert (R, T, total) == (0.75, -0.25, 0.5)
         assert swapped_coefficients(VACUUM, double_negative) == (-0.25, 0.75)
+
+    def test_overflowing_factors_raise(self):
+        with pytest.raises(DomainError, match="^amplitude must be finite$"):
+            scatter_kernel(1.0, 1e300, 1e-300, 1, 1e-300, 1e300, 1)
 
     def test_array_call_raises_at_first_bad_point(self):
         eps_p = np.array([4.0, 2.0, 0.0, -3.0])

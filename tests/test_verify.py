@@ -77,6 +77,10 @@ class TestSumResidual:
         grid = np.linspace(0.0, 2 * np.pi, 8)
         assert sum_residual(s, grid) >= 0.5
 
+    def test_overflowing_value_raises_without_a_numpy_warning(self):
+        with pytest.raises(DomainError, match="^value of a sum of 2 terms is not finite$"):
+            ExponentialSum([[1e308], [1e308]], [0, 0]).evaluate(0.5)
+
     def test_grid_size_precondition(self):
         s = scalar_sum([(1.0, 1.0), (-1.0, 2.0)])
         with pytest.raises(DomainError):
@@ -173,3 +177,15 @@ class TestLinearIndependence:
         grid = canonical_grid([1.0, 1.5])
         assert grid.size == 8
         assert grid[-1] == pytest.approx(2 * np.pi / 0.5)
+
+    @pytest.mark.parametrize(
+        "omegas, message",
+        [([], "^need at least one frequency$"), ([np.nan], "^frequencies must be finite$"),
+         ([np.inf], "^frequencies must be finite$"),
+         ([0.0, 5e-324], r"^grid span 2\*pi / 5e-324 exceeds the float range$"),
+         ([1e-320], r"^grid span 2\*pi / 1e-320 exceeds the float range$")],
+        ids=["empty", "nan", "inf", "tiny-gap", "tiny-frequency"],
+    )
+    def test_canonical_grid_rejects_malformed_frequencies(self, omegas, message):
+        with pytest.raises(DomainError, match=message):
+            canonical_grid(omegas)

@@ -68,6 +68,12 @@ class TestEvaluate:
         assert_allclose(values[0], Y_HAT.astype(complex))
         assert_allclose(values[1], 1j * Y_HAT, atol=1e-15)
 
+    @pytest.mark.parametrize("x", [np.zeros(3), np.zeros((2, 3))], ids=["point", "batch"])
+    def test_overflowing_phase_raises_without_a_numpy_warning(self, x):
+        # omega * t = 1e310 leaves the float range, so exp used to give NaN with an "invalid value" warning.
+        with pytest.raises(DomainError, match=r"^E field is not finite at t=1e\+300$"):
+            evaluate_E(wave(Y_HAT, omega=1e10, k=X_HAT), x, 1e300)
+
 
 class TestMagneticFromElectric:
     def test_right_handed_triplet(self):
