@@ -64,7 +64,7 @@ def phase_speed(epsilon, mu, branch, reject=reject):
     return branch / sqrt(abs(product))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MediumState:
     """One-sided material sample at an instant.
 
@@ -76,11 +76,14 @@ class MediumState:
     mu: float
     branch: int = +1
 
-    def __post_init__(self):
-        eps, mu = float(self.epsilon), float(self.mu)
-        object.__setattr__(self, "epsilon", eps)
+    def __init__(self, epsilon: float, mu: float, branch: int = +1):
+        # Written out rather than generated, since the oracle builds one per stage: each field is set
+        # once, after the checks, where the generated __init__ and __post_init__ set epsilon and mu twice.
+        epsilon, mu = float(epsilon), float(mu)
+        check_medium(epsilon, mu, branch)
+        object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "mu", mu)
-        check_medium(eps, mu, self.branch)
+        object.__setattr__(self, "branch", branch)
 
     @property
     def wave_speed(self) -> float:

@@ -116,13 +116,22 @@ def _cross_rows(m: np.ndarray):
 def _rhs(y, rows, medium: MediumState):
     """d(D, B)/dt for the state y = [D0, D1, D2, B0, B1, B2] of Python complex numbers.
 
-    ``rows`` are m's Mx.  The row sums run in the order of numpy's 3x3 product,
-    so the bits are those of ``(1j / mu) * (Mx @ B)`` and ``(-1j / eps) * (Mx @ D)``.
+    ``rows`` are m's Mx.  Each row sum is written out with every product,
+    those with Mx's zero entries too, added left to right in the order of
+    numpy's 3x3 product, so the bits are those of ``(1j / mu) * (Mx @ B)``
+    and ``(-1j / eps) * (Mx @ D)``, up to the sign of an exact zero: numpy's
+    sums start from +0.
     """
     d0, d1, d2, q0, q1, q2 = y
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
     cm, ce = 1j / medium.mu, -1j / medium.epsilon
-    return [cm * (r0 * q0 + r1 * q1 + r2 * q2) for r0, r1, r2 in rows] + [
-        ce * (r0 * d0 + r1 * d1 + r2 * d2) for r0, r1, r2 in rows
+    return [
+        cm * (a0 * q0 + a1 * q1 + a2 * q2),
+        cm * (b0 * q0 + b1 * q1 + b2 * q2),
+        cm * (c0 * q0 + c1 * q1 + c2 * q2),
+        ce * (a0 * d0 + a1 * d1 + a2 * d2),
+        ce * (b0 * d0 + b1 * d1 + b2 * d2),
+        ce * (c0 * d0 + c1 * d1 + c2 * d2),
     ]
 
 
@@ -218,11 +227,14 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
     Starts afresh, so the first stage is evaluated at t itself rather
     than carried over (FSAL) from a step that ended on the other side of
     a switch.  Stages are Python scalar arithmetic on a list state; the
-    tableau sums and |.| stay numpy calls, since numpy sets their bits.
+    tableau products and |.| stay numpy calls, since numpy sets their bits.
+    The products go through ``ndarray.dot``: on these contiguous complex
+    operands both it and ``@`` are the BLAS product, so it gives the bits
+    of ``a @ K[:i]``, without the ufunc dispatch of ``@``.
     """
     direction = 1.0 if t_end > t else -1.0
-    span = abs(t_end - t)
-    if span <= _MIN_STEP_REL * max(1.0, abs(t_end)):
+    span, end_floor = abs(t_end - t), _MIN_STEP_REL * max(1.0, abs(t_end))
+    if span <= end_floor:
         raise StiffnessError(
             f"varying interval from t={t} to t={t_end} is narrower than the step floor 1e-14 * max(1, |t|)",
             smallest_step=0.0,
@@ -240,7 +252,7 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
     check = np.empty((2, 6), dtype=np.complex128)  # error estimate and new state, for |.|
     for _ in range(_MAX_STEPS):
         remaining = abs(t_end - t)
-        if remaining <= _MIN_STEP_REL * max(1.0, abs(t_end)):
+        if remaining <= end_floor:
             return y
         h_abs = min(h, remaining)
         if h_abs < _MIN_STEP_REL * max(abs(t), 1.0):
@@ -252,12 +264,14 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
         hs = direction * h_abs
 
         K[0] = k
+        y0, y1, y2, y3, y4, y5 = y
         for a, previous, i, c in stages:
-            y_new = [y0 + hs * s for y0, s in zip(y, (a @ previous).tolist())]
+            s0, s1, s2, s3, s4, s5 = a.dot(previous).tolist()
+            y_new = [y0 + hs * s0, y1 + hs * s1, y2 + hs * s2, y3 + hs * s3, y4 + hs * s4, y5 + hs * s5]
             K[i] = k_new = _rhs(y_new, rows, sample(t + c * hs))
         # k_new was evaluated at (t+h, y_new): the last stage row of the
         # tableau equals the 5th-order weights (FSAL).
-        np.multiply(_DP_ERR @ K, hs, out=check[0])
+        np.multiply(_DP_ERR.dot(K), hs, out=check[0])
         check[1] = y_new
         err, new_max = np.abs(check).max(axis=1).tolist()
         if not (err < math.inf and new_max < math.inf):

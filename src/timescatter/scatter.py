@@ -105,8 +105,20 @@ def scatter_kernel(
     degenerate convention r = 0 and t = eps-/eps+ is the merged wave's
     factor, and r and t must be finite.  Python numbers give Python
     floats; ndarrays broadcast.  A failed check raises at once (for arrays,
-    at the first failing point).
+    at the first failing point).  Other than Python floats with int
+    branches, such as ndarrays or numpy scalars, the arguments are computed
+    under ``np.errstate``, so an overflow reaches those checks as inf or NaN
+    instead of leaking a numpy warning.
     """
+    if float is type(omega1) is type(eps_minus) is type(mu_minus) is type(eps_plus) is type(mu_plus) and (
+        int is type(branch_minus) is type(branch_plus)
+    ):  # Python numbers overflow to inf without a warning; an errstate would cost about 1 us a call
+        return _kernel(omega1, eps_minus, mu_minus, branch_minus, eps_plus, mu_plus, branch_plus, conv)
+    with np.errstate(all="ignore"):
+        return _kernel(omega1, eps_minus, mu_minus, branch_minus, eps_plus, mu_plus, branch_plus, conv)
+
+
+def _kernel(omega1, eps_minus, mu_minus, branch_minus, eps_plus, mu_plus, branch_plus, conv):
     v_minus = phase_speed(eps_minus, mu_minus, branch_minus)
     v_plus = phase_speed(eps_plus, mu_plus, branch_plus)
     return _algebra(omega1, v_minus, v_plus, eps_minus, eps_plus, conv, reject)[:4]

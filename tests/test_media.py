@@ -1,5 +1,6 @@
 """Material states, derived quantities, and time profiles."""
 
+import dataclasses
 import math
 
 import hypothesis as hyp
@@ -61,6 +62,21 @@ class TestMediumState:
             MediumState(1.0, 1.0, branch=-1)
         with pytest.raises(DomainError):
             MediumState(2.0, 3.0, branch=0)
+
+    def test_constructor_is_a_frozen_checked_dataclass(self):
+        # The written-out __init__ keeps the generated one's forms, and replace() re-runs its checks.
+        medium = MediumState(epsilon=np.float64(4), mu=1)
+        assert (medium.epsilon, medium.mu, medium.branch) == (4.0, 1.0, 1)
+        assert type(medium.epsilon) is float and type(medium.mu) is float
+        assert medium == MediumState(4.0, 1.0, +1) and hash(medium) == hash(MediumState(4.0, 1.0))
+        assert repr(medium) == "MediumState(epsilon=4.0, mu=1.0, branch=1)"
+        assert dataclasses.replace(medium, mu=2) == MediumState(4.0, 2.0)
+        with pytest.raises(DomainError, match="^branch=-1 is reserved"):
+            dataclasses.replace(medium, branch=-1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            medium.epsilon = 1.0
+        with pytest.raises(TypeError):
+            MediumState(1.0)
 
     def test_branch_beyond_int64_is_named(self):
         # An int that no numpy integer holds used to end in AttributeError while the message was built.

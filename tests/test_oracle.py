@@ -850,3 +850,35 @@ class TestScalarStagesBitIdentical:
         with pytest.raises(StiffnessError, match="step size underflow at t=99999999999") as got:
             integrate(Recorded(profile, sample_only), m, initial, 1e12 + 1.0)
         assert str(got.value) == str(expected.value)
+
+
+# Parts over the range that keeps every product finite: zeros of both signs, subnormals and 1e150.
+STATE_PART = st.floats(min_value=-1e150, max_value=1e150)
+M_PART = st.floats(min_value=-1e3, max_value=1e3)
+SCALE = st.floats(1e-3, 1e3)
+SIGNED_MEDIA = st.builds(
+    lambda eps, mu, negative: MediumState(-eps, -mu, -1) if negative else MediumState(eps, mu),
+    SCALE, SCALE, st.booleans(),
+)
+
+
+class TestScalarRhsBitIdentical:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(
+        m=st.tuples(M_PART, M_PART, M_PART),
+        y=st.lists(st.builds(complex, STATE_PART, STATE_PART), min_size=6, max_size=6),
+        medium=SIGNED_MEDIA,
+    )
+    @example(m=(0.0, 0.0, -0.0), y=[0j, 0j, 0j, 0j, complex(-0.0, 0.0), 0j], medium=VACUUM)
+    @example(
+        m=(5e-324, -1e3, 0.5),
+        y=[complex(1e150, -5e-324), -0j, 1e-300j, -1e150, complex(-0.0, -0.0), 2.5],
+        medium=MediumState(-1e-3, -1e3, -1),
+    )
+    def test_same_bits_as_array_form(self, m, y, medium):
+        rows = oracle_module._cross_rows(np.array(m))
+        got = np.array(oracle_module._rhs(y, rows, medium))
+        expected = ref_rhs(np.array(y), np.array(rows), medium)
+        # numpy's row sums start from +0, so an exact zero may differ in sign, and only in sign:
+        # adding +0.0 maps -0.0 to +0.0 and leaves every other value's bits as they are.
+        assert (got + 0.0).view(np.int64).tolist() == (expected + 0.0).view(np.int64).tolist()

@@ -439,7 +439,24 @@ def two_pass_residual(result, x_samples):
     waves = (result.transmitted, result.reflected, result.incident)
     jump_E = field_sum(waves, (eps_p, eps_p, -eps_m), (None, None, None))
     jump_H = field_sum(waves, (mu_p, mu_p, -mu_m), (mu_p, mu_p, mu_m))
-    return float(np.max(np.linalg.norm(jump_E, axis=1))), float(np.max(np.linalg.norm(jump_H, axis=1)))
+    return float(np.max(rescaled_norms(jump_E))), float(np.max(rescaled_norms(jump_H)))
+
+
+def rescaled_norms(jump):
+    """Row norms by the rule waves._norm documents: np.linalg.norm, after an exact 2**e scaling that
+    brings the largest real or imaginary part into [1, 2) when it lies outside [2**-500, 2**500]."""
+    parts = jump.view(np.float64)
+    peak = float(np.max(np.abs(parts)))
+    e = 0 if peak == 0.0 or 2.0**-500 <= peak <= 2.0**500 else 1 - math.frexp(peak)[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(parts, e).view(np.complex128), axis=1), -e)
+
+
+def subnormal_jump_case():
+    """A matched step whose jumps have parts near 1e-289, far below 2**-500: a plain norm of
+    them underflows to 0, while boundary_residual's rescaled norm is exact."""
+    after = MediumState(math.sqrt(10.0), math.sqrt(10.0))
+    wave = incident_wave(amplitude=[0.0, 1.0, 1.7899458781791352e-273j], k=np.array([1.0, 0.0, 0.0]))
+    return scatter_interface(wave, TemporalProfile.step(VACUUM, after, 0.0)), np.zeros((1, 3))
 
 
 @st.composite
@@ -481,6 +498,7 @@ class TestResidualBitIdentity:
 
     @hyp.settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @hyp.given(case=residual_cases())
+    @hyp.example(case=subnormal_jump_case())
     def test_same_bits_as_two_pass(self, case):
         result, samples = case
         got, expected = boundary_residual(result, samples), two_pass_residual(result, samples)
@@ -560,6 +578,23 @@ class TestScatterKernel:
     def test_overflowing_factors_raise(self):
         with pytest.raises(DomainError, match="^amplitude must be finite$"):
             scatter_kernel(1.0, 1e300, 1e-300, 1, 1e-300, 1e300, 1)
+
+    @pytest.mark.parametrize("point", [
+        (1.0, 1e300, 1e300, 1, 1e-300, 1e-300, 1),  # eps*mu overflows before the jump
+        (1e308, 1.0, 1.0, 1, 0.25, 0.25, 1),  # |v+/v-| * omega1 overflows
+        (1.0, 1e300, 1.0, 1, 1e-10, 1.0, 1),  # eps-/eps+ overflows
+        (1.0, 1e-200, 1e-200, 1, 1e200, 1e200, 1),  # eps*mu underflows: no warning at any time
+    ], ids=["speed", "frequency", "amplitude", "underflow"])
+    @pytest.mark.parametrize("form", ["array", "numpy-scalar"])
+    def test_overflowing_numpy_call_raises_the_scalar_error(self, point, form):
+        # Python numbers overflow to inf silently and the checks reject it; numpy values must do
+        # the same, not leak a RuntimeWarning (an error under this suite's warnings filter).
+        with pytest.raises(TimescatterError) as scalar:
+            scatter_kernel(*point)
+        wrap = (lambda x: np.array([1.0, x])) if form == "array" else np.float64
+        with pytest.raises(TimescatterError) as numpy_call:
+            scatter_kernel(*(x if i in (3, 6) else wrap(x) for i, x in enumerate(point)))
+        assert (type(numpy_call.value), str(numpy_call.value)) == (type(scalar.value), str(scalar.value))
 
     def test_array_call_raises_at_first_bad_point(self):
         eps_p = np.array([4.0, 2.0, 0.0, -3.0])
