@@ -29,7 +29,7 @@ import sys
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -476,11 +476,16 @@ def _csv_field(value) -> str:
     return buffer.getvalue()[:-3]
 
 
-def _texts(values, as_json: bool) -> list:
-    """Each value as json.dumps (as_json) or csv.writer writes it."""
+def _texts(values, as_json: bool, repeating: bool = False) -> list:
+    """Each value as json.dumps (as_json) or csv.writer writes it; ``repeating`` formats each distinct float once."""
     kinds = set(map(type, values))
     if kinds == {float}:
-        texts = list(map(float.__repr__, values))
+        distinct = set(values) if repeating else ()
+        if distinct and 0.0 not in distinct:  # a set keeps one of +0.0 and -0.0, so zeros are formatted each
+            known = {value: float.__repr__(value) for value in distinct}
+            texts = list(map(known.__getitem__, values))
+        else:
+            texts = list(map(float.__repr__, values))
         if as_json and not math.isfinite(sum(values)):  # NaN and +-inf, or a sum that overflows
             texts = [_JSON_NON_FINITE.get(text, text) for text in texts]
         return texts
@@ -493,27 +498,46 @@ def _texts(values, as_json: bool) -> list:
     return [encode(value) for value in values]
 
 
+class Mirror(NamedTuple):
+    """A row table column whose row i is ``columns[source][i]`` (sign +1) or its negation (sign -1).
+
+    ``source`` names a full float column.  The mirror is stored and
+    formatted once, as its source: its texts are the source's with the
+    leading "-" added or removed (a NaN's unchanged).
+    """
+
+    source: str
+    sign: int
+
+
 class RowTable(Sequence):
     """Read-only rows, one dict per row, kept as columns.
 
-    ``columns`` maps each key to a full column.  ``axes`` lists the
-    (key, values) axes of a row-major grid, whose keys come first: each
-    value of an axis is stored once and repeats for every point of the
-    axes after it.  A repeated axis key keeps its first place and takes
-    its last axis's values.
+    ``columns`` maps each key to a full column or a :class:`Mirror` of one.
+    ``axes`` lists the (key, values) axes of a row-major grid, whose keys
+    come first: each value of an axis is stored once and repeats for every
+    point of the axes after it.  A repeated axis key keeps its first place
+    and takes its last axis's values.  The float columns named in
+    ``repeating`` hold few distinct values, each formatted once.
     """
 
-    def __init__(self, columns: dict, axes=()):
+    def __init__(self, columns: dict, axes=(), repeating=()):
         if axes:
             self._length = math.prod(len(values) for _, values in axes)
         else:
-            self._length = len(next(iter(columns.values())))
+            self._length = len(next(values for values in columns.values() if not isinstance(values, Mirror)))
         self._columns = {}  # key -> (values, repeat): row i holds values[i // repeat % len(values)]
+        self._mirrors = {}  # key -> its Mirror
+        self._repeating = frozenset(repeating)
         repeat = self._length
         for key, values in axes:
             repeat //= len(values)
             self._columns[key] = (values, repeat)
-        self._columns.update((key, (values, 1)) for key, values in columns.items())
+        for key, values in columns.items():
+            if isinstance(values, Mirror):
+                self._mirrors[key] = values
+                values = columns[values.source]  # negated in a row if the sign is -1
+            self._columns[key] = (values, 1)
 
     def __len__(self) -> int:
         return self._length
@@ -524,26 +548,38 @@ class RowTable(Sequence):
         if not -self._length <= i < self._length:
             raise IndexError("row index out of range")
         i %= self._length
-        return {key: values[i // repeat % len(values)] for key, (values, repeat) in self._columns.items()}
+        row = {key: values[i // repeat % len(values)] for key, (values, repeat) in self._columns.items()}
+        row.update((key, -row[key]) for key, mirror in self._mirrors.items() if mirror.sign < 0)
+        return row
 
-    def _column_texts(self, key: str, as_json: bool) -> list:
-        values, repeat = self._columns[key]
-        texts = _texts(values, as_json)
-        if repeat > 1:
-            texts = [text for text in texts for _ in range(repeat)]
-        if len(texts) < self._length:  # an axis before the last repeats as a whole
-            texts *= self._length // len(texts)
-        return texts
+    def _column_texts(self, key: str, as_json: bool, texts: dict) -> list:
+        """key's texts, one per row, kept in ``texts`` (the keys formatted so far) for a mirror to reuse."""
+        if key in texts:
+            return texts[key]
+        if key in self._mirrors:
+            source, sign = self._mirrors[key]
+            column = self._column_texts(source, as_json, texts)
+            if sign < 0:
+                column = [text[1:] if text[0] == "-" else text if text[0] in "nN" else "-" + text for text in column]
+        else:
+            values, repeat = self._columns[key]
+            column = _texts(values, as_json, key in self._repeating)
+            if repeat > 1:
+                column = [text for text in column for _ in range(repeat)]
+            if len(column) < self._length:  # an axis before the last repeats as a whole
+                column *= self._length // len(column)
+        texts[key] = column
+        return column
 
     def _rows(self, keys: list, separators: list, as_json: bool) -> list:
         """Each row as separators[0], its text under keys[0], separators[1], ..., separators[-1]."""
-        texts = {key: self._column_texts(key, as_json) for key in dict.fromkeys(keys)}
+        texts = {}
         stride = 2 * len(keys) + 1
         parts = [None] * (stride * self._length)
         for j, separator in enumerate(separators):
             parts[2 * j::stride] = [separator] * self._length
         for j, key in enumerate(keys):
-            parts[2 * j + 1::stride] = texts[key]
+            parts[2 * j + 1::stride] = self._column_texts(key, as_json, texts)
         return parts
 
     def json_parts(self, pad: str, out: list):
@@ -588,8 +624,14 @@ def _sweep_rows(config: RunConfig) -> RowTable:
         tuple(fields["after"].values()),
         config.convention,
     )
+    # omega2 is -omega3 under a "negative" reflected convention and omega3 under "positive"
+    # (scatter._frequencies); when the bits agree, it is stored and formatted as omega3's mirror.
+    sign = -1 if config.convention.reflected == "negative" else 1
+    mirrored = np.negative(omega3) if sign < 0 else omega3
+    if np.shape(mirrored) == np.shape(omega2) and mirrored.tobytes() == omega2.tobytes():
+        omega2 = Mirror("omega3", sign)
     columns = {
-        key: np.broadcast_to(c, grids[0].shape).ravel().tolist()
+        key: c if isinstance(c, Mirror) else np.broadcast_to(c, grids[0].shape).ravel().tolist()
         for key, c in zip(("omega2", "omega3", "R", "T", "energy_sum"), (omega2, omega3, R, T, R + T))
     }
     columns["index"] = range(grids[0].size)
@@ -662,7 +704,8 @@ def execute(config: RunConfig) -> dict:
             "backward_re": backward.real.tolist(),
             "backward_im": backward.imag.tolist(),
         }
-        payload["trace"] = {"columns": list(columns), "rows": RowTable(columns)}
+        # Dwell j + 1 runs at the frequency interface j leaves, so each frequency appears at least twice.
+        payload["trace"] = {"columns": list(columns), "rows": RowTable(columns, repeating=["omega"])}
         if fl is not None:
             payload["floquet"] = {
                 "exponents": [_complex_json(e) for e in fl.exponents],

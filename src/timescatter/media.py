@@ -103,8 +103,11 @@ def wave_speed(m: MediumState) -> float:
 
 
 def impedance(m: MediumState) -> float:
-    """Wave impedance sqrt(mu/epsilon), the positive root of the positive ratio."""
-    return math.sqrt(m.mu / m.epsilon)
+    """Wave impedance sqrt(mu/epsilon), the positive root of the positive ratio; DomainError if the ratio overflows."""
+    ratio = m.mu / m.epsilon
+    if ratio == math.inf:
+        raise DomainError(f"impedance ratio mu/epsilon = {m.mu} / {m.epsilon} exceeds the float range")
+    return math.sqrt(ratio)
 
 
 def refractive_index(m: MediumState) -> float:

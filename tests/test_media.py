@@ -1,6 +1,7 @@
 """Material states, derived quantities, and time profiles."""
 
 import dataclasses
+import itertools
 import math
 
 import hypothesis as hyp
@@ -48,6 +49,26 @@ class TestMediumState:
 
     def test_double_negative_impedance_positive(self):
         assert impedance(MediumState(-1, -4, branch=-1)) == 2.0
+
+    def test_impedance_of_an_overflowing_ratio_rejected(self):
+        # Each parameter is finite, so the medium is valid; mu/epsilon is not.
+        message = r"^impedance ratio mu/epsilon = 0\.5 / 1e-320 exceeds the float range$"
+        with pytest.raises(DomainError, match=message):
+            impedance(MediumState(1e-320, 0.5))
+        with pytest.raises(DomainError, match=r"^impedance ratio mu/epsilon = -1e\+200 / -1e-200 exceeds"):
+            impedance(MediumState(-1e-200, -1e200, branch=-1))
+
+    def test_impedance_is_the_root_of_the_ratio_wherever_the_ratio_is_finite(self):
+        values = [1e-320, 1e-200, 0.5, 1.0, 4.0, 1e200, 1e308]
+        for eps, mu, branch in itertools.product(values, values, (1, -1)):
+            if eps * mu == 0.0:  # not a medium: MediumState rejects an underflowing product
+                continue
+            medium = MediumState(branch * eps, branch * mu, branch)
+            if math.isfinite(mu / eps):
+                assert impedance(medium).hex() == math.sqrt(mu / eps).hex()
+            else:
+                with pytest.raises(DomainError, match="exceeds the float range"):
+                    impedance(medium)
 
     @pytest.mark.parametrize(
         "eps,mu",

@@ -4,8 +4,9 @@ The reference renderers here are the dict-per-row renderers the CLI used
 before row tables: ``json.dumps(indent=2)`` over the whole document and
 ``csv.DictWriter`` over one dict per row.  The property tests build row
 tables with 1-3 grid axes (a repeated axis path included) and columns of
-awkward floats; the config tests run reduced forms of the benchmark's
-sweep and cascade configs through ``execute``.
+awkward floats, mirrored and repeating columns among them; the config
+tests run reduced forms of the benchmark's sweep and cascade configs
+through ``execute``.
 """
 
 import csv
@@ -15,12 +16,13 @@ import json
 import math
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from timescatter import cli
-from timescatter.cli import RowTable, execute, parse_config, render_csv, render_json
+from timescatter.cli import Mirror, RowTable, execute, parse_config, render_csv, render_json
 
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
@@ -169,6 +171,44 @@ def test_cascade_and_oracle_shaped_tables(columns, scalar):
     assert_renders_like_reference(oracle)
 
 
+def bits(values):
+    """Each float's bit pattern, so -0.0 and +0.0 (and NaNs of either sign) differ."""
+    return np.array(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@PROPERTY
+@given(
+    st.lists(FLOATS, min_size=1, max_size=8),
+    st.sampled_from([1, -1]),
+    st.sampled_from([["omega2", "omega3", "R"], ["omega2"], ["R", "omega2", "omega2", "index"]]),
+)
+@example(EDGE_FLOATS, -1, ["omega2", "omega3", "R"])
+@example(EDGE_FLOATS, 1, ["omega2", "omega3", "R"])
+@example([-math.nan, math.nan, float("nan"), -0.0, 0.0], -1, ["omega2"])
+def test_mirrored_column_renders_like_its_plain_column(values, sign, header):
+    """A Mirror renders and reads as the column numpy's negation (or the source itself) gives."""
+    plain_column = (np.negative(values) if sign < 0 else np.array(values)).tolist()
+    columns = {"omega2": Mirror("omega3", sign), "omega3": values, "R": values[::-1], "index": range(len(values))}
+    payload = {"schema_version": 1, "command": "sweep", "columns": header, "rows": RowTable(columns)}
+    assert_renders_like_reference(payload)
+    rows = payload["rows"]
+    assert len(rows) == len(values)
+    assert bits([row["omega2"] for row in rows]) == bits(plain_column)
+    assert [row["omega3"] for row in rows] == values and [row["R"] for row in rows] == values[::-1]
+    assert bits([rows[i]["omega2"] for i in range(-len(values), 0)]) == bits(plain_column)
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([*EDGE_FLOATS, 1.5, -2.25]), min_size=1, max_size=12))
+@example([0.0, -0.0, 1.5, 0.0, 1.5, -0.0])
+@example([math.nan, float("nan"), math.nan, math.inf, math.inf, -math.inf])
+def test_repeating_column_renders_like_its_plain_column(values):
+    """Each distinct float formatted once gives the texts of each float formatted where it stands."""
+    columns = {"omega": values, "forward_re": values[::-1]}
+    payload = {"command": "cascade", "trace": {"columns": list(columns), "rows": RowTable(columns, repeating=["omega"])}}
+    assert_renders_like_reference(payload, [{"omega": a, "forward_re": b} for a, b in zip(values, values[::-1])])
+
+
 def test_empty_table_renders_as_empty_list():
     payload = {"command": "cascade", "trace": {"columns": ["x"], "rows": RowTable({"x": []})}}
     assert render_json(payload, False) == reference_json(plain(payload), False)
@@ -202,6 +242,13 @@ SWEEPS = {
         media={"before": SWEEP_BASE["media"]["before"], "after": {"epsilon": -2.0, "mu": -1.0, "branch": -1}},
         sweep={"axes": NEGATIVE_AXES},
     ),
+    # omega2 = +omega3 merges the scattered waves, which needs impedance-matched media at every point.
+    "reflected-positive": dict(
+        SWEEP_BASE,
+        media={"before": SWEEP_BASE["media"]["before"], "after": {"epsilon": 4 * 2.31, "mu": 4 * 1.42}},
+        convention={"transmitted": "forward", "reflected": "positive"},
+        sweep={"axes": [{"path": "incident.omega1", "start": 0.3, "stop": 3.0, "num": 200, "spacing": "log"}]},
+    ),
 }
 CELLS = {
     "positive": [{"epsilon": 1.52, "mu": 1.21, "duration": 0.71}, {"epsilon": 3.37, "mu": 1.48, "duration": 0.46}],
@@ -216,6 +263,24 @@ CELLS = {
 def test_bench_sweeps_render_like_row_dicts(variant):
     payload = execute(parse_config(SWEEPS[variant]))
     assert len(payload["rows"]) == 200
+    assert_renders_like_reference(payload)
+
+
+def test_sweep_with_omega2_one_ulp_off_is_not_mirrored(monkeypatch):
+    """omega2 is omega3's mirror only when their bits agree; else its own values are rendered."""
+    real_scatter_grid = cli.scatter_grid
+
+    def one_ulp_off(*args):
+        omega2, omega3, R, T = real_scatter_grid(*args)
+        omega2 = omega2.copy()
+        omega2.flat[7] = np.nextafter(omega2.flat[7], math.inf)
+        return omega2, omega3, R, T
+
+    monkeypatch.setattr(cli, "scatter_grid", one_ulp_off)
+    payload = execute(parse_config(SWEEPS["forward"]))
+    rows = payload["rows"]
+    assert rows[7]["omega2"] == np.nextafter(-rows[7]["omega3"], math.inf) != -rows[7]["omega3"]
+    assert all(rows[i]["omega2"] == -rows[i]["omega3"] for i in range(len(rows)) if i != 7)
     assert_renders_like_reference(payload)
 
 
