@@ -77,13 +77,14 @@ class MediumState:
     branch: int = +1
 
     def __init__(self, epsilon: float, mu: float, branch: int = +1):
-        # Written out rather than generated, since the oracle builds one per stage: each field is set
-        # once, after the checks, where the generated __init__ and __post_init__ set epsilon and mu twice.
+        # Written out, since the oracle builds one per stage. A finite positive product with the int
+        # branch 1 passes every check, so only other inputs run them. Each field is set once, straight
+        # into __dict__ (no field is a descriptor): object.__setattr__ would cost twice as much.
         epsilon, mu = float(epsilon), float(mu)
-        check_medium(epsilon, mu, branch)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "branch", branch)
+        if not (0.0 < epsilon * mu < math.inf and branch.__class__ is int and branch == 1):
+            check_medium(epsilon, mu, branch)
+        fields = self.__dict__
+        fields["epsilon"], fields["mu"], fields["branch"] = epsilon, mu, branch
 
     @property
     def wave_speed(self) -> float:
@@ -205,9 +206,14 @@ class TemporalProfile:
         if self.period is not None:
             if t < switches[0]:
                 return stages[0]
-            phase = math.fmod(t - switches[0], self.period) / self.period
+            elapsed = t - switches[0]
+            if not elapsed < math.inf:  # NaN, or infinite: no phase
+                raise DomainError(f"periodic profile has no phase at t={t}, {elapsed} after its start")
+            phase = math.fmod(elapsed, self.period) / self.period
             return stages[1] if phase < self.duty else stages[0]
         if tau == 0.0:
+            if t != t:  # bisect would place it after every switch; a ramp rejects it as a NaN medium
+                raise DomainError("profile sampled at t=nan")
             i = bisect(switches, t)
             if i and switches[i - 1] == t:
                 raise AmbiguityError(f"profile is two-valued at its switch t={t}; take a one-sided limit")

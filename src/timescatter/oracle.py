@@ -75,6 +75,8 @@ class ModeState:
         object.__setattr__(self, "D", _vector3(self.D, "D", finite=False))
         object.__setattr__(self, "B", _vector3(self.B, "B", finite=False))
         object.__setattr__(self, "t", float(self.t))
+        if not math.isfinite(self.t):
+            raise DomainError(f"mode state time must be finite, got t={self.t}")
         _finite(self.D.tolist() + self.B.tolist(), self.t)
 
 
@@ -161,9 +163,18 @@ _MIN_STEP_REL = 1e-14
 
 
 def _periodic_instants(profile, lo: float, hi: float):
-    """Zero-width switch intervals of a periodic profile from lo up to hi."""
+    """Zero-width switch intervals of a periodic profile from lo up to hi; StiffnessError past the step cap."""
     t0 = profile.switches[0]
-    n = max(0, math.floor((lo - t0) / profile.period))
+    count = 2.0 * ((hi - max(lo, t0)) / profile.period + 1.0)  # two switches per period, counted before listing
+    if not count <= _MAX_STEPS:
+        raise StiffnessError(
+            f"the span from t={lo} to t={hi} holds about {count:.3g} periodic switch instants,"
+            f" more than the {_MAX_STEPS}-step cap",
+        )
+    n = max(0.0, (lo - t0) / profile.period)  # whole periods before the span
+    if n == math.inf:
+        raise DomainError(f"t={lo} lies beyond the float range of periods {profile.period} after t={t0}")
+    n = math.floor(n)
     instants = []
     while (start := t0 + n * profile.period) <= hi:
         instants += [(start, start), (start + profile.duty * profile.period,) * 2]
@@ -215,6 +226,8 @@ def _propagate_exact(y, rows, mag: float, medium: MediumState, h: float):
     closes: exp(hA) = I + sin(wh)/w A + (1 - cos wh)/w**2 A**2.
     """
     w = mag * abs(wave_speed(medium))
+    if not abs(w * h) < math.inf:  # math.sin would fail
+        raise DomainError(f"phase w*h = {w} * {h} of a constant piece exceeds the float range")
     Ay = _rhs(y, rows, medium)
     half = math.sin(0.5 * w * h) / w  # (1 - cos wh)/w**2 = 2 half**2, without cancellation
     s, c = math.sin(w * h) / w, 2.0 * half * half
@@ -248,7 +261,8 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
     y_max = float(np.max(np.abs(y)))
     k = _rhs(y, rows, medium)
     K = np.empty((7, 6), dtype=np.complex128)
-    stages = [(_DP_A[i], K[:i], i, _DP_C[i]) for i in range(1, 7)]
+    # A stage at its predecessor's node (c5 = c6 = 1) reuses that stage's medium: sample is a function of t.
+    stages = [(_DP_A[i], K[:i], i, None if _DP_C[i] == _DP_C[i - 1] else _DP_C[i]) for i in range(1, 7)]
     check = np.empty((2, 6), dtype=np.complex128)  # error estimate and new state, for |.|
     for _ in range(_MAX_STEPS):
         remaining = abs(t_end - t)
@@ -268,7 +282,9 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
         for a, previous, i, c in stages:
             s0, s1, s2, s3, s4, s5 = a.dot(previous).tolist()
             y_new = [y0 + hs * s0, y1 + hs * s1, y2 + hs * s2, y3 + hs * s3, y4 + hs * s4, y5 + hs * s5]
-            K[i] = k_new = _rhs(y_new, rows, sample(t + c * hs))
+            if c is not None:
+                medium = sample(t + c * hs)
+            K[i] = k_new = _rhs(y_new, rows, medium)
         # k_new was evaluated at (t+h, y_new): the last stage row of the
         # tableau equals the 5th-order weights (FSAL).
         np.multiply(_DP_ERR.dot(K), hs, out=check[0])
@@ -308,14 +324,19 @@ def integrate(
       to an absolute error rather than a relative one;
     * zero-width (sharp) switches, periodic ones included, are break points
       only: D and B are continuous across them, so the state passes
-      through unchanged and the two-valued instant is never sampled.
+      through unchanged.  The two-valued instant is never sampled where
+      the switch adjoins constant pieces; between two varying pieces it is,
+      as the end of one and the start of the next.
 
     A profile without ``switch_intervals`` is integrated by Dormand-Prince
-    over the whole span.  A ``tol`` below float64 resolution raises
-    :class:`StiffnessError` at once, and so does a Dormand-Prince step below
-    1e-14 * max(1, |t|), or a whole varying interval no wider than that
-    floor: a ramp narrow against its distance from t = 0 cannot be resolved.
-    A NaN or infinite state raises :class:`DomainError`.
+    over the whole span.  A stage at the same node as the one before it
+    reuses its medium, so ``sample`` must be a pure function of t.  A ``tol``
+    below float64 resolution raises :class:`StiffnessError` at once, and so
+    does a Dormand-Prince step below 1e-14 * max(1, |t|), a whole varying
+    interval no wider than that floor (a ramp narrow against its distance
+    from t = 0 cannot be resolved), a varying piece that needs more than
+    10,000,000 steps, or a periodic span with more switch instants than that.
+    A NaN or infinite state or ``t_end`` raises :class:`DomainError`.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -324,6 +345,8 @@ def integrate(
             f"tol={tol:.3e} is below float64 resolution; no step size can meet it",
             smallest_step=0.0,
         )
+    if not math.isfinite(t_end):
+        raise DomainError(f"t_end must be finite, got {t_end}")
     t = initial.t
     if t_end == t:
         return initial
@@ -367,12 +390,15 @@ def mode_decompose(state: ModeState, medium: MediumState, m: np.ndarray) -> Mode
     _transverse_check(state.D, kappa, scale, "D")
     _transverse_check(state.B, kappa, scale, "B")
 
-    E = state.D / medium.epsilon
-    cross = v * np.cross(kappa, state.B)
-    E_f = 0.5 * (E - cross)
-    E_b = 0.5 * (E + cross)
-    D_f = medium.epsilon * E_f
-    D_b = medium.epsilon * E_b
+    with np.errstate(all="ignore"):  # parts that leave the float range are rejected below
+        E = state.D / medium.epsilon
+        cross = v * np.cross(kappa, state.B)
+        E_f = 0.5 * (E - cross)
+        E_b = 0.5 * (E + cross)
+        D_f = medium.epsilon * E_f
+        D_b = medium.epsilon * E_b
+    if not (np.isfinite(D_f).all() and np.isfinite(D_b).all()):
+        raise DomainError(f"eigenmode parts of the state are not finite in medium {medium}")
 
     norm_f = _norm(D_f)
     norm_b = _norm(D_b)
@@ -409,7 +435,7 @@ def mode_reconstruct(
 
 def plane_wave_mode_state(wave: PlaneWave, medium: MediumState, t: float) -> ModeState:
     """Mode state (D, B) of a plane wave at time t, for its own phase vector; DomainError if not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a state that overflows is rejected below
+    with np.errstate(all="ignore"):  # a state that overflows, or whose mu * v underflows to 0, is rejected below
         phase = np.exp(-1j * wave.omega * t)
         D = medium.epsilon * wave.amplitude * phase
         B = medium.mu * _magnetic_amplitude(wave, medium.mu) * phase

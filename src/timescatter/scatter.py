@@ -162,11 +162,11 @@ def _frequencies(omega1, v_minus, v_plus, conv, reject):
 
 def _scales(omega1, omega2, omega3, v_minus, v_plus, reject):
     """Wave-vector scale factors k_r/k_i and k_t/k_i; only their signs are free."""
-    speed_ratio = v_plus / v_minus
     try:
+        speed_ratio = v_plus / v_minus
         scale_t = (omega1 / omega3) * speed_ratio
         scale_r = (omega1 / omega2) * speed_ratio
-    except ZeroDivisionError:  # a float frequency underflowed to 0; arrays give inf
+    except ZeroDivisionError:  # a float frequency underflowed to 0, or a zero speed; arrays give inf
         scale_t = scale_r = math.inf
     bad = abs(abs(scale_t) - 1.0) > _SCALE_TOL
     if bad is not False:
@@ -190,10 +190,13 @@ def _factors(omega1, omega2, omega3, eps_minus, eps_plus, reject):
             omega2,
         )
     eps_ratio = eps_minus / eps_plus
-    q2 = omega1 / omega2
-    q3 = omega1 / omega3
-    denom = q2 - q3
-    return (1.0 - q3 * eps_ratio) / denom, (q2 * eps_ratio - 1.0) / denom
+    try:
+        q2 = omega1 / omega2
+        q3 = omega1 / omega3
+        denom = q2 - q3
+        return (1.0 - q3 * eps_ratio) / denom, (q2 * eps_ratio - 1.0) / denom
+    except ZeroDivisionError:  # a zero float frequency, or q2 = q3 by underflow; arrays give inf or NaN
+        raise DomainError(_NONFINITE_AMPLITUDE) from None
 
 
 def _merged_factor(omega1, omega2, eps_minus, eps_plus, reject):
@@ -208,7 +211,10 @@ def _merged_factor(omega1, omega2, eps_minus, eps_plus, reject):
         lhs,
         rhs,
     )
-    return eps_minus / eps_plus
+    try:
+        return eps_minus / eps_plus
+    except ZeroDivisionError:  # arrays give inf or NaN, which the finite checks reject
+        raise DomainError("eps_plus must be nonzero") from None
 
 
 def frequencies(
@@ -220,9 +226,14 @@ def frequencies(
     """Scattered frequencies (omega2, omega3) from the speed ratio.
 
     |omega3| = |omega2| = |v_plus / v_minus| * omega1; the signs follow the
-    convention.  The default yields omega3 > 0, omega2 = -omega3.
+    convention.  The default yields omega3 > 0, omega2 = -omega3.  DomainError
+    unless omega1 is positive, both speeds are nonzero and the frequencies are finite.
     """
-    return _frequencies(omega1, v_minus, v_plus, conv, reject)
+    omega2, omega3 = _frequencies(omega1, v_minus, v_plus, conv, reject)
+    bad = omega3 * 0.0 != 0.0  # a NaN speed, or an overflow; the kernel's _scales rejects both itself
+    if bad is not False:
+        reject(bad, DomainError, "scattered frequency |{} / {}| * {} is not finite", v_plus, v_minus, omega1)
+    return omega2, omega3
 
 
 def wave_vectors(
@@ -425,7 +436,8 @@ def scatter_interface(
     B_i = _at_interface(incident, t0)
 
     def scattered(factor, omega, scale):
-        A = factor * B_i * _phase_factor(1j, omega, t0)
+        with np.errstate(over="ignore", invalid="ignore"):  # PlaneWave rejects an amplitude that overflows
+            A = factor * B_i * _phase_factor(1j, omega, t0)
         return PlaneWave(A, omega, math.copysign(1.0, scale) * incident.k, v_plus)
 
     return ScatteringResult(

@@ -127,7 +127,7 @@ def magnetic_from_electric(w: PlaneWave, mu: float) -> PlaneWave:
     """
     if mu == 0.0:
         raise DomainError("mu must be nonzero")
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite H amplitude raises in PlaneWave
+    with np.errstate(all="ignore"):  # a non-finite H amplitude (mu * v may underflow to 0) raises in PlaneWave
         return PlaneWave(_magnetic_amplitude(w, mu), w.omega, w.k, w.v)
 
 

@@ -617,3 +617,41 @@ class TestTimelineProperties:
         )
         ratio = before.epsilon / after.epsilon
         assert abs(r + t - ratio) <= 1e-14 * (abs(r) + abs(t) + abs(ratio))
+
+
+def long_trace(count=200, seed=6):
+    """A fixed trace of ``count`` segments, every third-or-so double-negative, as TestMomentumLaw draws them."""
+    rng = np.random.default_rng(seed)
+    return [(*rng.uniform(0.5, 4.0, 2).tolist(), int(rng.integers(0, 10)), float(rng.uniform(0.0, 3.0)))
+            for _ in range(count)]
+
+
+class TestMomentumLaw:
+    """The field momentum of one mode is conserved through any timeline (the media are uniform in space).
+
+    For E-field amplitudes (f, b) in a medium of permittivity eps and speed v
+    it is P = (eps/|v|)(|f|**2 - |b|**2); the law uses none of the interface
+    algebra, so it checks that algebra independently.
+    """
+
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @given(
+        segments=st.lists(
+            st.tuples(st.floats(0.5, 4.0), st.floats(0.5, 4.0), st.integers(0, 9), DURATIONS), min_size=1, max_size=200
+        ),
+        omega=st.floats(0.3, 3.0),
+    )
+    @example(segments=long_trace(), omega=1.0)
+    def test_momentum_is_conserved_along_the_trace(self, segments, omega):
+        # About 30 % of the segments are double-negative. Each event adds a rounding error of about
+        # 1.6 ulp of (|eps|/|v|)(|f|**2 + |b|**2) at most (calibrated over 1,000 random traces of up
+        # to 200 segments); the bound allows 8.
+        timeline = [TimelineSegment(medium_from(eps, mu, draw < 3), d) for eps, mu, draw, d in segments]
+        first = timeline[0].medium
+        result = cascade_scatter(timeline, PlaneWave(Y_HAT.astype(complex), omega, X_HAT, wave_speed(first)))
+        P0 = first.epsilon / abs(wave_speed(first))
+        for k, (f, b) in enumerate(result.trace_amplitudes.tolist()):
+            medium = timeline[(k + 1) // 2].medium  # dwell k // 2 for even k, the interface into (k + 1) // 2 for odd k
+            weight = medium.epsilon / abs(wave_speed(medium))
+            P, S = weight * (abs(f) ** 2 - abs(b) ** 2), abs(weight) * (abs(f) ** 2 + abs(b) ** 2)
+            assert abs(P - P0) <= 8 * np.finfo(float).eps * (k + 1) * S

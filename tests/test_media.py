@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
+import timescatter.media as media_module
 from timescatter import (
     AmbiguityError,
     DomainError,
@@ -103,6 +104,37 @@ class TestMediumState:
         # An int that no numpy integer holds used to end in AttributeError while the message was built.
         with pytest.raises(DomainError, match=r"branch must be \+1 or -1, got 1180591620717411303424$"):
             MediumState(1.0, 1.0, branch=2**70)
+
+    def test_constructor_matches_the_always_checking_form(self):
+        # The constructor skips check_medium only where its one comparison shows that every check
+        # passes. Over every pair of extreme parameters and every kind of branch, it gives what
+        # converting and then always running check_medium gives: the same fields (and their types),
+        # repr and hash, or the same exception type and message.
+        magnitudes = [0.0, 1e-320, 1e-200, 0.5, 1.0, 4.0, 1e200, 1e308, math.inf]
+        params = [sign * x for x in magnitudes for sign in (1.0, -1.0)] + [math.nan]
+        branches = [1, -1, 0, 2, 2**70, True, 1.0, np.int64(1)]
+        checked = 0
+        for eps, mu, branch in itertools.product(params, params, branches):
+            try:
+                epsilon, mu_ = float(eps), float(mu)
+                media_module.check_medium(epsilon, mu_, branch)
+            except Exception as exc:
+                with pytest.raises(type(exc)) as got:
+                    MediumState(eps, mu, branch)
+                assert type(got.value) is type(exc) and str(got.value) == str(exc)
+                continue
+            expected = object.__new__(MediumState)
+            for name, value in (("epsilon", epsilon), ("mu", mu_), ("branch", branch)):
+                object.__setattr__(expected, name, value)
+            got = MediumState(eps, mu, branch)
+            fields = [(f.name, getattr(got, f.name)) for f in dataclasses.fields(got)]
+            assert fields == [(f.name, getattr(expected, f.name)) for f in dataclasses.fields(expected)]
+            assert [type(value) for _, value in fields] == [float, float, type(branch)]
+            assert repr(got) == repr(expected) and hash(got) == hash(expected)
+            checked += 1
+        # 45 pairs of each sign whose product does not underflow to 0, with the four branches equal to 1,
+        # and -1 too for the double-negative pairs.
+        assert checked == 45 * 4 + 45 * 5
 
     @hyp.settings(max_examples=50, deadline=None)
     @hyp.given(eps=positive_param, mu=positive_param, negate=st.booleans())
