@@ -17,12 +17,18 @@ onto the constant-medium eigenmodes yields numerical reflection and
 transmission coefficients that converge to the analytic step-interface
 values as the ramp width shrinks.
 
-:func:`integrate` takes each constant stretch in one exact step of the
-ODE's own propagator and runs an adaptive Dormand-Prince 5(4) pair only
-inside ramps.  Sharp switches (steps, periodic time crystals) need no
-limit at all: D and B pass through them unchanged.  None of this uses
-the interface formulas of :mod:`.scatter` or :mod:`.cascade`, so the
-oracle stays an independent check on them.
+In a real orthonormal basis e1, e2 = m^ x e1 transverse to m, the pairs
+(d1, i b2) and (d2, -i b1) obey one real system y' = A(t) y with
+A = [[0, -|m|/mu], [|m|/eps, 0]], and D.m^ and B.m^ are constant.  So a
+real 2x2 fundamental matrix Phi (Phi' = A Phi, Phi = I at the start)
+carries every state of that |m|, with det Phi = 1 (Liouville: tr A = 0);
+the transfer-matrix form of Morgenthaler, IRE Trans. MTT 6, 167 (1958).
+:func:`integrate` takes each constant stretch in one exact 2x2 step,
+cos(wh) I + sin(wh)/w A, and runs an adaptive Dormand-Prince 5(4) pair
+on Phi only inside ramps.  Sharp switches (steps, periodic time
+crystals) need no limit at all: D and B pass through them unchanged.
+None of this uses the interface formulas of :mod:`.scatter` or
+:mod:`.cascade`, so the oracle stays an independent check on them.
 """
 
 from __future__ import annotations
@@ -56,13 +62,6 @@ DEFAULT_TOL = 1e-10  # local error per unit time
 LAUNCH_PADDING_PERIODS = 5.0
 
 
-def _finite(y, t: float):
-    """The state y, or DomainError naming it if a component is NaN or infinite."""
-    if all(map(cmath.isfinite, y)):
-        return y
-    raise DomainError(f"mode state is not finite at t={t}: {y}")
-
-
 @dataclass(frozen=True, eq=False)
 class ModeState:
     """Electric and magnetic flux amplitudes of one spatial mode at time t; DomainError if not finite."""
@@ -77,7 +76,8 @@ class ModeState:
         object.__setattr__(self, "t", float(self.t))
         if not math.isfinite(self.t):
             raise DomainError(f"mode state time must be finite, got t={self.t}")
-        _finite(self.D.tolist() + self.B.tolist(), self.t)
+        if not all(map(cmath.isfinite, y := self.D.tolist() + self.B.tolist())):
+            raise DomainError(f"mode state is not finite at t={self.t}: {y}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,55 +109,42 @@ def _modulus(m) -> tuple[np.ndarray, float]:
     return m, mag
 
 
-def _cross_rows(m: np.ndarray):
-    """Rows of the matrix Mx with Mx @ v = m x v, as Python floats."""
-    mx, my, mz = m.tolist()
-    return (0.0, -mz, my), (mz, 0.0, -mx), (-my, mx, 0.0)
-
-
-def _rhs(y, rows, medium: MediumState):
-    """d(D, B)/dt for the state y = [D0, D1, D2, B0, B1, B2] of Python complex numbers.
-
-    ``rows`` are m's Mx.  Each row sum is written out with every product,
-    those with Mx's zero entries too, added left to right in the order of
-    numpy's 3x3 product, so the bits are those of ``(1j / mu) * (Mx @ B)``
-    and ``(-1j / eps) * (Mx @ D)``, up to the sign of an exact zero: numpy's
-    sums start from +0.
-    """
-    d0, d1, d2, q0, q1, q2 = y
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
-    cm, ce = 1j / medium.mu, -1j / medium.epsilon
-    return [
-        cm * (a0 * q0 + a1 * q1 + a2 * q2),
-        cm * (b0 * q0 + b1 * q1 + b2 * q2),
-        cm * (c0 * q0 + c1 * q1 + c2 * q2),
-        ce * (a0 * d0 + a1 * d1 + a2 * d2),
-        ce * (b0 * d0 + b1 * d1 + b2 * d2),
-        ce * (c0 * d0 + c1 * d1 + c2 * d2),
-    ]
-
-
 def mode_rhs(state: ModeState, m: np.ndarray, medium: MediumState):
-    """Time derivatives (dD/dt, dB/dt) of one spatial mode.
+    """Time derivatives (dD/dt, dB/dt) = (i m x B / mu, -i m x D / eps) of one spatial mode.
 
     Preserves the divergence constraints D.m = B.m = 0 exactly: both
     derivatives are cross products with m.
     """
-    dy = _rhs(state.D.tolist() + state.B.tolist(), _cross_rows(_modulus(m)[0]), medium)
-    return np.array(dy[:3]), np.array(dy[3:])
+    m = _modulus(m)[0]
+    with np.errstate(all="ignore"):  # a derivative that overflows is rejected below
+        dD, dB = (1j / medium.mu) * np.cross(m, state.B), (-1j / medium.epsilon) * np.cross(m, state.D)
+    if not (np.isfinite(dD).all() and np.isfinite(dB).all()):
+        raise DomainError(f"mode derivatives are not finite for m={m.tolist()} in medium {medium}")
+    return dD, dB
 
 
-# Dormand-Prince 5(4) tableau (FSAL), the weights stored complex as numpy casts them.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = [np.array(row, dtype=np.complex128) for row in [
-    [], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]]
-_DP_ERR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40], dtype=np.complex128
-)
+def _basis(m: np.ndarray, mag: float):
+    """Rows e1, e2 = m^ x e1 and m^ of a right-handed orthonormal basis, as Python floats."""
+    n = (m / mag).tolist()
+    j = min(range(3), key=lambda i: abs(n[i]))  # the axis least along m
+    e1 = [float(i == j) - n[j] * c for i, c in enumerate(n)]
+    norm = math.hypot(*e1)  # at least sqrt(2/3)
+    e1 = [c / norm for c in e1]
+    return e1, [n[1] * e1[2] - n[2] * e1[1], n[2] * e1[0] - n[0] * e1[2], n[0] * e1[1] - n[1] * e1[0]], n
+
+
+def _project(basis, D, B):
+    """[d1, d2, i b2, -i b1, d3, b3]: the pairs (d1, i b2) and (d2, -i b1) obey y' = A y; d3 and b3 lie along m."""
+    (d1, d2, d3), (b1, b2, b3) = ([x * v[0] + y * v[1] + z * v[2] for x, y, z in basis] for v in (D, B))
+    return [d1, d2, 1j * b2, -1j * b1, d3, b3]
+
+
+def _unproject(basis, d1, d2, c1, c2, d3, b3):
+    """D and B, as lists of Python complex numbers, of the coordinates of _project."""
+    D = [d1 * x + d2 * y + d3 * z for x, y, z in zip(*basis)]
+    return D, [1j * c2 * x - 1j * c1 * y + b3 * z for x, y, z in zip(*basis)]
+
+
 _MAX_STEPS = 10_000_000
 _MIN_STEP_REL = 1e-14
 
@@ -219,31 +206,27 @@ def _pieces(profile, lo: float, hi: float):
     return pieces
 
 
-def _propagate_exact(y, rows, mag: float, medium: MediumState, h: float):
-    """exp(hA) y for the constant-medium mode ODE dy/dt = A y.
+def _propagator(mag: float, medium: MediumState, h: float):
+    """exp(hA) for a constant medium, as (p, q, r, s): A**2 = -w**2 I, so exp(hA) = cos(wh) I + sin(wh)/w A.
 
-    A**3 = -w**2 A with w**2 = |m|**2 / (eps mu), so the exponential series
-    closes: exp(hA) = I + sin(wh)/w A + (1 - cos wh)/w**2 A**2.
+    With a = |m|/mu, b = |m|/eps and w = sqrt(ab) = |m| |v|, a/w = 1/(mu |v|) and b/w = 1/(eps |v|),
+    so a double-negative medium takes the same form.
     """
-    w = mag * abs(wave_speed(medium))
+    v = abs(wave_speed(medium))
+    w = mag * v
     if not abs(w * h) < math.inf:  # math.sin would fail
         raise DomainError(f"phase w*h = {w} * {h} of a constant piece exceeds the float range")
-    Ay = _rhs(y, rows, medium)
-    half = math.sin(0.5 * w * h) / w  # (1 - cos wh)/w**2 = 2 half**2, without cancellation
-    s, c = math.sin(w * h) / w, 2.0 * half * half
-    return [a + s * b + c * d for a, b, d in zip(y, Ay, _rhs(Ay, rows, medium))]
+    c, s = math.cos(w * h), math.sin(w * h)
+    return c, -s / (medium.mu * v), s / (medium.epsilon * v), c
 
 
-def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
-    """Adaptive Dormand-Prince 5(4) from t to t_end through a varying medium.
+def _dormand_prince(sample, mag, t, t_end, tol):
+    """The fundamental matrix (p, q, r, s) = [[p, q], [r, s]] from t to t_end through a varying medium.
 
-    Starts afresh, so the first stage is evaluated at t itself rather
-    than carried over (FSAL) from a step that ended on the other side of
-    a switch.  Stages are Python scalar arithmetic on a list state; the
-    tableau products and |.| stay numpy calls, since numpy sets their bits.
-    The products go through ``ndarray.dot``: on these contiguous complex
-    operands both it and ``@`` are the BLAS product, so it gives the bits
-    of ``a @ K[:i]``, without the ufunc dispatch of ``@``.
+    Adaptive Dormand-Prince 5(4) on Phi' = A Phi from Phi(t) = I, A = [[0, -a], [b, 0]], a = |m|/mu and
+    b = |m|/eps, with Phi's rows held as P = p + iq and R = r + is: A is real, so P' = -a R and R' = b P.
+    Starts afresh, so the first stage is evaluated at t itself rather than carried over (FSAL) from a
+    step that ended on the other side of a switch.  Stage 7 is at stage 6's node and reuses its medium.
     """
     direction = 1.0 if t_end > t else -1.0
     span, end_floor = abs(t_end - t), _MIN_STEP_REL * max(1.0, abs(t_end))
@@ -254,20 +237,14 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
         )
     medium = sample(t)
     # Initial step: a fraction of the local oscillation period.
-    omega0 = mag * abs(wave_speed(medium))
-    h = min(span, 0.1 / omega0)  # omega0 > 0, since _modulus bounds |m| below
+    h = min(span, 0.1 / (mag * abs(wave_speed(medium))))  # > 0, since _modulus bounds |m| below
     smallest = h
-
-    y_max = float(np.max(np.abs(y)))
-    k = _rhs(y, rows, medium)
-    K = np.empty((7, 6), dtype=np.complex128)
-    # A stage at its predecessor's node (c5 = c6 = 1) reuses that stage's medium: sample is a function of t.
-    stages = [(_DP_A[i], K[:i], i, None if _DP_C[i] == _DP_C[i - 1] else _DP_C[i]) for i in range(1, 7)]
-    check = np.empty((2, 6), dtype=np.complex128)  # error estimate and new state, for |.|
+    P, R, y_max = 1 + 0j, 1j, 1.0
+    U1, W1 = -mag / medium.mu * R, mag / medium.epsilon * P  # the slopes of P and R
     for _ in range(_MAX_STEPS):
         remaining = abs(t_end - t)
         if remaining <= end_floor:
-            return y
+            return P.real, P.imag, R.real, R.imag
         h_abs = min(h, remaining)
         if h_abs < _MIN_STEP_REL * max(abs(t), 1.0):
             raise StiffnessError(
@@ -276,25 +253,41 @@ def _dormand_prince(sample, rows, mag, y, t, t_end, tol):
             )
         smallest = min(smallest, h_abs)
         hs = direction * h_abs
-
-        K[0] = k
-        y0, y1, y2, y3, y4, y5 = y
-        for a, previous, i, c in stages:
-            s0, s1, s2, s3, s4, s5 = a.dot(previous).tolist()
-            y_new = [y0 + hs * s0, y1 + hs * s1, y2 + hs * s2, y3 + hs * s3, y4 + hs * s4, y5 + hs * s5]
-            if c is not None:
-                medium = sample(t + c * hs)
-            K[i] = k_new = _rhs(y_new, rows, medium)
-        # k_new was evaluated at (t+h, y_new): the last stage row of the
-        # tableau equals the 5th-order weights (FSAL).
-        np.multiply(_DP_ERR.dot(K), hs, out=check[0])
-        check[1] = y_new
-        err, new_max = np.abs(check).max(axis=1).tolist()
+        # Stage i: rows P + hs * sum_j a_ij U_j and R + hs * sum_j a_ij W_j, the medium at t + c_i hs.
+        P2, R2 = P + hs * (1 / 5 * U1), R + hs * (1 / 5 * W1)
+        medium = sample(t + 1 / 5 * hs)
+        U2, W2 = -mag / medium.mu * R2, mag / medium.epsilon * P2
+        P3, R3 = P + hs * (3 / 40 * U1 + 9 / 40 * U2), R + hs * (3 / 40 * W1 + 9 / 40 * W2)
+        medium = sample(t + 3 / 10 * hs)
+        U3, W3 = -mag / medium.mu * R3, mag / medium.epsilon * P3
+        P4 = P + hs * (44 / 45 * U1 - 56 / 15 * U2 + 32 / 9 * U3)
+        R4 = R + hs * (44 / 45 * W1 - 56 / 15 * W2 + 32 / 9 * W3)
+        medium = sample(t + 4 / 5 * hs)
+        U4, W4 = -mag / medium.mu * R4, mag / medium.epsilon * P4
+        P5 = P + hs * (19372 / 6561 * U1 - 25360 / 2187 * U2 + 64448 / 6561 * U3 - 212 / 729 * U4)
+        R5 = R + hs * (19372 / 6561 * W1 - 25360 / 2187 * W2 + 64448 / 6561 * W3 - 212 / 729 * W4)
+        medium = sample(t + 8 / 9 * hs)
+        U5, W5 = -mag / medium.mu * R5, mag / medium.epsilon * P5
+        P6 = P + hs * (9017 / 3168 * U1 - 355 / 33 * U2 + 46732 / 5247 * U3 + 49 / 176 * U4 - 5103 / 18656 * U5)
+        R6 = R + hs * (9017 / 3168 * W1 - 355 / 33 * W2 + 46732 / 5247 * W3 + 49 / 176 * W4 - 5103 / 18656 * W5)
+        medium = sample(t + hs)
+        a, b = -mag / medium.mu, mag / medium.epsilon
+        U6, W6 = a * R6, b * P6
+        # The 5th-order rows; their slopes, at the same instant and medium, are the next step's first (FSAL).
+        P7 = P + hs * (35 / 384 * U1 + 500 / 1113 * U3 + 125 / 192 * U4 - 2187 / 6784 * U5 + 11 / 84 * U6)
+        R7 = R + hs * (35 / 384 * W1 + 500 / 1113 * W3 + 125 / 192 * W4 - 2187 / 6784 * W5 + 11 / 84 * W6)
+        U7, W7 = a * R7, b * P7
+        # The local error estimate: the larger modulus of the two rows of hs * sum_j e_j k_j.
+        err = h_abs * max(
+            abs(71 / 57600 * U1 - 71 / 16695 * U3 + 71 / 1920 * U4 - 17253 / 339200 * U5 + 22 / 525 * U6 - 1 / 40 * U7),
+            abs(71 / 57600 * W1 - 71 / 16695 * W3 + 71 / 1920 * W4 - 17253 / 339200 * W5 + 22 / 525 * W6 - 1 / 40 * W7),
+        )
+        new_max = max(abs(P7), abs(R7))
         if not (err < math.inf and new_max < math.inf):
-            raise DomainError(f"mode state is not finite in the step from t={t} to t={t + hs}: {y_new}")
+            raise DomainError(f"mode state is not finite in the step from t={t} to t={t + hs}: rows {P7}, {R7}")
         budget = tol * h_abs * max(1.0, y_max, new_max)
         if err <= budget:
-            t, y, y_max, k = t + hs, y_new, new_max, k_new
+            t, P, R, y_max, U1, W1 = t + hs, P7, R7, new_max, U7, W7
         factor = 0.9 * (budget / err) ** 0.2 if err > 0.0 else 5.0
         h = h_abs * min(5.0, max(0.2, factor))
     raise StiffnessError(
@@ -315,22 +308,26 @@ def integrate(
     ``profile`` is anything with a ``sample(t)`` method.  Its declared
     ``switch_intervals()`` split the path into pieces:
 
-    * constant stretches advance in one step with the exact propagator
-      of the constant-coefficient ODE, for the medium sampled at the
-      stretch's midpoint;
+    * constant stretches advance in one step with the exact 2x2
+      propagator of the constant-coefficient ODE, for the medium sampled
+      at the stretch's midpoint;
     * nonzero-width intervals (ramps) run an adaptive Dormand-Prince 5(4)
-      pair that holds the local error per unit time at or below ``tol``,
-      scaled by max(1, |state|), so a state far below unit size is held
-      to an absolute error rather than a relative one;
+      pair on the fundamental matrix Phi, from Phi = I, that holds its
+      local error per unit time at or below ``tol``, scaled by
+      max(1, larger modulus of Phi's rows as complex numbers); the
+      state's error is then relative to the state, whatever its size;
     * zero-width (sharp) switches, periodic ones included, are break points
       only: D and B are continuous across them, so the state passes
       through unchanged.  The two-valued instant is never sampled where
       the switch adjoins constant pieces; between two varying pieces it is,
       as the end of one and the start of the next.
 
-    A profile without ``switch_intervals`` is integrated by Dormand-Prince
-    over the whole span.  A stage at the same node as the one before it
-    reuses its medium, so ``sample`` must be a pure function of t.  A ``tol``
+    Each piece's matrix acts on the two transverse pairs of the state;
+    the parts of D and B along m pass through.  A profile without
+    ``switch_intervals`` is integrated by Dormand-Prince over the whole
+    span.  A Dormand-Prince step samples the profile five times: the
+    stage at the same node as the one before it reuses its medium, so
+    ``sample`` must be a pure function of t.  A ``tol``
     below float64 resolution raises :class:`StiffnessError` at once, and so
     does a Dormand-Prince step below 1e-14 * max(1, |t|), a whole varying
     interval no wider than that floor (a ramp narrow against its distance
@@ -351,20 +348,22 @@ def integrate(
     if t_end == t:
         return initial
     m, mag = _modulus(m)
-    rows = _cross_rows(m)
+    basis = _basis(m, mag)
     pieces = _pieces(profile, min(t, t_end), max(t, t_end))
     if t_end < t:
         pieces = [(b, a, varying) for a, b, varying in reversed(pieces)]
 
-    y = initial.D.tolist() + initial.B.tolist()
-    with np.errstate(all="ignore"):  # a state that overflows raises DomainError instead
-        for start, end, varying in pieces:
-            if varying:
-                y = _dormand_prince(profile.sample, rows, mag, y, start, end, tol)
-            else:
-                y = _propagate_exact(y, rows, mag, profile.sample(0.5 * (start + end)), end - start)
-            y = _finite(y, end)
-    return ModeState(y[:3], y[3:], t_end)
+    d1, d2, c1, c2, d3, b3 = _project(basis, initial.D.tolist(), initial.B.tolist())
+    for start, end, varying in pieces:
+        if varying:
+            p, q, r, s = _dormand_prince(profile.sample, mag, start, end, tol)
+        else:
+            p, q, r, s = _propagator(mag, profile.sample(0.5 * (start + end)), end - start)
+        d1, d2, c1, c2 = p * d1 + q * c1, p * d2 + q * c2, r * d1 + s * c1, r * d2 + s * c2  # both pairs
+        if not all(map(cmath.isfinite, (d1, d2, c1, c2, d3, b3))):
+            where = f"in the step from t={start} to t={end}" if varying else f"at t={end}"
+            raise DomainError(f"mode state is not finite {where}: {sum(_unproject(basis, d1, d2, c1, c2, d3, b3), [])}")
+    return ModeState(*_unproject(basis, d1, d2, c1, c2, d3, b3), t_end)
 
 
 def _transverse_check(vec: np.ndarray, kappa: np.ndarray, norm: float, what: str):
@@ -467,7 +466,7 @@ def numeric_rt(
         raise DomainError("incident frequency must be positive")
 
     m, mag = _modulus(phase_vector(incident))
-    # R and T are ratios: launch at a largest part in [1, 2) (exact), where integrate's error budget is relative.
+    # R and T are ratios: launch at a largest part in [1, 2) (exact), so the state neither overflows nor underflows.
     parts = incident.amplitude.view(np.float64)
     e = 1 - math.frexp(float(np.max(np.abs(parts))))[1]
     incident = PlaneWave(np.ldexp(parts, e).view(np.complex128), incident.omega, incident.k, incident.v)

@@ -1075,8 +1075,8 @@ class TestOverflowExits3:
         self.expect_domain_error(tmp_path, capsys, config, "residual of a sum of 2 terms overflows")
 
     def test_oracle_state_overflow(self, tmp_path, capsys):
-        # D and B near the float maximum would overflow in the first Dormand-Prince step; numeric_rt
-        # launches at unit scale instead, so the run succeeds with the unit-amplitude R and T.
+        # numeric_rt launches at unit scale, so an amplitude near the float maximum gives the unit-amplitude
+        # R and T instead of a state that leaves the float range.
         results = []
         for amplitude in (1.0, 1e308):
             incident = {"amplitude": [0, amplitude, 0], "omega1": 1.0, "k": [1, 0, 0]}
@@ -1253,3 +1253,26 @@ class TestOracleRoute:
         error = json.loads(captured.err)["error"]
         assert error["type"] == "StiffnessError"
         assert "is narrower than the step floor 1e-14 * max(1, |t|)" in error["message"]
+
+
+class TestVanishingMuRamp:
+    """A ramp to a vanishing mu: its smoothstep blend has no hi - lo to cancel, so the step control meets tol."""
+
+    def config(self, mu_after):
+        incident = {"amplitude": [0, [1, 0.5], 0], "omega1": 1.0, "k": [1, 0, 0]}
+        media = {"before": {"epsilon": 1, "mu": 1}, "after": {"epsilon": 4, "mu": mu_after}}
+        return make_config(command="oracle", media=media, incident=incident, oracle={"tau": 0.1, "tol": 1e-6})
+
+    def test_speed_ratio_beyond_resolution_exits_3_at_once(self, tmp_path):
+        # With mu(t) = lo + (hi - lo) s this crawled to the 10,000,000-step cap in about 10 minutes.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(self.config(1e-300), encoding="utf-8")
+        start = time.perf_counter()
+        done = run_module([str(config_path), "--no-timestamp"])
+        assert time.perf_counter() - start < 2.0
+        assert done.returncode == 3 and done.stdout == ""
+        assert json.loads(done.stderr)["error"]["type"] == "StiffnessError"
+
+    def test_ramp_to_mu_1e_minus_8_integrates(self, tmp_path, capsys):
+        assert run_main(tmp_path, self.config(1e-8)) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["R_numeric"] == pytest.approx(1845.449, abs=1e-3)

@@ -234,7 +234,7 @@ LEAKS = {  # inputs on which a call leaked a Python error, a numpy warning or a 
     ),
     "integrate over a subnormal period": lambda: integrate(
         TemporalProfile.periodic(MediumState(1e-320, 0.5), MediumState(1e-320, 0.5), period=1e-320),
-        [1e-30, 0.0, 0.0], ModeState([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], 0.0), -0.5,
+        [1e-30, 0.0, 0.0], ModeState([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], 0.0), 0.5,
     ),
     "integrate across the float range": lambda: integrate(
         TemporalProfile.step(MediumState(1, 1), MediumState(4, 1)),

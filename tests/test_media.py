@@ -272,13 +272,13 @@ class TestProfiles:
 
 
 def smoothstep_sample(stages, switches, tau, t):
-    """The profile transcribed: the stage itself outside ramps, lo + (hi - lo) s(u) inside them."""
+    """The profile transcribed: the stage itself outside ramps, lo (1 - s(u)) + hi s(u) inside them."""
     for i, s in enumerate(switches):
         u = (t - (s - 0.5 * tau)) / tau if tau > 0.0 else 0.0
         if 0.0 < u < 1.0:
-            w = u * u * (3.0 - 2.0 * u)
+            w, r = u * u * (3.0 - 2.0 * u), (1.0 - u) * (1.0 - u) * (1.0 + 2.0 * u)
             lo, hi = stages[i], stages[i + 1]
-            return MediumState(lo.epsilon + (hi.epsilon - lo.epsilon) * w, lo.mu + (hi.mu - lo.mu) * w)
+            return MediumState(lo.epsilon * r + hi.epsilon * w, lo.mu * r + hi.mu * w)
     return stages[sum(t > s for s in switches)]
 
 

@@ -201,12 +201,29 @@ class TestIntegrate:
             integrate(TestExactPropagation.SampleOnly(profile), m, ModeState(D, state.B, -0.25), 1.0)
 
     def test_state_that_overflows_in_a_step_raises(self):
-        # A finite launch near the float maximum: the first Dormand-Prince step leaves the float range.
-        wave = PlaneWave(1e308 * Y_HAT.astype(complex), 1.0, X_HAT, 1.0)
-        profile = TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=0.05)
+        # A launch near the float maximum whose D grows about 2.7-fold inside the ramp (a 1e307 launch
+        # leaves it at 2.7e307): the state leaves the float range there, and the error names the ramp.
+        wave = PlaneWave(1e308 * Y_HAT.astype(complex), 100.0, X_HAT, 1.0)
+        profile = TemporalProfile.ramp(VACUUM, MediumState(16, 1), t0=0.0, tau=0.05)
         initial = plane_wave_mode_state(wave, VACUUM, -1.0)
         with pytest.raises(DomainError, match=r"mode state is not finite in the step from t=-0\.025 to t=0\.025"):
             integrate(profile, phase_vector(wave), initial, 1.0)
+        # The same launch at omega = 1 through eps 1 -> 4 stays in range all the way.
+        wave = PlaneWave(1e308 * Y_HAT.astype(complex), 1.0, X_HAT, 1.0)
+        profile = TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=0.05)
+        final = integrate(profile, phase_vector(wave), plane_wave_mode_state(wave, VACUUM, -1.0), 1.0)
+        assert 0.5e308 < np.max(np.abs(final.D.view(float))) < 1.797e308
+
+    def test_subnormal_permittivity_keeps_the_invariant(self):
+        # eps = 1e-320: B/D of the medium's modes is about sqrt(mu/eps) = 7e159, still a finite state.
+        # The constant-medium ODE keeps mu |D|**2 + eps |B|**2 (for transverse D and B), whatever the
+        # phase w*h, here 7e129.
+        medium = MediumState(1e-320, 0.5)
+        profile = TemporalProfile.periodic(medium, medium, period=1e-320)  # before its start: one constant piece
+        final = integrate(profile, [1e-30, 0.0, 0.0], ModeState(Y_HAT, [0.0, 0.0, 1.0], 0.0), -0.5)
+        invariant = medium.mu * np.sum(np.abs(final.D) ** 2) + np.sum(np.abs(math.sqrt(medium.epsilon) * final.B) ** 2)
+        assert invariant == pytest.approx(medium.mu + medium.epsilon, rel=1e-12)
+        assert np.max(np.abs(final.B)) > 1e159
 
     def test_phase_vector_below_normal_square_rejected(self):
         initial = plane_wave_mode_state(vacuum_wave(), VACUUM, 0.0)
@@ -643,8 +660,11 @@ class TestSharpSwitches:
             columns.append([end.forward * turn, end.backward * turn])
         monodromy = np.array(columns).T
         cell = [TimelineSegment(VACUUM, 1.0), TimelineSegment(DENSE, 1.0)]
-        expected = np.sort_complex(np.array(floquet_exponent(cell, wave.omega).eigenvalues))
-        assert_allclose(np.sort_complex(np.linalg.eigvals(monodromy)), expected, atol=1e-9)
+        expected = np.array(floquet_exponent(cell, wave.omega).eigenvalues)
+        # The pair is complex conjugate: whichever of the two real parts rounds lower decides
+        # np.sort_complex's order, so the eigenvalues are matched by their imaginary parts.
+        by_imag = lambda values: sorted(values, key=lambda z: z.imag)
+        assert_allclose(by_imag(np.linalg.eigvals(monodromy)), by_imag(expected), atol=1e-9)
 
     def test_step_profile_integrates_across_t0(self):
         wave = vacuum_wave()
@@ -745,7 +765,8 @@ class TestDoubleNegativeSharpSwitches:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(case=double_negative_timelines())
     def test_timeline_matches_cascade(self, case):
-        # Calibrated on 2,000 draws of these timelines: the worst relative difference was 3.4e-14.
+        # Over 2,000 draws of these timelines the worst relative difference was 3.4e-14 with the
+        # six-component integrator and 3.6e-14 with the 2x2 fundamental matrix.
         timeline, wave = case
         media = [segment.medium for segment in timeline]
         switches = np.cumsum([segment.duration for segment in timeline[:-1]]).tolist()
@@ -761,7 +782,7 @@ class TestDoubleNegativeSharpSwitches:
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(case=double_negative_cells())
     def test_one_cell_monodromy_has_floquet_eigenvalues(self, case):
-        # Calibrated on 2,000 draws of these cells: the worst relative residual was 3.4e-14.
+        # Over 2,000 draws of these cells the worst relative residual was 3.4e-14, with either integrator.
         cell, wave = case
         (before, dwell), (after, negative_dwell) = ((s.medium, s.duration) for s in cell)
         period = dwell + negative_dwell
@@ -832,88 +853,96 @@ class TestExactPropagation:
         assert (got.D.tolist(), got.B.tolist()) == (expected.D.tolist(), expected.B.tolist())
 
 
-# --- Reference integrator: the array form of the mode ODE, one numpy call per operation. ---
-# The scalar-stage integrator in timescatter.oracle must take exactly its steps and
-# reproduce its bits.
+# --- Reference: the 2x2 Dormand-Prince step over four real entries, one loop pass per stage. ---
+# oracle._dormand_prince writes the same arithmetic out by hand on Phi's rows as complex numbers.
+# It must take exactly these steps, reproduce these values and sample at these instants, once at
+# the repeated node c6 = c7 = 1.
 
-REF_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-REF_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-REF_ERR = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-
-
-def ref_rhs(y, cross, medium):
-    out = np.empty(6, dtype=np.complex128)
-    out[:3] = (1j / medium.mu) * (cross @ y[3:])
-    out[3:] = (-1j / medium.epsilon) * (cross @ y[:3])
-    return out
+REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+REF_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+REF_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+ROWS = ((0, 1), (2, 3))  # the entries (p, q) and (r, s) of Phi = [[p, q], [r, s]]
 
 
-def ref_propagate_exact(y, cross, mag, medium, h):
-    w = mag * abs(medium.wave_speed)
-    if w == 0.0:
-        return y
-    Ay = ref_rhs(y, cross, medium)
-    half = math.sin(0.5 * w * h) / w
-    return y + (math.sin(w * h) / w) * Ay + (2.0 * half * half) * ref_rhs(Ay, cross, medium)
+def weighted(weights, values):
+    """sum_j w_j * values[j] over the nonzero weights, added left to right."""
+    terms = [w * x for w, x in zip(weights, values) if w != 0.0]
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
 
 
-def ref_dormand_prince(sample, cross, mag, y, t, t_end, tol):
+def ref_slopes(medium, mag, phi):
+    """A phi for A = [[0, -a], [b, 0]], a = |m|/mu, b = |m|/eps, on phi = [p, q, r, s] = [[p, q], [r, s]]."""
+    p, q, r, s = phi
+    a, b = mag / medium.mu, mag / medium.epsilon
+    return [-a * r, -a * s, b * p, b * q]
+
+
+def ref_fundamental(sample, mag, t, t_end, tol):
     direction = 1.0 if t_end > t else -1.0
-    span = abs(t_end - t)
     medium = sample(t)
-    omega0 = mag * abs(medium.wave_speed)
-    h = min(span, 0.1 / omega0 if omega0 > 0 else span)
+    h = min(abs(t_end - t), 0.1 / (mag * abs(medium.wave_speed)))
     smallest = h
-    k1 = ref_rhs(y, cross, medium)
-    K = np.empty((7, 6), dtype=np.complex128)
+    phi = [1.0, 0.0, 0.0, 1.0]
+    k1 = ref_slopes(medium, mag, phi)
     while True:
         remaining = abs(t_end - t)
         if remaining <= 1e-14 * max(1.0, abs(t_end)):
-            return y
+            return phi
         h_abs = min(h, remaining)
         if h_abs < 1e-14 * max(abs(t), 1.0):
             raise StiffnessError(f"step size underflow at t={t} (smallest step {smallest:.3e})")
         smallest = min(smallest, h_abs)
         hs = direction * h_abs
-        K[0] = k1
+        K = [k1]
         for i in range(1, 7):
-            yi = y + hs * (REF_A[i] @ K[:i])
-            K[i] = ref_rhs(yi, cross, sample(t + REF_C[i] * hs))
-        y_new = yi
-        err = float(np.max(np.abs(hs * (REF_ERR @ K))))
-        scale = max(1.0, float(np.max(np.abs(y))), float(np.max(np.abs(y_new))))
-        budget = tol * h_abs * scale
+            stage = [x + hs * weighted(REF_A[i], [k[j] for k in K]) for j, x in enumerate(phi)]
+            K.append(ref_slopes(sample(t + REF_C[i] * hs), mag, stage))
+        # The error and the scale are the larger modulus of Phi's two rows, each taken as a complex number.
+        err = h_abs * max(abs(complex(*(weighted(REF_ERR, [k[j] for k in K]) for j in row))) for row in ROWS)
+        budget = tol * h_abs * max(1.0, *(abs(complex(*(x[j] for j in row))) for x in (phi, stage) for row in ROWS))
         if err <= budget:
-            t = t + hs
-            y = y_new
-            k1 = K[6].copy()
+            t, phi, k1 = t + hs, stage, K[6]
         factor = 0.9 * (budget / err) ** 0.2 if err > 0.0 else 5.0
         h = h_abs * min(5.0, max(0.2, factor))
 
 
+def ref_apply(phi, m_hat, D, B):
+    """phi on the transverse pair (D_T, G = -i m^ x B), which obeys the same 2x2 system; parts along m^ stay."""
+    p, q, r, s = phi
+    D_par, B_par = np.dot(m_hat, D) * m_hat, np.dot(m_hat, B) * m_hat
+    D_T, G = D - D_par, -1j * np.cross(m_hat, B)
+    D_T, G = p * D_T + q * G, r * D_T + s * G
+    return D_T + D_par, -1j * np.cross(m_hat, G) + B_par
+
+
 def ref_integrate(profile, m, initial, t_end, tol):
-    mx, my, mz = m
-    cross = np.array([[0.0, -mz, my], [mz, 0.0, -mx], [-my, mx, 0.0]])
+    """integrate, with each piece's matrix applied in the basis-free vector form of ref_apply."""
     mag = float(np.linalg.norm(m))
     t = initial.t
     pieces = oracle_module._pieces(profile, min(t, t_end), max(t, t_end))
     if t_end < t:
         pieces = [(b, a, varying) for a, b, varying in reversed(pieces)]
-    y = np.concatenate([initial.D, initial.B])
+    D, B = initial.D, initial.B
     for start, end, varying in pieces:
         if varying:
-            y = ref_dormand_prince(profile.sample, cross, mag, y, start, end, tol)
+            phi = ref_fundamental(profile.sample, mag, start, end, tol)
         else:
-            y = ref_propagate_exact(y, cross, mag, profile.sample(0.5 * (start + end)), end - start)
-    return ModeState(y[:3], y[3:], t_end)
+            medium, h = profile.sample(0.5 * (start + end)), end - start
+            a, b, w = mag / medium.mu, mag / medium.epsilon, mag * abs(medium.wave_speed)
+            phi = (math.cos(w * h), -a / w * math.sin(w * h), b / w * math.sin(w * h), math.cos(w * h))
+        D, B = ref_apply(phi, m / mag, D, B)
+    return ModeState(D, B, t_end)
 
 
 class Recorded:
@@ -983,7 +1012,8 @@ def integration_cases(draw):
             for _ in range(draw(st.integers(1, 3)))
         ]
         tau = draw(st.floats(1e-3, 1.0))
-        centers = np.cumsum([tau * draw(st.floats(1.0, 3.0)) for _ in stages[1:]])
+        # Gaps of at least 1.001 tau: at 1.0 tau the cumulative sum can round a gap below tau.
+        centers = np.cumsum([tau * draw(st.floats(1.001, 3.0)) for _ in stages[1:]])
         profile = TemporalProfile(tuple(stages), tuple(float(c) for c in centers), tau)
         span = (-1.0, float(centers[-1]) + 1.0)
     else:
@@ -1004,22 +1034,44 @@ def integration_cases(draw):
     return kind, profile, m, ModeState(D, B, t_start), t_end, tol
 
 
-class TestScalarStagesBitIdentical:
+def varying_pieces(profile, initial, t_end):
+    lo, hi = min(initial.t, t_end), max(initial.t, t_end)
+    pieces = [(a, b) for a, b, varying in oracle_module._pieces(profile, lo, hi) if varying]
+    return pieces if t_end > initial.t else [(b, a) for a, b in reversed(pieces)]
+
+
+class TestFundamentalMatrix:
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(case=integration_cases())
-    def test_same_steps_and_bits_as_array_form(self, case):
+    def test_same_steps_and_bits_as_transcription(self, case):
+        kind, profile, m, initial, t_end, tol = case
+        sample_only = kind == "sample-only"
+        mag = oracle_module._modulus(m)[1]
+        for start, end in varying_pieces(profile, initial, t_end):
+            ref_profile, new_profile = RecordedByPiece(profile, sample_only), Recorded(profile, sample_only)
+            expected = ref_fundamental(ref_profile.sample, mag, start, end, tol)
+            got = oracle_module._dormand_prince(new_profile.sample, mag, start, end, tol)
+            # Equal values: the oracle's complex products by a real may differ in the sign of an exact zero.
+            assert list(got) == expected
+            # The same instants, except that stage 7 reuses stage 6's medium: one sample fewer per attempted step.
+            (piece,) = ref_profile.pieces
+            assert new_profile.instants == repeated_node_listed_once(piece)
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(case=integration_cases())
+    def test_same_instants_and_state_as_vector_form(self, case):
+        # The vector form applies each piece's matrix to (D_T, -i m^ x B) instead of to basis coordinates,
+        # so the two states agree to rounding: at most 3.7e-15 relative to the state's size over 500 cases.
         kind, profile, m, initial, t_end, tol = case
         sample_only = kind == "sample-only"
         ref_profile, new_profile = RecordedByPiece(profile, sample_only), Recorded(profile, sample_only)
         expected = ref_integrate(ref_profile, m, initial, t_end, tol)
         got = integrate(new_profile, m, initial, t_end, tol=tol)
-        assert np.array_equal(got.D, expected.D) and np.array_equal(got.B, expected.B)
         assert got.t == expected.t
-        # The same instants, except that a stage at its predecessor's node reuses that stage's medium:
-        # one sample fewer per attempted step.
+        scale = max(np.max(np.abs(expected.D)), np.max(np.abs(expected.B)))
+        assert np.max(np.abs(got.D - expected.D)) <= 1e-13 * scale
+        assert np.max(np.abs(got.B - expected.B)) <= 1e-13 * scale
         assert new_profile.instants == [t for piece in ref_profile.pieces for t in repeated_node_listed_once(piece)]
-        steps = sum((len(piece) - 1) // 6 for piece in ref_profile.pieces)
-        assert len(new_profile.instants) == len(ref_profile.instants) - steps
 
     @pytest.mark.parametrize("sample_only", [False, True], ids=["ramp", "sample-only"])
     def test_same_underflow_message(self, sample_only):
@@ -1033,34 +1085,29 @@ class TestScalarStagesBitIdentical:
             integrate(Recorded(profile, sample_only), m, initial, 1e12 + 1.0)
         assert str(got.value) == str(expected.value)
 
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(case=integration_cases())
+    def test_unit_determinant(self, case):
+        # tr A = 0, so det Phi = 1 (Liouville's formula) through every ramp: the momentum law for every
+        # state of this |m| at once. Over 500 cases |det Phi - 1| stayed below 0.016 of the bound's scale,
+        # tol * max(1, span) * max(1, largest entry)**2.
+        kind, profile, m, initial, t_end, tol = case
+        mag = oracle_module._modulus(m)[1]
+        for start, end in varying_pieces(profile, initial, t_end):
+            p, q, r, s = oracle_module._dormand_prince(profile.sample, mag, start, end, tol)
+            scale = tol * max(1.0, abs(end - start)) * max(1.0, p * p, q * q, r * r, s * s)
+            assert abs(p * s - q * r - 1.0) <= 0.1 * scale
 
-# Parts over the range that keeps every product finite: zeros of both signs, subnormals and 1e150.
-STATE_PART = st.floats(min_value=-1e150, max_value=1e150)
-M_PART = st.floats(min_value=-1e3, max_value=1e3)
-SCALE = st.floats(1e-3, 1e3)
-SIGNED_MEDIA = st.builds(
-    lambda eps, mu, negative: MediumState(-eps, -mu, -1) if negative else MediumState(eps, mu),
-    SCALE, SCALE, st.booleans(),
-)
-
-
-class TestScalarRhsBitIdentical:
-    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
-    @given(
-        m=st.tuples(M_PART, M_PART, M_PART),
-        y=st.lists(st.builds(complex, STATE_PART, STATE_PART), min_size=6, max_size=6),
-        medium=SIGNED_MEDIA,
-    )
-    @example(m=(0.0, 0.0, -0.0), y=[0j, 0j, 0j, 0j, complex(-0.0, 0.0), 0j], medium=VACUUM)
-    @example(
-        m=(5e-324, -1e3, 0.5),
-        y=[complex(1e150, -5e-324), -0j, 1e-300j, -1e150, complex(-0.0, -0.0), 2.5],
-        medium=MediumState(-1e-3, -1e3, -1),
-    )
-    def test_same_bits_as_array_form(self, m, y, medium):
-        rows = oracle_module._cross_rows(np.array(m))
-        got = np.array(oracle_module._rhs(y, rows, medium))
-        expected = ref_rhs(np.array(y), np.array(rows), medium)
-        # numpy's row sums start from +0, so an exact zero may differ in sign, and only in sign:
-        # adding +0.0 maps -0.0 to +0.0 and leaves every other value's bits as they are.
-        assert (got + 0.0).view(np.int64).tolist() == (expected + 0.0).view(np.int64).tolist()
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(case=integration_cases(), along=st.tuples(UNIT, UNIT, UNIT, UNIT))
+    def test_parts_along_m_pass_through(self, case, along):
+        # m x v has no part along m, so D.m^ and B.m^ are constants of the mode ODE. Over 500 cases
+        # they moved by at most 3.7e-16 of the state's size.
+        kind, profile, m, initial, t_end, tol = case
+        m_hat = m / np.linalg.norm(m)
+        D = initial.D + complex(*along[:2]) * m_hat
+        B = initial.B + complex(*along[2:]) * m_hat
+        final = integrate(profile, m, ModeState(D, B, initial.t), t_end, tol=tol)
+        scale = max(1.0, np.max(np.abs(final.D)), np.max(np.abs(final.B)))
+        assert abs(np.dot(m_hat, final.D) - np.dot(m_hat, D)) <= 1e-14 * scale
+        assert abs(np.dot(m_hat, final.B) - np.dot(m_hat, B)) <= 1e-14 * scale
