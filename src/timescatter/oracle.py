@@ -25,10 +25,10 @@ carries every state of that |m|, with det Phi = 1 (Liouville: tr A = 0);
 the transfer-matrix form of Morgenthaler, IRE Trans. MTT 6, 167 (1958).
 :func:`integrate` takes each constant stretch in one exact 2x2 step,
 cos(wh) I + sin(wh)/w A, and runs an adaptive Dormand-Prince 5(4) pair
-on Phi only inside ramps.  Sharp switches (steps, periodic time
-crystals) need no limit at all: D and B pass through them unchanged.
-None of this uses the interface formulas of :mod:`.scatter` or
-:mod:`.cascade`, so the oracle stays an independent check on them.
+on Phi's four entries, as floats, only inside ramps.  Sharp switches
+(steps, periodic time crystals) need no limit: D and B pass through
+them unchanged.  None of this uses the interface formulas of
+:mod:`.scatter` or :mod:`.cascade`, so the oracle checks them independently.
 """
 
 from __future__ import annotations
@@ -147,6 +147,7 @@ def _unproject(basis, d1, d2, c1, c2, d3, b3):
 
 _MAX_STEPS = 10_000_000
 _MIN_STEP_REL = 1e-14
+_MAX_PHASE = 2 * math.pi / sys.float_info.epsilon  # past it, one rounding of w*h spans a whole period
 
 
 def _periodic_instants(profile, lo: float, hi: float):
@@ -214,8 +215,8 @@ def _propagator(mag: float, medium: MediumState, h: float):
     """
     v = abs(wave_speed(medium))
     w = mag * v
-    if not abs(w * h) < math.inf:  # math.sin would fail
-        raise DomainError(f"phase w*h = {w} * {h} of a constant piece exceeds the float range")
+    if not abs(w * h) <= _MAX_PHASE:  # NaN fails too
+        raise DomainError(f"phase w*h = {w * h!r} of a constant piece exceeds 2 pi / float epsilon = {_MAX_PHASE!r}")
     c, s = math.cos(w * h), math.sin(w * h)
     return c, -s / (medium.mu * v), s / (medium.epsilon * v), c
 
@@ -223,8 +224,8 @@ def _propagator(mag: float, medium: MediumState, h: float):
 def _dormand_prince(sample, mag, t, t_end, tol):
     """The fundamental matrix (p, q, r, s) = [[p, q], [r, s]] from t to t_end through a varying medium.
 
-    Adaptive Dormand-Prince 5(4) on Phi' = A Phi from Phi(t) = I, A = [[0, -a], [b, 0]], a = |m|/mu and
-    b = |m|/eps, with Phi's rows held as P = p + iq and R = r + is: A is real, so P' = -a R and R' = b P.
+    Adaptive Dormand-Prince 5(4) on Phi' = A Phi from Phi(t) = I, A = [[0, a], [b, 0]], a = -|m|/mu and
+    b = |m|/eps, on Phi's four entries as floats, slopes (a r, a s, b p, b q); a row's modulus is libm hypot.
     Starts afresh, so the first stage is evaluated at t itself rather than carried over (FSAL) from a
     step that ended on the other side of a switch.  Stage 7 is at stage 6's node and reuses its medium.
     """
@@ -235,16 +236,16 @@ def _dormand_prince(sample, mag, t, t_end, tol):
             f"varying interval from t={t} to t={t_end} is narrower than the step floor 1e-14 * max(1, |t|)",
             smallest_step=0.0,
         )
-    medium = sample(t)
+    a, b = -mag / (medium := sample(t)).mu, mag / medium.epsilon
     # Initial step: a fraction of the local oscillation period.
     h = min(span, 0.1 / (mag * abs(wave_speed(medium))))  # > 0, since _modulus bounds |m| below
     smallest = h
-    P, R, y_max = 1 + 0j, 1j, 1.0
-    U1, W1 = -mag / medium.mu * R, mag / medium.epsilon * P  # the slopes of P and R
+    p, q, r, s, y_max = 1.0, 0.0, 0.0, 1.0, 1.0
+    u1, v1, w1, x1 = a * r, a * s, b * p, b * q  # the slopes of p, q, r and s
     for _ in range(_MAX_STEPS):
         remaining = abs(t_end - t)
         if remaining <= end_floor:
-            return P.real, P.imag, R.real, R.imag
+            return p, q, r, s
         h_abs = min(h, remaining)
         if h_abs < _MIN_STEP_REL * max(abs(t), 1.0):
             raise StiffnessError(
@@ -253,41 +254,51 @@ def _dormand_prince(sample, mag, t, t_end, tol):
             )
         smallest = min(smallest, h_abs)
         hs = direction * h_abs
-        # Stage i: rows P + hs * sum_j a_ij U_j and R + hs * sum_j a_ij W_j, the medium at t + c_i hs.
-        P2, R2 = P + hs * (1 / 5 * U1), R + hs * (1 / 5 * W1)
-        medium = sample(t + 1 / 5 * hs)
-        U2, W2 = -mag / medium.mu * R2, mag / medium.epsilon * P2
-        P3, R3 = P + hs * (3 / 40 * U1 + 9 / 40 * U2), R + hs * (3 / 40 * W1 + 9 / 40 * W2)
-        medium = sample(t + 3 / 10 * hs)
-        U3, W3 = -mag / medium.mu * R3, mag / medium.epsilon * P3
-        P4 = P + hs * (44 / 45 * U1 - 56 / 15 * U2 + 32 / 9 * U3)
-        R4 = R + hs * (44 / 45 * W1 - 56 / 15 * W2 + 32 / 9 * W3)
-        medium = sample(t + 4 / 5 * hs)
-        U4, W4 = -mag / medium.mu * R4, mag / medium.epsilon * P4
-        P5 = P + hs * (19372 / 6561 * U1 - 25360 / 2187 * U2 + 64448 / 6561 * U3 - 212 / 729 * U4)
-        R5 = R + hs * (19372 / 6561 * W1 - 25360 / 2187 * W2 + 64448 / 6561 * W3 - 212 / 729 * W4)
-        medium = sample(t + 8 / 9 * hs)
-        U5, W5 = -mag / medium.mu * R5, mag / medium.epsilon * P5
-        P6 = P + hs * (9017 / 3168 * U1 - 355 / 33 * U2 + 46732 / 5247 * U3 + 49 / 176 * U4 - 5103 / 18656 * U5)
-        R6 = R + hs * (9017 / 3168 * W1 - 355 / 33 * W2 + 46732 / 5247 * W3 + 49 / 176 * W4 - 5103 / 18656 * W5)
-        medium = sample(t + hs)
-        a, b = -mag / medium.mu, mag / medium.epsilon
-        U6, W6 = a * R6, b * P6
-        # The 5th-order rows; their slopes, at the same instant and medium, are the next step's first (FSAL).
-        P7 = P + hs * (35 / 384 * U1 + 500 / 1113 * U3 + 125 / 192 * U4 - 2187 / 6784 * U5 + 11 / 84 * U6)
-        R7 = R + hs * (35 / 384 * W1 + 500 / 1113 * W3 + 125 / 192 * W4 - 2187 / 6784 * W5 + 11 / 84 * W6)
-        U7, W7 = a * R7, b * P7
-        # The local error estimate: the larger modulus of the two rows of hs * sum_j e_j k_j.
-        err = h_abs * max(
-            abs(71 / 57600 * U1 - 71 / 16695 * U3 + 71 / 1920 * U4 - 17253 / 339200 * U5 + 22 / 525 * U6 - 1 / 40 * U7),
-            abs(71 / 57600 * W1 - 71 / 16695 * W3 + 71 / 1920 * W4 - 17253 / 339200 * W5 + 22 / 525 * W6 - 1 / 40 * W7),
-        )
+        # Stage i: each entry plus hs * sum_j a_ij times its slope at stage j; a and b of the medium at t + c_i hs.
+        p2, q2, r2, s2 = p + hs * (1 / 5 * u1), q + hs * (1 / 5 * v1), r + hs * (1 / 5 * w1), s + hs * (1 / 5 * x1)
+        a, b = -mag / (medium := sample(t + 1 / 5 * hs)).mu, mag / medium.epsilon
+        u2, v2, w2, x2 = a * r2, a * s2, b * p2, b * q2
+        p3, q3 = p + hs * (3 / 40 * u1 + 9 / 40 * u2), q + hs * (3 / 40 * v1 + 9 / 40 * v2)
+        r3, s3 = r + hs * (3 / 40 * w1 + 9 / 40 * w2), s + hs * (3 / 40 * x1 + 9 / 40 * x2)
+        a, b = -mag / (medium := sample(t + 3 / 10 * hs)).mu, mag / medium.epsilon
+        u3, v3, w3, x3 = a * r3, a * s3, b * p3, b * q3
+        p4 = p + hs * (44 / 45 * u1 - 56 / 15 * u2 + 32 / 9 * u3)
+        q4 = q + hs * (44 / 45 * v1 - 56 / 15 * v2 + 32 / 9 * v3)
+        r4 = r + hs * (44 / 45 * w1 - 56 / 15 * w2 + 32 / 9 * w3)
+        s4 = s + hs * (44 / 45 * x1 - 56 / 15 * x2 + 32 / 9 * x3)
+        a, b = -mag / (medium := sample(t + 4 / 5 * hs)).mu, mag / medium.epsilon
+        u4, v4, w4, x4 = a * r4, a * s4, b * p4, b * q4
+        p5 = p + hs * (19372 / 6561 * u1 - 25360 / 2187 * u2 + 64448 / 6561 * u3 - 212 / 729 * u4)
+        q5 = q + hs * (19372 / 6561 * v1 - 25360 / 2187 * v2 + 64448 / 6561 * v3 - 212 / 729 * v4)
+        r5 = r + hs * (19372 / 6561 * w1 - 25360 / 2187 * w2 + 64448 / 6561 * w3 - 212 / 729 * w4)
+        s5 = s + hs * (19372 / 6561 * x1 - 25360 / 2187 * x2 + 64448 / 6561 * x3 - 212 / 729 * x4)
+        a, b = -mag / (medium := sample(t + 8 / 9 * hs)).mu, mag / medium.epsilon
+        u5, v5, w5, x5 = a * r5, a * s5, b * p5, b * q5
+        p6 = p + hs * (9017 / 3168 * u1 - 355 / 33 * u2 + 46732 / 5247 * u3 + 49 / 176 * u4 - 5103 / 18656 * u5)
+        q6 = q + hs * (9017 / 3168 * v1 - 355 / 33 * v2 + 46732 / 5247 * v3 + 49 / 176 * v4 - 5103 / 18656 * v5)
+        r6 = r + hs * (9017 / 3168 * w1 - 355 / 33 * w2 + 46732 / 5247 * w3 + 49 / 176 * w4 - 5103 / 18656 * w5)
+        s6 = s + hs * (9017 / 3168 * x1 - 355 / 33 * x2 + 46732 / 5247 * x3 + 49 / 176 * x4 - 5103 / 18656 * x5)
+        a, b = -mag / (medium := sample(t + hs)).mu, mag / medium.epsilon
+        u6, v6, w6, x6 = a * r6, a * s6, b * p6, b * q6
+        # The 5th-order entries; their slopes, at the same instant and medium, are the next step's first (FSAL).
+        p7 = p + hs * (35 / 384 * u1 + 500 / 1113 * u3 + 125 / 192 * u4 - 2187 / 6784 * u5 + 11 / 84 * u6)
+        q7 = q + hs * (35 / 384 * v1 + 500 / 1113 * v3 + 125 / 192 * v4 - 2187 / 6784 * v5 + 11 / 84 * v6)
+        r7 = r + hs * (35 / 384 * w1 + 500 / 1113 * w3 + 125 / 192 * w4 - 2187 / 6784 * w5 + 11 / 84 * w6)
+        s7 = s + hs * (35 / 384 * x1 + 500 / 1113 * x3 + 125 / 192 * x4 - 2187 / 6784 * x5 + 11 / 84 * x6)
+        u7, v7, w7, x7 = a * r7, a * s7, b * p7, b * q7
+        # The local error estimate hs * sum_j e_j k_j: the larger modulus of its two rows, by libm hypot.
+        eu = 71 / 57600 * u1 - 71 / 16695 * u3 + 71 / 1920 * u4 - 17253 / 339200 * u5 + 22 / 525 * u6 - 1 / 40 * u7
+        ev = 71 / 57600 * v1 - 71 / 16695 * v3 + 71 / 1920 * v4 - 17253 / 339200 * v5 + 22 / 525 * v6 - 1 / 40 * v7
+        ew = 71 / 57600 * w1 - 71 / 16695 * w3 + 71 / 1920 * w4 - 17253 / 339200 * w5 + 22 / 525 * w6 - 1 / 40 * w7
+        ex = 71 / 57600 * x1 - 71 / 16695 * x3 + 71 / 1920 * x4 - 17253 / 339200 * x5 + 22 / 525 * x6 - 1 / 40 * x7
+        err = h_abs * max(abs(complex(eu, ev)), abs(complex(ew, ex)))
+        P7, R7 = complex(p7, q7), complex(r7, s7)  # the rows as complex numbers, for libm hypot and the message
         new_max = max(abs(P7), abs(R7))
         if not (err < math.inf and new_max < math.inf):
             raise DomainError(f"mode state is not finite in the step from t={t} to t={t + hs}: rows {P7}, {R7}")
         budget = tol * h_abs * max(1.0, y_max, new_max)
         if err <= budget:
-            t, P, R, y_max, U1, W1 = t + hs, P7, R7, new_max, U7, W7
+            t, p, q, r, s, y_max, u1, v1, w1, x1 = t + hs, p7, q7, r7, s7, new_max, u7, v7, w7, x7
         factor = 0.9 * (budget / err) ** 0.2 if err > 0.0 else 5.0
         h = h_abs * min(5.0, max(0.2, factor))
     raise StiffnessError(
@@ -314,7 +325,7 @@ def integrate(
     * nonzero-width intervals (ramps) run an adaptive Dormand-Prince 5(4)
       pair on the fundamental matrix Phi, from Phi = I, that holds its
       local error per unit time at or below ``tol``, scaled by
-      max(1, larger modulus of Phi's rows as complex numbers); the
+      max(1, larger modulus of Phi's rows, by the C library's hypot); the
       state's error is then relative to the state, whatever its size;
     * zero-width (sharp) switches, periodic ones included, are break points
       only: D and B are continuous across them, so the state passes
@@ -333,7 +344,8 @@ def integrate(
     interval no wider than that floor (a ramp narrow against its distance
     from t = 0 cannot be resolved), a varying piece that needs more than
     10,000,000 steps, or a periodic span with more switch instants than that.
-    A NaN or infinite state or ``t_end`` raises :class:`DomainError`.
+    A NaN or infinite state or ``t_end`` raises :class:`DomainError`, and so does
+    a constant stretch whose phase |w h| exceeds 2 pi / float epsilon, about 2.8e16.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")

@@ -1,6 +1,7 @@
 """Mode-ODE integration oracle: eigenmodes, conservation, convergence."""
 
 import math
+import sys
 import time
 import warnings
 
@@ -215,15 +216,27 @@ class TestIntegrate:
         assert 0.5e308 < np.max(np.abs(final.D.view(float))) < 1.797e308
 
     def test_subnormal_permittivity_keeps_the_invariant(self):
-        # eps = 1e-320: B/D of the medium's modes is about sqrt(mu/eps) = 7e159, still a finite state.
-        # The constant-medium ODE keeps mu |D|**2 + eps |B|**2 (for transverse D and B), whatever the
-        # phase w*h, here 7e129.
+        # eps = 1e-320: B/D of the medium's modes is about sqrt(mu/eps) = 7e159 whatever |m|, still a finite
+        # state. The constant-medium ODE keeps mu |D|**2 + eps |B|**2 (for transverse D and B); at |m| = 1e-150
+        # the phase w*h is 7e9.
         medium = MediumState(1e-320, 0.5)
         profile = TemporalProfile.periodic(medium, medium, period=1e-320)  # before its start: one constant piece
-        final = integrate(profile, [1e-30, 0.0, 0.0], ModeState(Y_HAT, [0.0, 0.0, 1.0], 0.0), -0.5)
+        initial = ModeState(Y_HAT, [0.0, 0.0, 1.0], 0.0)
+        final = integrate(profile, [1e-150, 0.0, 0.0], initial, -0.5)
         invariant = medium.mu * np.sum(np.abs(final.D) ** 2) + np.sum(np.abs(math.sqrt(medium.epsilon) * final.B) ** 2)
         assert invariant == pytest.approx(medium.mu + medium.epsilon, rel=1e-12)
         assert np.max(np.abs(final.B)) > 1e159
+        # At |m| = 1e-30 the phase is 7e129: one rounding of w*h spans many periods, so the phase is noise.
+        with pytest.raises(DomainError, match=r"phase w\*h = -7\.07\d+e\+129 of a constant piece exceeds 2 pi / float"):
+            integrate(profile, [1e-30, 0.0, 0.0], initial, -0.5)
+
+    def test_phase_past_the_rounding_bound_raises(self):
+        # 2 pi / float epsilon = 2.8e16 rad: a constant piece of vacuum at |m| = 1 runs up to that phase and no further.
+        initial = plane_wave_mode_state(vacuum_wave(), VACUUM, 0.0)
+        m, bound = phase_vector(vacuum_wave()), 2 * math.pi / sys.float_info.epsilon
+        integrate(TemporalProfile.constant(VACUUM), m, initial, bound)
+        with pytest.raises(DomainError, match=r"phase w\*h = 2\.8\d+e\+16 of a constant piece exceeds 2 pi / float"):
+            integrate(TemporalProfile.constant(VACUUM), m, initial, math.nextafter(bound, math.inf))
 
     def test_phase_vector_below_normal_square_rejected(self):
         initial = plane_wave_mode_state(vacuum_wave(), VACUUM, 0.0)
@@ -854,7 +867,7 @@ class TestExactPropagation:
 
 
 # --- Reference: the 2x2 Dormand-Prince step over four real entries, one loop pass per stage. ---
-# oracle._dormand_prince writes the same arithmetic out by hand on Phi's rows as complex numbers.
+# oracle._dormand_prince writes the same arithmetic out by hand on Phi's four entries as floats.
 # It must take exactly these steps, reproduce these values and sample at these instants, once at
 # the repeated node c6 = c7 = 1.
 
@@ -1034,6 +1047,11 @@ def integration_cases(draw):
     return kind, profile, m, ModeState(D, B, t_start), t_end, tol
 
 
+def bits(values):
+    """Each float's exact bits, so -0.0 and 0.0 differ."""
+    return [x.hex() for x in values]
+
+
 def varying_pieces(profile, initial, t_end):
     lo, hi = min(initial.t, t_end), max(initial.t, t_end)
     pieces = [(a, b) for a, b, varying in oracle_module._pieces(profile, lo, hi) if varying]
@@ -1051,11 +1069,21 @@ class TestFundamentalMatrix:
             ref_profile, new_profile = RecordedByPiece(profile, sample_only), Recorded(profile, sample_only)
             expected = ref_fundamental(ref_profile.sample, mag, start, end, tol)
             got = oracle_module._dormand_prince(new_profile.sample, mag, start, end, tol)
-            # Equal values: the oracle's complex products by a real may differ in the sign of an exact zero.
-            assert list(got) == expected
+            assert bits(got) == bits(expected)
             # The same instants, except that stage 7 reuses stage 6's medium: one sample fewer per attempted step.
             (piece,) = ref_profile.pieces
             assert new_profile.instants == repeated_node_listed_once(piece)
+
+    def test_row_modulus_is_libm_hypot(self):
+        # abs(complex(p, q)) is the C library's hypot; math.hypot can differ from it in the last bit, and here
+        # that changes the steps: with it this ramp gives p = 0.9421614745686041.
+        before = MediumState(0.6974823056175358, 0.7865559181741838)
+        after = MediumState(1.7327578303230207, 0.9825112556053248)
+        profile = TemporalProfile.ramp(before, after, t0=-0.5384265337152936, tau=0.6571026981975543)
+        args = (0.48004828579972236, -0.8669778828140707, -0.20987518461651644, 3.733847359191366e-11)
+        got = oracle_module._dormand_prince(profile.sample, *args)
+        assert got[0] == 0.9421614745686042
+        assert bits(got) == bits(ref_fundamental(profile.sample, *args))
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(case=integration_cases())
