@@ -160,9 +160,12 @@ class TemporalProfile:
             # A monotone interpolant between opposite-sign parameters
             # would pass through zero, violating MediumState invariants.
             raise DomainError("ramps need at least one switch and positive media in every stage")
-        for s in switches if self.tau > 0.0 else ():
+        ramps = []  # for sample: each ramp's start s - tau/2, and epsilon and mu of the stages before and after it
+        for s, lo, hi in zip(switches, stages, stages[1:]) if self.tau > 0.0 else ():
             if s - 0.5 * self.tau == s + 0.5 * self.tau:  # the ramp would integrate as a sharp switch
                 raise DomainError(f"ramp width tau={self.tau} rounds to zero at the switch instant t={s}")
+            ramps.append((s - 0.5 * self.tau, lo.epsilon, lo.mu, hi.epsilon, hi.mu))
+        object.__setattr__(self, "_ramps", tuple(ramps))
         if self.period is not None or self.duty is not None:
             if len(stages) != 2 or self.tau != 0.0 or None in (self.period, self.duty):
                 raise DomainError("a periodic profile has two sharp stages, a period and a duty")
@@ -220,16 +223,22 @@ class TemporalProfile:
             return stages[i]
         # The last ramp that has started, or the first; lo=1 keeps i >= 0.
         i = bisect(switches, t + 0.5 * tau, 1) - 1
-        u = (t - (switches[i] - 0.5 * tau)) / tau
+        start, eps_lo, mu_lo, eps_hi, mu_hi = self._ramps[i]
+        u = (t - start) / tau
         if u <= 0.0:
             return stages[i]
         if u >= 1.0:
             return stages[i + 1]
         # The smoothstep s = u^2 (3 - 2u), C1 and monotone with zero slope at both ends, and its complement
         # r = 1 - s = (1 - u)^2 (1 + 2u): a blend lo*r + hi*s of positive terms, with no hi - lo to cancel.
-        lo, hi, s, r = stages[i], stages[i + 1], u * u * (3.0 - 2.0 * u), (1.0 - u) * (1.0 - u) * (1.0 + 2.0 * u)
-        # Positional, with the default branch +1: a keyword argument makes the call about 40 % slower.
-        return MediumState(lo.epsilon * r + hi.epsilon * s, lo.mu * r + hi.mu * s)
+        s, r = u * u * (3.0 - 2.0 * u), (1.0 - u) * (1.0 - u) * (1.0 + 2.0 * u)
+        epsilon, mu = eps_lo * r + eps_hi * s, mu_lo * r + mu_hi * s
+        # MediumState(epsilon, mu) without the class call: __init__'s guard for two floats and branch 1, then __dict__.
+        if not 0.0 < epsilon * mu < math.inf:
+            check_medium(epsilon, mu, 1)
+        fields = (medium := object.__new__(MediumState)).__dict__
+        fields["epsilon"], fields["mu"], fields["branch"] = epsilon, mu, 1
+        return medium
 
     def switch_intervals(self):
         """Time intervals where the profile varies, as (t_lo, t_hi) pairs.

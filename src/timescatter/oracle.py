@@ -34,6 +34,7 @@ them unchanged.  None of this uses the interface formulas of
 from __future__ import annotations
 
 import cmath
+import heapq
 import math
 import sys
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ import numpy as np
 from .errors import ConstraintError, DomainError, StiffnessError
 from .media import MediumState, TemporalProfile, wave_speed
 from .scatter import coefficients
-from .waves import PlaneWave, _check_incident, _magnetic_amplitude, _norm, _vector3, phase_vector
+from .waves import _NEXT, _PREV, PlaneWave, _check_incident, _magnetic_amplitude, _norm, _vector3, phase_vector
 
 __all__ = [
     "ModeState",
@@ -103,7 +104,7 @@ def _modulus(m) -> tuple[np.ndarray, float]:
     """A copy of m and |m|; DomainError naming m unless it is a finite real 3-vector with |m|**2 normal."""
     m = _vector3(m, "m", float)
     with np.errstate(over="ignore"):  # an overflowing |m| is rejected below
-        mag = float(np.linalg.norm(m))
+        mag = math.sqrt(m.dot(m))  # np.linalg.norm's own formula for a real 3-vector
     if not sys.float_info.min <= mag * mag < math.inf:
         raise DomainError(f"phase vector magnitude {mag!r} is out of range: |m|**2 must be a normal float")
     return m, mag
@@ -150,24 +151,38 @@ _MIN_STEP_REL = 1e-14
 _MAX_PHASE = 2 * math.pi / sys.float_info.epsilon  # past it, one rounding of w*h spans a whole period
 
 
-def _periodic_instants(profile, lo: float, hi: float):
-    """Zero-width switch intervals of a periodic profile from lo up to hi; StiffnessError past the step cap."""
-    t0 = profile.switches[0]
-    count = 2.0 * ((hi - max(lo, t0)) / profile.period + 1.0)  # two switches per period, counted before listing
-    if not count <= _MAX_STEPS:
-        raise StiffnessError(
-            f"the span from t={lo} to t={hi} holds about {count:.3g} periodic switch instants,"
-            f" more than the {_MAX_STEPS}-step cap",
-        )
-    n = max(0.0, (lo - t0) / profile.period)  # whole periods before the span
-    if n == math.inf:
-        raise DomainError(f"t={lo} lies beyond the float range of periods {profile.period} after t={t0}")
-    n = math.floor(n)
-    instants = []
-    while (start := t0 + n * profile.period) <= hi:
-        instants += [(start, start), (start + profile.duty * profile.period,) * 2]
-        n += 1
-    return instants
+class _PeriodicPieces:
+    """A periodic profile's constant pieces from lo to hi, made one at a time: iter() up in time, reversed() down."""
+
+    def __init__(self, profile, lo: float, hi: float):
+        t0, period = profile.switches[0], profile.period
+        count = 2.0 * ((hi - max(lo, t0)) / period + 1.0)  # two switches per period, counted before the walk
+        if not count <= _MAX_STEPS:
+            raise StiffnessError(
+                f"the span from t={lo} to t={hi} holds about {count:.3g} periodic switch instants,"
+                f" more than the {_MAX_STEPS}-step cap",
+            )
+        n = max(0.0, (lo - t0) / period)  # whole periods before the span
+        if n == math.inf:
+            raise DomainError(f"t={lo} lies beyond the float range of periods {period} after t={t0}")
+        first = last = math.floor(n)
+        while t0 + last * period <= hi:  # the periods first to last - 1 start by hi
+            last += 1
+        self.span, self.periods = (lo, hi, t0, period, profile.duty * period), range(first, last)
+
+    def __iter__(self, backward=False):
+        (lo, hi, t0, period, duty), ks = self.span, self.periods[::-1] if backward else self.periods
+        cursor, end = (hi, lo) if backward else (lo, hi)
+        # Period starts and duty switches each move monotonically with k, so merging the two sorts every instant.
+        for x in heapq.merge((t0 + k * period for k in ks), (t0 + k * period + duty for k in ks), reverse=backward):
+            if lo < x < hi and x != cursor:  # the instant ends one constant piece and starts the next
+                yield min(cursor, x), max(cursor, x), False
+                cursor = x
+        if cursor != end:
+            yield min(cursor, end), max(cursor, end), False
+
+    def __reversed__(self):
+        return self.__iter__(backward=True)
 
 
 def _pieces(profile, lo: float, hi: float):
@@ -184,9 +199,8 @@ def _pieces(profile, lo: float, hi: float):
         return [(lo, hi, True)]
     intervals = getter()
     if intervals is None:
-        intervals = _periodic_instants(profile, lo, hi)
-    pieces = []
-    cursor = lo
+        return _PeriodicPieces(profile, lo, hi)
+    pieces, cursor = [], lo
     for a, b in sorted(intervals):
         if b < lo or a > hi:
             continue
@@ -363,7 +377,7 @@ def integrate(
     basis = _basis(m, mag)
     pieces = _pieces(profile, min(t, t_end), max(t, t_end))
     if t_end < t:
-        pieces = [(b, a, varying) for a, b, varying in reversed(pieces)]
+        pieces = ((b, a, varying) for a, b, varying in reversed(pieces))
 
     d1, d2, c1, c2, d3, b3 = _project(basis, initial.D.tolist(), initial.B.tolist())
     for start, end, varying in pieces:
@@ -376,11 +390,6 @@ def integrate(
             where = f"in the step from t={start} to t={end}" if varying else f"at t={end}"
             raise DomainError(f"mode state is not finite {where}: {sum(_unproject(basis, d1, d2, c1, c2, d3, b3), [])}")
     return ModeState(*_unproject(basis, d1, d2, c1, c2, d3, b3), t_end)
-
-
-def _transverse_check(vec: np.ndarray, kappa: np.ndarray, norm: float, what: str):
-    if abs(np.dot(vec, kappa)) > 1e-8 * norm:
-        raise ConstraintError(f"{what} is not transversal to the phase vector")
 
 
 def mode_decompose(state: ModeState, medium: MediumState, m: np.ndarray) -> ModeAmplitudes:
@@ -398,21 +407,18 @@ def mode_decompose(state: ModeState, medium: MediumState, m: np.ndarray) -> Mode
     v = wave_speed(medium)
 
     scale = max(_norm(state.D), _norm(state.B) / v)
-    _transverse_check(state.D, kappa, scale, "D")
-    _transverse_check(state.B, kappa, scale, "B")
+    for vec, what in (state.D, "D"), (state.B, "B"):
+        if abs(np.dot(vec, kappa)) > 1e-8 * scale:
+            raise ConstraintError(f"{what} is not transversal to the phase vector")
 
     with np.errstate(all="ignore"):  # parts that leave the float range are rejected below
         E = state.D / medium.epsilon
-        cross = v * np.cross(kappa, state.B)
-        E_f = 0.5 * (E - cross)
-        E_b = 0.5 * (E + cross)
-        D_f = medium.epsilon * E_f
-        D_b = medium.epsilon * E_b
+        cross = v * (kappa[_NEXT] * state.B[_PREV] - kappa[_PREV] * state.B[_NEXT])  # np.cross's bits
+        D_f, D_b = medium.epsilon * (0.5 * (E - cross)), medium.epsilon * (0.5 * (E + cross))
     if not (np.isfinite(D_f).all() and np.isfinite(D_b).all()):
         raise DomainError(f"eigenmode parts of the state are not finite in medium {medium}")
 
-    norm_f = _norm(D_f)
-    norm_b = _norm(D_b)
+    norm_f, norm_b = _norm(D_f), _norm(D_b)
     if norm_f == 0.0 and norm_b == 0.0:
         # Zero field: any transverse polarization will do.
         p = np.zeros(3, dtype=np.complex128)
@@ -421,8 +427,7 @@ def mode_decompose(state: ModeState, medium: MediumState, m: np.ndarray) -> Mode
         p /= np.linalg.norm(p)
         return ModeAmplitudes(0.0, 0.0, p)
     p = (D_f / norm_f) if norm_f >= norm_b else (D_b / norm_b)
-    forward = complex(np.vdot(p, D_f))
-    backward = complex(np.vdot(p, D_b))
+    forward, backward = complex(np.vdot(p, D_f)), complex(np.vdot(p, D_b))
     # The two-scalar form exists only if both parts share the polarization.
     eps_rel = 1e-8 * max(norm_f, norm_b)
     if _norm(D_f - forward * p) > eps_rel or _norm(D_b - backward * p) > eps_rel:
@@ -493,9 +498,7 @@ def numeric_rt(
     amps = mode_decompose(final, after, m)
 
     incident_E = _norm(incident.amplitude)
-    R_num = abs(amps.backward) / after.epsilon / incident_E
-    T_num = abs(amps.forward) / after.epsilon / incident_E
-    return R_num, T_num
+    return abs(amps.backward) / after.epsilon / incident_E, abs(amps.forward) / after.epsilon / incident_E  # R, T
 
 
 @dataclass(frozen=True)

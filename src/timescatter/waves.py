@@ -53,6 +53,8 @@ def _rescaled(v: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _norm(v: np.ndarray, axis=None):
     """np.linalg.norm(v, axis=axis), a float for axis None, on _rescaled(v): the same bits where not rescaled."""
+    if axis is None and v.ndim == 1 and 2.0**-500 <= max(map(abs, v.view(np.float64).tolist())) <= 2.0**500:
+        return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))  # np.linalg.norm's own sum; no square overflows
     scaled, e = _rescaled(v)
     with np.errstate(over="ignore"):  # a norm beyond the float range is inf
         norm = np.ldexp(np.linalg.norm(scaled, axis=axis), -e)

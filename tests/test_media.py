@@ -1,5 +1,6 @@
 """Material states, derived quantities, and time profiles."""
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -304,11 +305,25 @@ class TestUnifiedSample:
     def test_sample_matches_transcription(self, case):
         stages, switches, tau, times = case
         profile = TemporalProfile(stages, switches, tau)
-        for t in times:
-            if tau == 0.0 and t in switches:
-                continue
-            assert profile.sample(t) == smoothstep_sample(stages, switches, tau, t)
+        # sample reads per-ramp values set in __post_init__: a replaced profile and a copy must not read stale ones.
+        other = TemporalProfile(stages[::-1], tuple(s + 1.0 for s in switches), tau)
+        for built in profile, dataclasses.replace(other, stages=stages, switches=switches), copy.copy(profile):
+            for t in times:
+                if tau == 0.0 and t in switches:
+                    continue
+                x, expected = built.sample(t), smoothstep_sample(stages, switches, tau, t)
+                assert type(x) is MediumState and type(x.branch) is int and x.branch == 1
+                assert (x.epsilon.hex(), x.mu.hex()) == (expected.epsilon.hex(), expected.mu.hex())
+                assert x == expected
         assert profile.switch_intervals() == [(s - 0.5 * tau, s + 0.5 * tau) for s in switches]
+
+    def test_blend_past_the_float_range_raises_as_the_class_call_does(self):
+        # Both stages at the largest float: inside the ramp their blend rounds up to inf, which MediumState rejects.
+        stage = MediumState(1.7976931348623157e308, 1e-300)
+        profile = TemporalProfile.ramp(stage, stage, t0=0.0, tau=1.0)
+        with pytest.raises(DomainError, match=r"^epsilon and mu must be finite, got \(inf, 1e-300\)$"):
+            profile.sample(0.49996000000000007)
+        assert profile.sample(0.0) == stage
 
     @hyp.settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @hyp.given(case=profile_cases())

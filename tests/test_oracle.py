@@ -3,6 +3,7 @@
 import math
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -277,6 +278,68 @@ class TestIntegrate:
         back = integrate(Breathing(), m, final, 0.0)
         assert np.max(np.abs(back.D - state.D)) <= 20 * TOL
 
+    def test_ramp_blend_past_the_float_range_raises(self):
+        # Both stages at the largest float: the blend rounds up to inf inside the ramp, which sample rejects.
+        stage = MediumState(1.7976931348623157e308, 1e-300)
+        profile = TemporalProfile.ramp(stage, stage, t0=0.0, tau=1.0)
+        with pytest.raises(DomainError):
+            integrate(profile, X_HAT, ModeState(Y_HAT, [0.0, 0.0, 1.0], -1.0), 1.0)
+
+
+def ref_periodic_pieces(profile, lo, hi):
+    """A periodic profile's pieces from lo to hi as once built: every switch instant of the span listed and sorted."""
+    t0, period = profile.switches[0], profile.period
+    n, instants = math.floor(max(0.0, (lo - t0) / period)), []
+    while (start := t0 + n * period) <= hi:
+        instants += [start, start + profile.duty * period]
+        n += 1
+    pieces, cursor = [], lo
+    for x in sorted(instants):
+        if lo <= x <= hi and x >= cursor:
+            if x > cursor:
+                pieces.append((cursor, x, False))
+            cursor = x
+    return pieces + [(cursor, hi, False)] if hi > cursor else pieces
+
+
+class TestPeriodicWalk:
+    """A periodic span is walked a piece at a time, in either direction, with the pieces a sorted list gave."""
+
+    PROFILE = TemporalProfile.periodic(VACUUM, DENSE, t0=0.0, period=2.0, duty=0.5)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(
+        t0=st.floats(-5.0, 5.0), period=st.floats(0.1, 3.0), span=st.floats(0.0, 30.0),
+        duty=st.sampled_from([0.5, 1e-9, 1 - 1e-9]) | st.floats(0.01, 0.99),
+        offset=st.sampled_from([0.0, -3.0, 1e6, 1e15]) | st.floats(-10.0, 40.0),
+    )
+    def test_same_pieces_as_a_sorted_list(self, t0, period, duty, offset, span):
+        # Far from t0, with a duty near 1, a duty switch can round to or past the next period's start.
+        profile = TemporalProfile.periodic(VACUUM, DENSE, t0=t0, period=period, duty=duty)
+        lo = t0 + offset
+        hi = lo + span * period
+        expected = ref_periodic_pieces(profile, lo, hi)
+        pieces = oracle_module._pieces(profile, lo, hi)
+        assert [bits(piece[:2]) + [piece[2]] for piece in pieces] == [bits(p[:2]) + [p[2]] for p in expected]
+        assert [bits(p[:2]) for p in reversed(pieces)] == [bits(p[:2]) for p in reversed(expected)]
+
+    def peak_memory(self, periods, backward):
+        wave, ends = vacuum_wave(), [-0.5, 2.0 * periods - 0.5]
+        start, end = ends[::-1] if backward else ends
+        initial = plane_wave_mode_state(wave, VACUUM, start)
+        tracemalloc.start()
+        try:
+            integrate(self.PROFILE, phase_vector(wave), initial, end)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    def test_peak_memory_does_not_grow_with_the_span(self, backward):
+        # A list of every switch instant and piece peaked at 62-86 KB for 300 periods and 0.9-1.0 MB for 3,000.
+        self.peak_memory(30, backward)  # first-call allocations are not the walk's
+        assert self.peak_memory(3000, backward) <= 2 * self.peak_memory(300, backward)
+
 
 class TestNonFiniteTimes:
     """A NaN or infinite time raises at once, where it used to return a wrong state, crash or run without end."""
@@ -334,6 +397,16 @@ class TestMomentumLaw:
         final = integrate(profile, phase_vector(wave), initial, 0.5 * profile.tau + 1.0, tol=tol)
         start, end = (np.cross(state.D, state.B.conj()).real for state in (initial, final))
         assert np.linalg.norm(end - start) <= 2.0 * tol * max(1.0, tau) * np.linalg.norm(start)
+
+
+def ref_decompose(state, medium, m):
+    """mode_decompose's amplitudes and polarization by np.cross and np.linalg.norm; its checks are left out."""
+    kappa = m / float(np.linalg.norm(m))
+    E, cross = state.D / medium.epsilon, medium.wave_speed * np.cross(kappa, state.B)
+    D_f, D_b = medium.epsilon * (0.5 * (E - cross)), medium.epsilon * (0.5 * (E + cross))
+    norm_f, norm_b = float(np.linalg.norm(D_f)), float(np.linalg.norm(D_b))  # unscaled: no part is near 2**+-500
+    p = (D_f / norm_f) if norm_f >= norm_b else (D_b / norm_b)
+    return complex(np.vdot(p, D_f)), complex(np.vdot(p, D_b)), p
 
 
 class TestModeDecompose:
@@ -397,6 +470,25 @@ class TestModeDecompose:
         amps = mode_decompose(zero, VACUUM, phase_vector(vacuum_wave()))
         assert (amps.forward, amps.backward) == (0.0, 0.0)
         assert amps.polarization.tolist() == [0.0, 1.0, 0.0]
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(case=st.data())
+    def test_same_bits_as_np_cross_transcription(self, case):
+        draw = case.draw
+        k, pol = oblique_elliptic(draw)
+        medium = MediumState(*draw(POSITIVE))
+        m = 10.0 ** draw(st.floats(-3.0, 3.0)) * k
+        f, b = complex(draw(UNIT), draw(UNIT)) + 1.5, complex(draw(UNIT), draw(UNIT)) - 1.5j  # neither is zero
+        scale = 10.0 ** draw(st.floats(-100.0, 100.0))
+        D = scale * (f + b) * pol
+        B = scale * ((f - b) / (medium.epsilon * medium.wave_speed)) * np.cross(k, pol)
+        state = ModeState(D, B, draw(UNIT))
+        amps = mode_decompose(state, medium, m)
+        forward, backward, polarization = ref_decompose(state, medium, m)
+        assert bits([amps.forward.real, amps.forward.imag, amps.backward.real, amps.backward.imag]) == bits(
+            [forward.real, forward.imag, backward.real, backward.imag]
+        )
+        assert bits(amps.polarization.view(np.float64).tolist()) == bits(polarization.view(np.float64).tolist())
 
 
 class TestStateBuilders:

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from timescatter import (
@@ -25,7 +27,7 @@ from timescatter import (
     scatter_interface,
     transversality_residual,
 )
-from timescatter.waves import _magnetic_amplitude
+from timescatter.waves import _magnetic_amplitude, _norm
 
 X_HAT = np.array([1.0, 0.0, 0.0])
 Y_HAT = np.array([0.0, 1.0, 0.0])
@@ -231,3 +233,45 @@ class TestCallerArraysStayWriteable:
     def test_mode_state_shape_is_checked_by_name(self):
         with pytest.raises(DomainError, match=r"B must be a 3-vector, got shape \(2,\)"):
             ModeState(Y_HAT.astype(complex), [1.0, 0.0], 0.0)
+
+
+def ref_norm(v):
+    """_norm as np.linalg.norm on the rescaled vector: peak in [1, 2) outside 2**-500..2**500, scaled back."""
+    parts = v.view(np.float64)
+    peak = float(np.max(np.abs(parts)))
+    e = 0 if peak == 0.0 or 2.0**-500 <= peak <= 2.0**500 else 1 - math.frexp(peak)[1]
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.linalg.norm(np.ldexp(parts, e).view(v.dtype)), -e))
+
+
+TINY, HUGE = 2.0**-500, 2.0**500
+# At 2**-500 and 2**500, and one float either side of each.
+EDGES = [TINY, HUGE, *(math.nextafter(x, y) for x in (TINY, HUGE) for y in (0.0, math.inf))]
+EXPONENTS = [-1074, -600, -530, -511, -503, -500, -497, 0, 497, 500, 503, 520, 1023]
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.0, math.inf, -math.inf, math.nan]
+NORM_PARTS = st.one_of(
+    st.sampled_from(SPECIAL + EDGES + [-x for x in EDGES]),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.sampled_from(EXPONENTS)),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestNorm:
+    """_norm skips the rescaling and np.linalg.norm's call where its squares neither overflow nor lose digits."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(parts=st.lists(NORM_PARTS, min_size=6, max_size=6), complex_vector=st.booleans())
+    def test_same_bits_as_linalg_norm(self, parts, complex_vector):
+        # NaN in any place: a Python max over the parts keeps a leading NaN and passes over a later one.
+        v = np.array(parts).view(np.complex128) if complex_vector else np.array(parts[:3])
+        assert _norm(v).hex() == ref_norm(v).hex()
+
+    @pytest.mark.parametrize("peak", EDGES)
+    @pytest.mark.parametrize("place", range(3))
+    def test_peaks_at_the_rescaling_edges(self, peak, place):
+        rng = np.random.default_rng([place, 500])
+        for _ in range(50):
+            v = rng.uniform(-1.0, 1.0, 6) * peak
+            v[2 * place] = peak
+            for vector in v.view(np.complex128), v[:3]:
+                assert _norm(vector).hex() == ref_norm(vector).hex()
