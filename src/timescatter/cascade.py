@@ -66,9 +66,6 @@ def _read_only(matrix: np.ndarray) -> np.ndarray:
     return matrix
 
 
-_IDENTITY = _read_only(np.eye(2, dtype=np.complex128))
-
-
 def _matrix(entries) -> np.ndarray:
     """Read-only (2, 2) complex matrix from its four entries in row-major order."""
     return _read_only(np.array(entries, dtype=np.complex128).reshape(2, 2))
@@ -82,24 +79,30 @@ def interface_matrix(before: MediumState, after: MediumState) -> np.ndarray:
     formulas to backward incidence (the mirror image k -> -k), which
     swaps the roles of the two slots.  Identical media give the identity.
     """
-    return _matrix(_interface(before, after)[0])
+    t, r = _interface(before, after)[0]
+    return _matrix((t, r, r, t))
 
 
 def _interface(before: MediumState, after: MediumState) -> tuple:
-    """Row-major entries of interface_matrix and the frequency factor |v+/v-|, from one scalar kernel call."""
+    """interface_matrix's (t, r) as complex, so every Python rounds products alike, and the factor |v+/v-|."""
     try:
         _, factor, r, t = scatter_kernel(
             1.0, before.epsilon, before.mu, before.branch, after.epsilon, after.mu, after.branch
         )
     except DegenerateCaseError as exc:
         raise DegenerateCaseError(f"no unique interface matrix: {exc}") from exc
-    return (t, r, r, t), factor
+    return (complex(t), complex(r)), factor
+
+
+def _through(t, r, a, b, c, d) -> tuple:
+    """[[t, r], [r, t]] @ [[a, b], [c, d]] as four row sums: one interface applied to row-major entries."""
+    return t * a + r * c, t * b + r * d, r * a + t * c, r * b + t * d
 
 
 def _dwell(omega: float, duration: float) -> tuple:
-    """Row-major entries of propagate(omega, duration)."""
+    """Diagonal (p, q) of propagate(omega, duration)."""
     phase = abs(omega) * duration
-    return cmath.exp(-1j * phase), 0.0, 0.0, cmath.exp(1j * phase)
+    return cmath.exp(-1j * phase), cmath.exp(1j * phase)
 
 
 def _check_phase(omega: float, duration: float, where: str = ""):
@@ -111,7 +114,7 @@ def propagate(omega: float, duration: float) -> np.ndarray:
     """Free-propagation phases diag(exp(-i|w|d), exp(+i|w|d)); DomainError unless |w|*d is finite."""
     duration = _duration(duration)
     _check_phase(omega, duration)
-    return _matrix(_dwell(omega, duration))
+    return _matrix(np.diag(_dwell(omega, duration)))
 
 
 def _event_labels(count: int) -> tuple[list, list]:
@@ -140,26 +143,28 @@ def _timeline_product(segments, omega: float, trace=False):
     """Product of a timeline's dwell and interface matrices in one pass.
 
     ``omega`` drives the phases and is rescaled by |v_next/v_prev| at each
-    interface; each distinct (before, after) media pair is solved once.
-    Every event matrix goes into one stacked array, and the products run
-    over it in event order (``net = step @ net``, and with ``trace`` ``amps
-    = step @ amps`` from (1, 0)), each into a buffer through
-    ``ndarray.dot``, which is ``np.dot`` without its
-    ``__array_function__`` dispatch: on these contiguous complex operands
-    it makes the BLAS zgemm and zgemv calls ``@`` makes on separate
-    matrices, with less overhead, so the bits match an event-by-event
-    product.  Returns the net matrix, the final frequency, the frequency
-    after each event and, with ``trace``, the (events, 2) amplitudes after
-    each event.
+    interface; each distinct (before, after) media pair is solved once.  The
+    net matrix is kept as four Python complex numbers and each event applied
+    in event order (``net = step @ net``): a dwell scales the rows, an
+    interface is ``_through``'s row sums.  The amplitudes from (1, 0) are the
+    first column of the net matrix at every event, bit for bit, so the trace
+    reads that column.  No product goes through numpy or BLAS, so the bits do
+    not depend on the BLAS kernel.  Returns the net matrix's entries
+    (row-major), the final frequency, the frequency after each event and,
+    with ``trace``, the read-only (events, 2) amplitudes after each event.
     """
     count = len(segments)
-    # Each event's (2, 2) matrix row-major, and the frequency after it; sized up front, since a
-    # list grown entry by entry leaves holes in the heap that outlive the call.
-    entries, omegas = [0.0] * (8 * count - 4), [omega] * (2 * count - 1)
+    # The frequency and the amplitude column after each event; sized up front, since a list grown
+    # entry by entry leaves holes in the heap that outlive the call.
+    omegas, column = [omega] * (2 * count - 1), [0j] * (4 * count - 2) if trace else None
     solved = {}  # (before, after) media -> _interface(before, after)
+    a, b, c, d = 1 + 0j, 0j, 0j, 1 + 0j
     for j, segment in enumerate(segments):
-        entries[8 * j:8 * j + 4] = _dwell(omega, segment.duration)
+        p, q = _dwell(omega, segment.duration)
+        a, b, c, d = p * a, p * b, q * c, q * d
         omegas[2 * j] = omega
+        if trace:
+            column[4 * j:4 * j + 2] = a, c
         if j + 1 < count:
             pair = segment.medium, segments[j + 1].medium
             interface = solved.get(pair)
@@ -172,21 +177,14 @@ def _timeline_product(segments, omega: float, trace=False):
                     if str(exc) != _NONFINITE_AMPLITUDE:  # a speed ratio beyond the float range names itself
                         raise
                     raise DomainError(f"interface {j}: {exc}") from exc
-            entries[8 * j + 4:8 * j + 8], factor = interface
+            (t, r), factor = interface
+            a, b, c, d = _through(t, r, a, b, c, d)
             omega *= factor
             omegas[2 * j + 1] = omega
-    steps = np.array(entries, dtype=np.complex128).reshape(-1, 2, 2)
-    net, spare = _IDENTITY.copy(), np.empty((2, 2), dtype=np.complex128)
-    if not trace:
-        for step in steps:
-            net, spare = step.dot(net, spare), net
-        return _read_only(net), omega, omegas, None
-    amps = np.empty((len(steps), 2), dtype=np.complex128)
-    column = np.array([1.0, 0.0], dtype=np.complex128)
-    for step, row in zip(steps, amps):
-        net, spare = step.dot(net, spare), net
-        column = step.dot(column, row)
-    return _read_only(net), omega, omegas, _read_only(amps)
+            if trace:
+                column[4 * j + 2:4 * j + 4] = a, c
+    amps = _read_only(np.array(column, dtype=np.complex128).reshape(-1, 2)) if trace else None
+    return (a, b, c, d), omega, omegas, amps
 
 
 def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
@@ -209,7 +207,8 @@ def cascade_scatter(timeline, incident: PlaneWave) -> CascadeResult:
         raise DomainError("incident frequency must be positive")
 
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below, naming its step
-        net, omega, omegas, trace = _timeline_product(segments, incident.omega, trace=True)
+        entries, omega, omegas, trace = _timeline_product(segments, incident.omega, trace=True)
+        net = _matrix(entries)
         finite = np.isfinite(np.abs(trace)).all(axis=1) & np.isfinite(omegas)
     if not (finite.all() and np.isfinite(net).all()):
         k = int(np.argmin(finite)) if not finite.all() else len(finite) - 1
@@ -257,15 +256,15 @@ def floquet_exponent(cell, omega_in: float) -> FloquetResult:
     """Eigen-exponents of the one-period matrix of a periodic cell.
 
     The cell is a sequence of :class:`TimelineSegment`.  Its one-period
-    matrix (``period_matrix``) is the product of cascade_scatter at |omega_in|,
-    closed by an interface from the last segment's medium back to the
-    first's, so that it can be iterated; the product skips the per-event
-    trace.  Returns the principal logarithms of the two eigenvalues (per
-    period) and flags max|eigenvalue| > 1 + 1e-9 as a momentum-gap
-    (amplifying) cell.  A defective matrix within tolerance triggers
-    :class:`NumericalDegeneracyWarning`; a matrix without finite
-    eigenvalues raises :class:`DomainError`, which names the first segment
-    whose dwell phase overflows, if one does.
+    matrix (``period_matrix``) is cascade_scatter's product at |omega_in|,
+    without the trace, closed by an interface from the last segment's
+    medium back to the first's so that it can be iterated; the closing is
+    floquet_from_net's, so the two agree to the bit.  Returns the principal
+    logarithms of the two eigenvalues (per period) and flags max|eigenvalue|
+    > 1 + 1e-9 as a momentum-gap (amplifying) cell.  A defective matrix
+    within tolerance triggers :class:`NumericalDegeneracyWarning`; a matrix
+    without finite eigenvalues raises :class:`DomainError`, which names the
+    first segment whose dwell phase overflows, if one does.
     """
     segments = list(cell)
     period = _cell_period(segments)
@@ -275,9 +274,9 @@ def floquet_exponent(cell, omega_in: float) -> FloquetResult:
     if omega == 0.0:
         raise DomainError("omega_in must be nonzero")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing period matrix raises in _floquet
-        matrix, _, omegas, _ = _timeline_product(segments, omega)
+        entries, _, omegas, _ = _timeline_product(segments, omega)
         try:
-            return _floquet(segments, matrix, period)
+            return _floquet(segments, entries, period)
         except DomainError:  # name an overflowing dwell phase, if that is the cause
             for j, (segment, omega) in enumerate(zip(segments, omegas[::2])):
                 _check_phase(omega, segment.duration, f"segment {j}: ")
@@ -292,21 +291,22 @@ def floquet_from_net(cell, net_matrix: np.ndarray) -> FloquetResult:
     segments = list(cell)
     period = _cell_period(segments)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing period matrix raises in _floquet
-        return _floquet(segments, net_matrix, period)
+        return _floquet(segments, np.asarray(net_matrix, dtype=np.complex128).ravel().tolist(), period)
 
 
-def _floquet(segments, matrix: np.ndarray, period: float) -> FloquetResult:
+def _floquet(segments, entries, period: float) -> FloquetResult:
     """The closing and eigen-step shared by floquet_exponent and floquet_from_net.
 
-    ``matrix``, closed by the interface from the last segment's medium back
-    to the first's, has det = 1, so the eigenvalues are the roots of
-    lam**2 - tr*lam + 1; lam1 is (tr + sqrt(tr**2 - 4)) / 2.  The root of
+    The net matrix's row-major ``entries``, closed by the interface from the
+    last segment's medium back to the first's, have det = 1, so the
+    eigenvalues are the roots of lam**2 - tr*lam + 1; lam1 is (tr +
+    sqrt(tr**2 - 4)) / 2.  The root of
     larger modulus is taken without cancellation and the other is its
     reciprocal, so lam1 * lam2 = 1 however large the trace.
     """
     if segments[-1].medium != segments[0].medium:
-        matrix = _read_only(interface_matrix(segments[-1].medium, segments[0].medium) @ matrix)
-    tr = complex(matrix[0, 0] + matrix[1, 1])
+        entries = _through(*_interface(segments[-1].medium, segments[0].medium)[0], *entries)
+    matrix, tr = _matrix(entries), entries[0] + entries[3]
     try:
         modulus = abs(tr)
     except OverflowError:  # both parts finite, the modulus beyond the float range

@@ -307,8 +307,11 @@ class TestPlainArrays:
         net = cascade_scatter(timeline, vacuum_wave(1.3)).net_matrix
         from_net = floquet_from_net(timeline, net)
         direct = floquet_exponent(timeline, 1.3)
-        closed = net if last == VACUUM else interface_matrix(last, VACUUM) @ net
-        assert np.array_equal(direct.period_matrix, closed)
+        entries = net.ravel().tolist()
+        closed = entries if last == VACUUM else through(interface_matrix(last, VACUUM), entries)
+        assert same_bits(direct.period_matrix, np.reshape(closed, (2, 2)))
+        blas_closed = net if last == VACUUM else interface_matrix(last, VACUUM) @ net
+        assert_allclose(direct.period_matrix, blas_closed, rtol=1e-14)
         assert np.array_equal(from_net.period_matrix, direct.period_matrix)
         assert from_net.eigenvalues == direct.eigenvalues
         assert from_net.exponents == direct.exponents
@@ -434,32 +437,58 @@ class TestFloquetUnitDeterminant:
         assert abs(np.linalg.det(matrix) - 1.0) <= 1e-9 + 1e-12 * scale**2
 
 
-def reference_product(segments, omega, close=False):
-    """Event-by-event product, one fresh matrix per event: net matrix, final omega, trace rows.
+def through(step, entries):
+    """An interface matrix [[t, r], [r, t]] times row-major ``entries`` as four row sums, the cascade's arithmetic."""
+    (t, r), _ = step.tolist()
+    a, b, c, d = entries
+    return [t * a + r * c, t * b + r * d, r * a + t * c, r * b + t * d]
 
-    The cascade builds all event matrices into one stack in a single pass;
-    this keeps the per-event form (propagate, interface_matrix, ``@``) to
-    check that the stack gives the same bits.
-    """
-    net = np.eye(2, dtype=np.complex128)
-    amps = np.array([1.0, 0.0], dtype=np.complex128)
-    rows = []
+
+def events(segments, omega):
+    """(kind, segment index, matrix, frequency after it) of each event, from propagate and interface_matrix."""
     for j, segment in enumerate(segments):
-        events = [("propagate", propagate(omega, segment.duration), omega)]
+        yield "propagate", j, propagate(omega, segment.duration), omega
         if j + 1 < len(segments):
             before, after = segment.medium, segments[j + 1].medium
             _, factor, _, _ = scatter_kernel(
                 1.0, before.epsilon, before.mu, before.branch, after.epsilon, after.mu, after.branch
             )
             omega *= factor
-            events.append(("interface", interface_matrix(before, after), omega))
-        for kind, step, at in events:
-            net = step @ net
-            amps = step @ amps
-            rows.append((kind, j, at, complex(amps[0]), complex(amps[1])))
+            yield "interface", j, interface_matrix(before, after), omega
+
+
+def reference_product(segments, omega, close=False):
+    """Event-by-event product in Python complex numbers: net matrix, final omega, trace rows.
+
+    The cascade keeps the net matrix as four complex numbers in one pass
+    and reads the amplitudes off its first column; this takes each event's
+    matrix from propagate and interface_matrix, applies it as a dwell
+    (diag(p, q) scales the rows) or an interface (``through``), and carries
+    the amplitudes from (1, 0) as their own pair, to check those bits.
+    """
+    net, amps, rows = [1 + 0j, 0j, 0j, 1 + 0j], [1 + 0j, 0j], []
+    for kind, j, step, omega in events(segments, omega):
+        if kind == "propagate":
+            (p, _), (_, q) = step.tolist()
+            net, amps = [p * net[0], p * net[1], q * net[2], q * net[3]], [p * amps[0], q * amps[1]]
+        else:
+            (t, r), _ = step.tolist()
+            net, amps = through(step, net), [t * amps[0] + r * amps[1], r * amps[0] + t * amps[1]]
+        rows.append((kind, j, omega, *amps))
     if close and segments[-1].medium != segments[0].medium:
-        net = interface_matrix(segments[-1].medium, segments[0].medium) @ net
-    return net, omega, rows
+        net = through(interface_matrix(segments[-1].medium, segments[0].medium), net)
+    return np.reshape(net, (2, 2)), omega, rows
+
+
+def blas_product(segments, omega):
+    """Event-by-event product through numpy's ``@`` (BLAS): net matrix, the amplitudes after each event, and the
+    largest entry of the net matrix so far after each event."""
+    net, amps, rows, sizes = np.eye(2, dtype=np.complex128), np.array([1.0, 0.0], dtype=np.complex128), [], []
+    for _, _, step, _ in events(segments, omega):
+        net, amps = step @ net, step @ amps
+        rows.append(amps)
+        sizes.append(np.max(np.abs(net)))
+    return net, np.array(rows), np.maximum.accumulate(sizes)
 
 
 def same_bits(a, b) -> bool:
@@ -485,7 +514,7 @@ def timelines(draw, max_size=60):
 
 
 class TestOnePassProduct:
-    """The stacked one-pass product equals the per-event loop to the bit."""
+    """The one-pass product equals the per-event loop to the bit, and numpy's ``@`` to rounding."""
 
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(segments=timelines(), omega=st.floats(0.3, 3.0))
@@ -503,6 +532,36 @@ class TestOnePassProduct:
         if sum(segment.duration for segment in segments) > 0.0:
             period_matrix = floquet_exponent(segments, omega).period_matrix
             assert same_bits(period_matrix, reference_product(segments, omega, close=True)[0])
+
+    @settings(max_examples=80, derandomize=True, deadline=None, database=None)
+    @given(segments=timelines(), omega=st.floats(0.3, 3.0))
+    @example(segments=[TimelineSegment(VACUUM, 1.0), TimelineSegment(DOUBLE_NEGATIVE, 0.0)] * 30, omega=1.0)
+    @example(segments=[TimelineSegment(VACUUM, 2.0), TimelineSegment(STRONG, 1.5)] * 30, omega=1.0)
+    def test_close_to_the_blas_event_loop(self, segments, omega):
+        # An independent check of the arithmetic: the same events multiplied by numpy's @, which BLAS
+        # rounds its own way. Relative to the largest entry of the net matrix so far, the two differ
+        # by at most 1.9 eps per event over 10,000 random timelines of up to 60 segments; the bound allows 4.
+        net, rows, sizes = blas_product(segments, omega)
+        incident = PlaneWave(Y_HAT.astype(complex), omega, X_HAT, wave_speed(segments[0].medium))
+        result = cascade_scatter(segments, incident)
+        bound = 4 * np.finfo(float).eps * np.arange(1, len(rows) + 1) * sizes
+        assert np.max(np.abs(result.net_matrix - net)) <= bound[-1]
+        assert np.all(np.max(np.abs(result.trace_amplitudes - rows), axis=1) <= bound)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(segments=timelines(), omega=st.floats(0.3, 3.0))
+    @example(segments=[TimelineSegment(VACUUM, 1.0), TimelineSegment(DENSE, 0.7), TimelineSegment(DOUBLE_NEGATIVE, 0.4)],
+             omega=1.0)
+    def test_period_matrix_keeps_the_lossless_form(self, segments, omega):
+        # Real t and r and conjugate dwell phases keep every product [[A, B], [conj(B), conj(A)]] to the bit,
+        # so the trace is real; numpy's @ left an imaginary part of a few ulp in it.
+        assume(sum(segment.duration for segment in segments) > 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NumericalDegeneracyWarning)
+            result = floquet_exponent(segments, omega)
+        (a, b), (c, d) = result.period_matrix.tolist()
+        assert (d, c) == (a.conjugate(), b.conjugate())
+        assert result.half_trace.imag == 0.0
 
     @settings(max_examples=80, derandomize=True, deadline=None, database=None)
     @given(segments=timelines(max_size=12), omega=st.floats(0.3, 3.0))
