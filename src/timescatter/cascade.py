@@ -290,8 +290,11 @@ def floquet_from_net(cell, net_matrix: np.ndarray) -> FloquetResult:
     """
     segments = list(cell)
     period = _cell_period(segments)
+    net = np.array(net_matrix, dtype=object)  # a ragged sequence has the shape of its regular outer part
+    if net.shape != (2, 2):
+        raise DomainError(f"net matrix must have shape (2, 2), got {net.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing period matrix raises in _floquet
-        return _floquet(segments, np.asarray(net_matrix, dtype=np.complex128).ravel().tolist(), period)
+        return _floquet(segments, net.astype(np.complex128).ravel().tolist(), period)
 
 
 def _floquet(segments, entries, period: float) -> FloquetResult:

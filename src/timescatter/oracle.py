@@ -12,10 +12,10 @@ with no approximation.  D and B (not E and H) are the state variables
 because exactly eps*E and mu*H stay continuous when the medium switches,
 so the sudden-switch limit of a ramp is plain continuity of the state.
 
-Integrating a mode through a smooth ramp and projecting the final state
-onto the constant-medium eigenmodes yields numerical reflection and
-transmission coefficients that converge to the analytic step-interface
-values as the ramp width shrinks.
+Integrating a unit forward mode through a smooth ramp and splitting its
+final state into the constant-medium eigenmodes yields numerical reflection
+and transmission coefficients, the same for every incident amplitude and
+polarization, that converge to the step-interface values as the ramp narrows.
 
 In a real orthonormal basis e1, e2 = m^ x e1 transverse to m, the pairs
 (d1, i b2) and (d2, -i b1) obey one real system y' = A(t) y with
@@ -392,6 +392,12 @@ def integrate(
     return ModeState(*_unproject(basis, d1, d2, c1, c2, d3, b3), t_end)
 
 
+def _split(D, kappa_x_B, medium: MediumState, v: float):
+    """The forward and backward parts eps (E -+ v kappa x B) / 2 of D, E = D / eps, as ndarrays or complex numbers."""
+    E, cross = D / medium.epsilon, v * kappa_x_B
+    return medium.epsilon * (0.5 * (E - cross)), medium.epsilon * (0.5 * (E + cross))
+
+
 def mode_decompose(state: ModeState, medium: MediumState, m: np.ndarray) -> ModeAmplitudes:
     """Project a state in a constant medium onto its two eigenmodes.
 
@@ -412,9 +418,8 @@ def mode_decompose(state: ModeState, medium: MediumState, m: np.ndarray) -> Mode
             raise ConstraintError(f"{what} is not transversal to the phase vector")
 
     with np.errstate(all="ignore"):  # parts that leave the float range are rejected below
-        E = state.D / medium.epsilon
-        cross = v * (kappa[_NEXT] * state.B[_PREV] - kappa[_PREV] * state.B[_NEXT])  # np.cross's bits
-        D_f, D_b = medium.epsilon * (0.5 * (E - cross)), medium.epsilon * (0.5 * (E + cross))
+        kappa_x_B = kappa[_NEXT] * state.B[_PREV] - kappa[_PREV] * state.B[_NEXT]  # np.cross's bits
+        D_f, D_b = _split(state.D, kappa_x_B, medium, v)
     if not (np.isfinite(D_f).all() and np.isfinite(D_b).all()):
         raise DomainError(f"eigenmode parts of the state are not finite in medium {medium}")
 
@@ -463,11 +468,11 @@ def numeric_rt(
 ) -> tuple[float, float]:
     """Numerical (R, T) for a smooth profile by mode integration.
 
-    Launches the incident mode five periods before the first transition,
-    integrates five periods past the last one, decomposes in the final
-    constant medium, and converts the D-scaled mode coefficients to the
-    E-field amplitude ratios used by the analytic interface algebra
-    (divide each coefficient by the local epsilon).
+    Launches the first medium's forward mode D = e1, B = e2 / (eps |v|) in
+    :func:`integrate`'s basis five periods before the first transition,
+    integrates five periods past the last one, splits the pair (d1, i b2)
+    by :func:`mode_decompose`'s rule in the final medium, and divides each
+    part's modulus by the local |eps| and the launch's |E| = 1 / |eps|.
     """
     intervals = profile.switch_intervals()
     if intervals is None:
@@ -483,22 +488,23 @@ def numeric_rt(
         raise DomainError("incident frequency must be positive")
 
     m, mag = _modulus(phase_vector(incident))
-    # R and T are ratios: launch at a largest part in [1, 2) (exact), so the state neither overflows nor underflows.
-    parts = incident.amplitude.view(np.float64)
-    e = 1 - math.frexp(float(np.max(np.abs(parts))))[1]
-    incident = PlaneWave(np.ldexp(parts, e).view(np.complex128), incident.omega, incident.k, incident.v)
     after = profile.sample(intervals[-1][1])
     omega_after = mag * abs(wave_speed(after))
 
     t_start = intervals[0][0] - LAUNCH_PADDING_PERIODS * incident.period
     t_end = intervals[-1][1] + LAUNCH_PADDING_PERIODS * (2.0 * math.pi / omega_after)
 
-    initial = plane_wave_mode_state(incident, before, t_start)
-    final = integrate(profile, m, initial, t_end, tol=tol)
-    amps = mode_decompose(final, after, m)
-
-    incident_E = _norm(incident.amplitude)
-    return abs(amps.backward) / after.epsilon / incident_E, abs(amps.forward) / after.epsilon / incident_E  # R, T
+    basis = _basis(m, mag)
+    launch = ModeState(basis[0], [x / (before.epsilon * abs(incident.v)) for x in basis[1]], t_start)
+    final = integrate(profile, m, launch, t_end, tol=tol)
+    if after.branch != +1:
+        raise DomainError("mode decomposition is defined for positive-index media")
+    d1, _, c1, *_ = _project(basis, final.D.tolist(), final.B.tolist())
+    forward, backward = _split(d1, 1j * c1, after, wave_speed(after))  # on the pair, kappa x B is i c1
+    R, T = (math.hypot(part.real, part.imag) / abs(after.epsilon) * abs(before.epsilon) for part in (backward, forward))
+    if not (math.isfinite(R) and math.isfinite(T)):  # math.hypot, unlike abs of a complex, overflows to inf
+        raise DomainError(f"R = {R} and T = {T} are not finite in medium {after}")
+    return R, T
 
 
 @dataclass(frozen=True)
@@ -542,13 +548,13 @@ def convergence_study(
     R, T, _ = coefficients(before, after)
     R_errors = [abs(R_num - R) for R_num in R_numeric]
     T_errors = [abs(T_num - T) for T_num in T_numeric]
-    log_tau = np.log(taus)
-    combined = np.asarray(R_errors) + np.asarray(T_errors)
-    positive = combined > 0
-    if np.count_nonzero(positive) >= 2:
-        order = float(np.polyfit(log_tau[positive], np.log(combined[positive]), 1)[0])
-    else:
-        order = float("nan")
+    # The least-squares slope in closed form, summed by fsum: plain floats, the same bits on every BLAS kernel.
+    points = [(math.log(tau), math.log(R_e + T_e)) for tau, R_e, T_e in zip(taus, R_errors, T_errors) if R_e + T_e > 0]
+    order = math.nan
+    if len({x for x, _ in points}) >= 2:  # so the spread is positive: two widths' logarithms may round alike
+        x_mean, y_mean = (math.fsum(column) / len(points) for column in zip(*points))
+        spread = math.fsum((x - x_mean) * (x - x_mean) for x, _ in points)
+        order = math.fsum((x - x_mean) * (y - y_mean) for x, y in points) / spread
     return ConvergenceStudy(
         taus=tuple(taus),
         R_numeric=R_numeric,

@@ -41,6 +41,7 @@ from timescatter import (
     degenerate_amplitude,
     evaluate_E,
     floquet_exponent,
+    floquet_from_net,
     frequencies,
     impedance,
     integrate,
@@ -181,6 +182,9 @@ CALLS = {
     "propagate": lambda draw: propagate(draw(EXTREME), draw(EXTREME)),
     "cascade_scatter": lambda draw: cascade_scatter(timeline(draw), wave(draw)),
     "floquet_exponent": lambda draw: floquet_exponent(timeline(draw), draw(EXTREME)),
+    "floquet_from_net": lambda draw: floquet_from_net(
+        timeline(draw), [[complex(draw(EXTREME), draw(EXTREME)) for _ in range(2)] for _ in range(2)]
+    ),
     "ModeState": mode_state,
     "plane_wave_mode_state": lambda draw: plane_wave_mode_state(wave(draw), medium(draw), draw(EXTREME)),
     "mode_decompose": lambda draw: mode_decompose(mode_state(draw), medium(draw), mode_vector(draw)),
@@ -239,6 +243,11 @@ LEAKS = {  # inputs on which a call leaked a Python error, a numpy warning or a 
     "integrate across the float range": lambda: integrate(
         TemporalProfile.step(MediumState(1, 1), MediumState(4, 1)),
         [4.0, 0.0, 0.0], ModeState([0.0, 1.0, 0.0], [0.0, 0.0, 1.0], -1e308), 1e308,
+    ),
+    "floquet_from_net of a 3x3 matrix": lambda: floquet_from_net([TimelineSegment(MediumState(1, 1), 1.0)], np.eye(3)),
+    "floquet_from_net of a 1x2 matrix": lambda: floquet_from_net([TimelineSegment(MediumState(1, 1), 1.0)], [[1.0, 0.0]]),
+    "floquet_from_net of a ragged list": lambda: floquet_from_net(
+        [TimelineSegment(MediumState(1, 1), 1.0), TimelineSegment(MediumState(4, 1), 1.0)], [[1.0, 0.0], [0.0]]
     ),
     "scatter_interface amplitude overflow": lambda: scatter_interface(
         PlaneWave([0.0, 1e200j, 0.0], 1e-200, X_HAT, wave_speed(MediumState(0.5, 1e-320))),

@@ -26,6 +26,7 @@ from timescatter import (
     TimelineSegment,
     TimescatterError,
     cascade_scatter,
+    coefficients,
     convergence_study,
     floquet_exponent,
     integrate,
@@ -409,6 +410,33 @@ def ref_decompose(state, medium, m):
     return complex(np.vdot(p, D_f)), complex(np.vdot(p, D_b)), p
 
 
+def ref_numeric_rt(profile, incident, tol=TOL):
+    """numeric_rt's former route: the incident wave's own 3-D state, integrated and split by mode_decompose."""
+    intervals = sorted(profile.switch_intervals())
+    before, after = profile.sample(intervals[0][0]), profile.sample(intervals[-1][1])
+    m = phase_vector(incident)
+    t_start = intervals[0][0] - 5.0 * incident.period
+    t_end = intervals[-1][1] + 5.0 * 2.0 * math.pi / (float(np.linalg.norm(m)) * after.wave_speed)
+    final = integrate(profile, m, plane_wave_mode_state(incident, before, t_start), t_end, tol=tol)
+    amps = mode_decompose(final, after, m)
+    size = float(np.linalg.norm(incident.amplitude))
+    return abs(amps.backward) / after.epsilon / size, abs(amps.forward) / after.epsilon / size
+
+
+class DoubleNegative:
+    """A profile's media with epsilon and mu negated, on the branch -1 unless given."""
+
+    def __init__(self, profile, branch=-1):
+        self.profile, self.branch = profile, branch
+
+    def sample(self, t):
+        medium = self.profile.sample(t)
+        return MediumState(-medium.epsilon, -medium.mu, self.branch)
+
+    def switch_intervals(self):
+        return self.profile.switch_intervals()
+
+
 class TestModeDecompose:
     def test_pure_forward_wave(self):
         wave = vacuum_wave()
@@ -579,6 +607,65 @@ class TestNumericRT:
         with pytest.raises(DomainError, match=message):
             numeric_rt(profile, vacuum_wave())
 
+    def test_one_integrate_call_and_no_plane_wave_route(self, monkeypatch):
+        wave, calls = vacuum_wave(), []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return integrate(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle took the 3-D plane-wave route or a BLAS call")
+
+        monkeypatch.setattr(oracle_module, "integrate", counting)
+        for name in ("plane_wave_mode_state", "mode_decompose", "_norm", "PlaneWave"):
+            monkeypatch.setattr(oracle_module, name, forbidden)
+        monkeypatch.setattr(np, "vdot", forbidden)
+        monkeypatch.setattr(np, "polyfit", forbidden)
+        study = convergence_study(VACUUM, DENSE, wave, [0.5, 0.1, 0.02])
+        assert len(calls) == 3 and math.isfinite(study.empirical_order)
+
+    def test_last_medium_not_positive_index_rejected_after_integrating(self):
+        profile = Recorded(DoubleNegative(TemporalProfile.ramp(VACUUM, DENSE, tau=0.01)))
+        with pytest.raises(DomainError, match="^mode decomposition is defined for positive-index media$"):
+            numeric_rt(profile, PlaneWave(Y_HAT.astype(complex), 1.0, X_HAT, -1.0))
+        assert len(profile.instants) > 10  # the ramp was integrated first
+
+    def test_negative_media_on_branch_one_give_moduli(self):
+        # With epsilon and mu negated on the branch +1, B changes sign and D does not: the same R and T.
+        # Divided by the signed epsilon, both once came out negative, (-0.125, -0.375) to rounding.
+        profile = TemporalProfile.ramp(VACUUM, DENSE, tau=0.01)
+        negated = DoubleNegative(profile, branch=1)
+        assert_allclose(numeric_rt(negated, vacuum_wave()), numeric_rt(profile, vacuum_wave()), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "d1", [1.7e308 + 1.7e308j, 1.7e308], ids=["modulus-overflows", "part-overflows"]
+    )
+    def test_rt_past_the_float_range_raises(self, monkeypatch, d1):
+        # In DENSE (v = 0.5) the final pair (d1, i b2) splits into forward 1.7e308 (1 + i), whose modulus
+        # overflows, and backward 0 when b2 = d1 / 2; into a backward part 2.55e308 when b2 = -d1.
+        b2 = d1 / 2 if isinstance(d1, complex) else -d1
+        final = ModeState([0.0, d1, 0.0], [0.0, 0.0, b2], 0.0)
+        monkeypatch.setattr(oracle_module, "integrate", lambda *args, **kwargs: final)
+        with pytest.raises(DomainError, match=r"^R = \S+ and T = \S+ are not finite in medium "):
+            numeric_rt(TemporalProfile.ramp(VACUUM, DENSE, tau=0.01), vacuum_wave())
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(case=st.data())
+    def test_agrees_with_the_plane_wave_route(self, case):
+        # The unit launch and the pair's split against the former 3-D route. Over 600 random ramps of
+        # this kind the two differed by at most 3.2 eps max(1, R, T).
+        draw = case.draw
+        before, after = MediumState(*draw(POSITIVE)), MediumState(*draw(POSITIVE))
+        k, pol = oblique_elliptic(draw)
+        amplitude, omega = 10.0 ** draw(st.floats(-3.0, 3.0)) * pol, 10.0 ** draw(st.floats(-0.5, 0.5))
+        wave = PlaneWave(amplitude, omega, k, before.wave_speed)
+        tau = draw(st.sampled_from([0.1, 0.01, 0.001])) * wave.period
+        profile = TemporalProfile.ramp(before, after, t0=draw(st.floats(-3.0, 3.0)), tau=tau)
+        R, T = numeric_rt(profile, wave)
+        R_ref, T_ref = ref_numeric_rt(profile, wave)
+        assert max(abs(R - R_ref), abs(T - T_ref)) <= 8.0 * sys.float_info.epsilon * max(1.0, R, T)
+
 
 class TestExtremeAmplitudes:
     """R and T are ratios: an incident amplitude whose squares leave the float range changes nothing."""
@@ -606,6 +693,22 @@ class TestExtremeAmplitudes:
         scaled = np.ldexp(amplitude.view(float), j).view(complex)
         assert np.array_equal(np.ldexp(scaled.view(float), -j), amplitude.view(float))
         assert numeric_rt(profile, PlaneWave(scaled, 1.0, X_HAT, 1.0)) == unit
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(
+        a=st.complex_numbers(max_magnitude=1.0), b=st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+        log_scale=st.floats(-300.0, 307.5),
+    )
+    @example(a=0j, b=1 + 0j, log_scale=-320.0)  # subnormal, along z and so exactly transversal
+    @example(a=0j, b=0.5 + 0j, log_scale=308.0)
+    def test_bit_identical_across_polarizations_and_amplitudes(self, a, b, log_scale):
+        # One 2x2 matrix carries every transverse state, so R and T are the media's alone. |b| >= 0.1 keeps the
+        # amplitude normal, so rounding leaves it transversal.
+        k, u, w = np.array([0.6, 0.8, 0.0]), np.array([-0.8, 0.6, 0.0]), np.array([0.0, 0.0, 1.0])
+        profile = TemporalProfile.ramp(VACUUM, MediumState(2.5, 1.5), t0=0.2, tau=0.01 * 2.0 * math.pi / 1.3)
+        unit = numeric_rt(profile, PlaneWave(w.astype(complex), 1.3, k, 1.0))
+        scaled = numeric_rt(profile, PlaneWave(10.0**log_scale * (a * u + b * w), 1.3, k, 1.0))
+        assert bits(scaled) == bits(unit)
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_mode_decompose_scales_linearly(self, scale):
@@ -712,6 +815,27 @@ class TestConvergenceStudy:
     def test_non_decreasing_widths_rejected(self):
         with pytest.raises(DomainError):
             convergence_study(VACUUM, DENSE, vacuum_wave(), [0.5, 0.5, 0.1])
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @given(
+        widest=st.floats(-1.0, 0.0), ratios=st.lists(st.floats(1.2, 5.0), min_size=1, max_size=4),
+        order=st.floats(0.5, 3.0), data=st.data(),
+    )
+    def test_order_matches_polyfit(self, widest, ratios, order, data):
+        # The closed-form slope against numpy's least squares, kept as an independent check. Scaled by the
+        # conditioning K below, the two differed by at most 2.0 eps over 20,000 random fits of 2-5 points.
+        taus = [10.0**widest]
+        for ratio in ratios:
+            taus.append(taus[-1] / ratio)
+        R, T, _ = coefficients(VACUUM, DENSE)
+        rows = iter([(R + 10.0 ** data.draw(st.floats(-2.0, 2.0)) * tau**order, T) for tau in taus])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle_module, "numeric_rt", lambda profile, incident, tol: next(rows))
+            study = convergence_study(VACUUM, DENSE, vacuum_wave(), taus)
+        x, y = np.log(study.taus), np.log(np.add(study.R_errors, study.T_errors))
+        expected = float(np.polyfit(x, y, 1)[0])
+        K = (np.abs(x).max() + np.abs(y).max() / max(1.0, abs(expected))) / x.std()
+        assert abs(study.empirical_order - expected) <= 8.0 * sys.float_info.epsilon * max(1.0, abs(expected)) * K
 
     def test_identity_media_errors_at_tolerance_floor(self):
         study = convergence_study(VACUUM, MediumState(1, 1), vacuum_wave(), [0.5, 0.1, 0.02])
