@@ -23,9 +23,10 @@ A = [[0, -|m|/mu], [|m|/eps, 0]], and D.m^ and B.m^ are constant.  So a
 real 2x2 fundamental matrix Phi (Phi' = A Phi, Phi = I at the start)
 carries every state of that |m|, with det Phi = 1 (Liouville: tr A = 0);
 the transfer-matrix form of Morgenthaler, IRE Trans. MTT 6, 167 (1958).
-:func:`integrate` takes each constant stretch in one exact 2x2 step,
-cos(wh) I + sin(wh)/w A, and runs an adaptive Dormand-Prince 5(4) pair
-on Phi's four entries, as floats, only inside ramps.  Sharp switches
+:func:`integrate` builds Phi from closed-form exponentials of traceless
+2x2 matrices (Omega**2 = -(det Omega) I), so det Phi = 1 to rounding: one
+exact step exp(hA) per constant stretch, and inside ramps adaptive
+sixth-order Magnus steps on three Gauss-Legendre nodes.  Sharp switches
 (steps, periodic time crystals) need no limit: D and B pass through
 them unchanged.  None of this uses the interface formulas of
 :mod:`.scatter` or :mod:`.cascade`, so the oracle checks them independently.
@@ -103,8 +104,8 @@ class ModeAmplitudes:
 def _modulus(m) -> tuple[np.ndarray, float]:
     """A copy of m and |m|; DomainError naming m unless it is a finite real 3-vector with |m|**2 normal."""
     m = _vector3(m, "m", float)
-    with np.errstate(over="ignore"):  # an overflowing |m| is rejected below
-        mag = math.sqrt(m.dot(m))  # np.linalg.norm's own formula for a real 3-vector
+    x, y, z = m.tolist()
+    mag = math.sqrt(x * x + y * y + z * z)  # summed in order on Python floats, not by a BLAS kernel; inf is rejected below
     if not sys.float_info.min <= mag * mag < math.inf:
         raise DomainError(f"phase vector magnitude {mag!r} is out of range: |m|**2 must be a normal float")
     return m, mag
@@ -221,27 +222,33 @@ def _pieces(profile, lo: float, hi: float):
     return pieces
 
 
-def _propagator(mag: float, medium: MediumState, h: float):
-    """exp(hA) for a constant medium, as (p, q, r, s): A**2 = -w**2 I, so exp(hA) = cos(wh) I + sin(wh)/w A.
+def _expm(c: float, x: float, y: float):
+    """exp Omega of the traceless Omega = [[c, x], [y, -c]] as (p, q, r, s): Omega**2 = d I, so exp Omega = C I + S Omega."""
+    d = c * c + x * y
+    w = math.sqrt(abs(d))
+    if d < 0.0 and w < math.inf:
+        C, S = math.cos(w), math.sin(w) / w
+    elif 0.0 < d and w < 710.0:  # cosh and sinh overflow from about 710.5
+        C, S = math.cosh(w), math.sinh(w) / w
+    else:  # 1 and 1 for d = 0; NaN, which the callers reject as not finite, for an Omega past the float range
+        C = S = 1.0 if d == 0.0 else math.nan
+    return C + S * c, S * x, S * y, C - S * c
 
-    With a = |m|/mu, b = |m|/eps and w = sqrt(ab) = |m| |v|, a/w = 1/(mu |v|) and b/w = 1/(eps |v|),
-    so a double-negative medium takes the same form.
-    """
-    v = abs(wave_speed(medium))
-    w = mag * v
-    if not abs(w * h) <= _MAX_PHASE:  # NaN fails too
-        raise DomainError(f"phase w*h = {w * h!r} of a constant piece exceeds 2 pi / float epsilon = {_MAX_PHASE!r}")
-    c, s = math.cos(w * h), math.sin(w * h)
-    return c, -s / (medium.mu * v), s / (medium.epsilon * v), c
+
+_NODE, _ROOT15_3 = math.sqrt(15.0) / 10.0, math.sqrt(15.0) / 3.0  # the Gauss-Legendre nodes are 1/2 -+ _NODE and 1/2
 
 
-def _dormand_prince(sample, mag, t, t_end, tol):
+def _magnus(sample, mag, t, t_end, tol):
     """The fundamental matrix (p, q, r, s) = [[p, q], [r, s]] from t to t_end through a varying medium.
 
-    Adaptive Dormand-Prince 5(4) on Phi' = A Phi from Phi(t) = I, A = [[0, a], [b, 0]], a = -|m|/mu and
-    b = |m|/eps, on Phi's four entries as floats, slopes (a r, a s, b p, b q); a row's modulus is libm hypot.
-    Starts afresh, so the first stage is evaluated at t itself rather than carried over (FSAL) from a
-    step that ended on the other side of a switch.  Stage 7 is at stage 6's node and reuses its medium.
+    Adaptive sixth-order Magnus steps on Phi' = A Phi from Phi(t) = I, A = [[0, a], [b, 0]], a = -|m|/mu,
+    b = |m|/eps, with A_i at the Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)):
+    Phi <- exp(Omega6) Phi, Omega6 = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240 with
+    alpha1 = h A2, alpha2 = sqrt(15)/3 h (A3 - A1), alpha3 = 10/3 h (A3 - 2 A2 + A1), C1 = [alpha1, alpha2]
+    and C2 = -[alpha1, 2 alpha3 + C1] / 60.  The error estimate is (Omega6 - Omega4) Phi, Omega4 = alpha1 +
+    alpha3/12 - C1/12, by its rows' libm hypot; Phi's rows are the complex p + iq and r + is.  The next
+    step's phase |m| |v| h is capped at one radian, so that in a flat stretch the nodes cannot stride over
+    a transition the commutators do not see, and a ramp end where that step is below the floor raises.
     """
     direction = 1.0 if t_end > t else -1.0
     span, end_floor = abs(t_end - t), _MIN_STEP_REL * max(1.0, abs(t_end))
@@ -250,16 +257,22 @@ def _dormand_prince(sample, mag, t, t_end, tol):
             f"varying interval from t={t} to t={t_end} is narrower than the step floor 1e-14 * max(1, |t|)",
             smallest_step=0.0,
         )
-    a, b = -mag / (medium := sample(t)).mu, mag / medium.epsilon
+    v = abs(wave_speed(sample(t)))
+    w = mag * max(v, abs(wave_speed(sample(t_end))))  # the larger angular frequency at the two ends
+    if w * _MIN_STEP_REL * max(1.0, abs(t), abs(t_end)) > 1.0:
+        raise StiffnessError(
+            f"a step of one radian, 1 / (|m| |v|) = {1.0 / w:.3e}, is below the step floor 1e-14 * max(1, |t|)"
+            f" at an end of the varying interval from t={t} to t={t_end}",
+            smallest_step=1.0 / w,
+        )
     # Initial step: a fraction of the local oscillation period.
-    h = min(span, 0.1 / (mag * abs(wave_speed(medium))))  # > 0, since _modulus bounds |m| below
+    h = min(span, 0.1 / (mag * v))  # > 0, since _modulus bounds |m| below
     smallest = h
-    p, q, r, s, y_max = 1.0, 0.0, 0.0, 1.0, 1.0
-    u1, v1, w1, x1 = a * r, a * s, b * p, b * q  # the slopes of p, q, r and s
+    P, R, y_max = 1.0 + 0.0j, 1.0j, 1.0
     for _ in range(_MAX_STEPS):
         remaining = abs(t_end - t)
         if remaining <= end_floor:
-            return p, q, r, s
+            return P.real, P.imag, R.real, R.imag
         h_abs = min(h, remaining)
         if h_abs < _MIN_STEP_REL * max(abs(t), 1.0):
             raise StiffnessError(
@@ -268,53 +281,32 @@ def _dormand_prince(sample, mag, t, t_end, tol):
             )
         smallest = min(smallest, h_abs)
         hs = direction * h_abs
-        # Stage i: each entry plus hs * sum_j a_ij times its slope at stage j; a and b of the medium at t + c_i hs.
-        p2, q2, r2, s2 = p + hs * (1 / 5 * u1), q + hs * (1 / 5 * v1), r + hs * (1 / 5 * w1), s + hs * (1 / 5 * x1)
-        a, b = -mag / (medium := sample(t + 1 / 5 * hs)).mu, mag / medium.epsilon
-        u2, v2, w2, x2 = a * r2, a * s2, b * p2, b * q2
-        p3, q3 = p + hs * (3 / 40 * u1 + 9 / 40 * u2), q + hs * (3 / 40 * v1 + 9 / 40 * v2)
-        r3, s3 = r + hs * (3 / 40 * w1 + 9 / 40 * w2), s + hs * (3 / 40 * x1 + 9 / 40 * x2)
-        a, b = -mag / (medium := sample(t + 3 / 10 * hs)).mu, mag / medium.epsilon
-        u3, v3, w3, x3 = a * r3, a * s3, b * p3, b * q3
-        p4 = p + hs * (44 / 45 * u1 - 56 / 15 * u2 + 32 / 9 * u3)
-        q4 = q + hs * (44 / 45 * v1 - 56 / 15 * v2 + 32 / 9 * v3)
-        r4 = r + hs * (44 / 45 * w1 - 56 / 15 * w2 + 32 / 9 * w3)
-        s4 = s + hs * (44 / 45 * x1 - 56 / 15 * x2 + 32 / 9 * x3)
-        a, b = -mag / (medium := sample(t + 4 / 5 * hs)).mu, mag / medium.epsilon
-        u4, v4, w4, x4 = a * r4, a * s4, b * p4, b * q4
-        p5 = p + hs * (19372 / 6561 * u1 - 25360 / 2187 * u2 + 64448 / 6561 * u3 - 212 / 729 * u4)
-        q5 = q + hs * (19372 / 6561 * v1 - 25360 / 2187 * v2 + 64448 / 6561 * v3 - 212 / 729 * v4)
-        r5 = r + hs * (19372 / 6561 * w1 - 25360 / 2187 * w2 + 64448 / 6561 * w3 - 212 / 729 * w4)
-        s5 = s + hs * (19372 / 6561 * x1 - 25360 / 2187 * x2 + 64448 / 6561 * x3 - 212 / 729 * x4)
-        a, b = -mag / (medium := sample(t + 8 / 9 * hs)).mu, mag / medium.epsilon
-        u5, v5, w5, x5 = a * r5, a * s5, b * p5, b * q5
-        p6 = p + hs * (9017 / 3168 * u1 - 355 / 33 * u2 + 46732 / 5247 * u3 + 49 / 176 * u4 - 5103 / 18656 * u5)
-        q6 = q + hs * (9017 / 3168 * v1 - 355 / 33 * v2 + 46732 / 5247 * v3 + 49 / 176 * v4 - 5103 / 18656 * v5)
-        r6 = r + hs * (9017 / 3168 * w1 - 355 / 33 * w2 + 46732 / 5247 * w3 + 49 / 176 * w4 - 5103 / 18656 * w5)
-        s6 = s + hs * (9017 / 3168 * x1 - 355 / 33 * x2 + 46732 / 5247 * x3 + 49 / 176 * x4 - 5103 / 18656 * x5)
-        a, b = -mag / (medium := sample(t + hs)).mu, mag / medium.epsilon
-        u6, v6, w6, x6 = a * r6, a * s6, b * p6, b * q6
-        # The 5th-order entries; their slopes, at the same instant and medium, are the next step's first (FSAL).
-        p7 = p + hs * (35 / 384 * u1 + 500 / 1113 * u3 + 125 / 192 * u4 - 2187 / 6784 * u5 + 11 / 84 * u6)
-        q7 = q + hs * (35 / 384 * v1 + 500 / 1113 * v3 + 125 / 192 * v4 - 2187 / 6784 * v5 + 11 / 84 * v6)
-        r7 = r + hs * (35 / 384 * w1 + 500 / 1113 * w3 + 125 / 192 * w4 - 2187 / 6784 * w5 + 11 / 84 * w6)
-        s7 = s + hs * (35 / 384 * x1 + 500 / 1113 * x3 + 125 / 192 * x4 - 2187 / 6784 * x5 + 11 / 84 * x6)
-        u7, v7, w7, x7 = a * r7, a * s7, b * p7, b * q7
-        # The local error estimate hs * sum_j e_j k_j: the larger modulus of its two rows, by libm hypot.
-        eu = 71 / 57600 * u1 - 71 / 16695 * u3 + 71 / 1920 * u4 - 17253 / 339200 * u5 + 22 / 525 * u6 - 1 / 40 * u7
-        ev = 71 / 57600 * v1 - 71 / 16695 * v3 + 71 / 1920 * v4 - 17253 / 339200 * v5 + 22 / 525 * v6 - 1 / 40 * v7
-        ew = 71 / 57600 * w1 - 71 / 16695 * w3 + 71 / 1920 * w4 - 17253 / 339200 * w5 + 22 / 525 * w6 - 1 / 40 * w7
-        ex = 71 / 57600 * x1 - 71 / 16695 * x3 + 71 / 1920 * x4 - 17253 / 339200 * x5 + 22 / 525 * x6 - 1 / 40 * x7
-        err = h_abs * max(abs(complex(eu, ev)), abs(complex(ew, ex)))
-        P7, R7 = complex(p7, q7), complex(r7, s7)  # the rows as complex numbers, for libm hypot and the message
-        new_max = max(abs(P7), abs(R7))
+        a1, b1 = -mag / (medium := sample(t + (0.5 - _NODE) * hs)).mu, mag / medium.epsilon
+        a2, b2 = -mag / (medium := sample(t + 0.5 * hs)).mu, mag / medium.epsilon
+        a3, b3 = -mag / (medium := sample(t + (0.5 + _NODE) * hs)).mu, mag / medium.epsilon
+        x1, y1 = hs * a2, hs * b2
+        x2, y2 = _ROOT15_3 * hs * (a3 - a1), _ROOT15_3 * hs * (b3 - b1)
+        x3, y3 = 10 / 3 * hs * (a3 - 2.0 * a2 + a1), 10 / 3 * hs * (b3 - 2.0 * b2 + b1)
+        k = x1 * y2 - x2 * y1
+        c = -(x1 * y3 - x3 * y1) / 30  # C2 = [[c, k x1 / 30], [-k y1 / 30, -c]]
+        lx, ly, rx, ry = -20.0 * x1 - x3, -20.0 * y1 - y3, x2 + k * x1 / 30, y2 - k * y1 / 30
+        x, y = x1 + x3 / 12, y1 + y3 / 12
+        c6, x6, y6 = (lx * ry - rx * ly) / 240, x + 2.0 * (k * rx - c * lx) / 240, y + 2.0 * (c * ly - k * ry) / 240
+        ec, ex, ey = c6 + k / 12, x6 - x, y6 - y  # Omega6 - Omega4
+        err = max(abs(ec * P + ex * R), abs(ey * P - ec * R))
+        e1, e2, e3, e4 = _expm(c6, x6, y6)
+        P6, R6 = e1 * P + e2 * R, e3 * P + e4 * R
+        new_max = max(abs(P6), abs(R6))
         if not (err < math.inf and new_max < math.inf):
-            raise DomainError(f"mode state is not finite in the step from t={t} to t={t + hs}: rows {P7}, {R7}")
+            raise DomainError(f"mode state is not finite in the step from t={t} to t={t + hs}: rows {P6}, {R6}")
         budget = tol * h_abs * max(1.0, y_max, new_max)
         if err <= budget:
-            t, p, q, r, s, y_max, u1, v1, w1, x1 = t + hs, p7, q7, r7, s7, new_max, u7, v7, w7, x7
+            t, P, R, y_max = t + hs, P6, R6, new_max
         factor = 0.9 * (budget / err) ** 0.2 if err > 0.0 else 5.0
         h = h_abs * min(5.0, max(0.2, factor))
+        phase = math.sqrt(abs(c6 * c6 + x6 * y6))  # this step's |m| |v| h_abs
+        if h * phase > h_abs:
+            h = h_abs / phase
     raise StiffnessError(
         f"exceeded {_MAX_STEPS} steps (smallest step {smallest:.3e})",
         smallest_step=smallest,
@@ -334,13 +326,16 @@ def integrate(
     ``switch_intervals()`` split the path into pieces:
 
     * constant stretches advance in one step with the exact 2x2
-      propagator of the constant-coefficient ODE, for the medium sampled
-      at the stretch's midpoint;
-    * nonzero-width intervals (ramps) run an adaptive Dormand-Prince 5(4)
-      pair on the fundamental matrix Phi, from Phi = I, that holds its
-      local error per unit time at or below ``tol``, scaled by
-      max(1, larger modulus of Phi's rows, by the C library's hypot); the
-      state's error is then relative to the state, whatever its size;
+      propagator exp(hA) of the constant-coefficient ODE, for the medium
+      sampled at the stretch's midpoint;
+    * nonzero-width intervals (ramps) run adaptive sixth-order Magnus
+      steps on the fundamental matrix Phi, from Phi = I, each the closed-form
+      exponential of a traceless 2x2 matrix built from A at the step's three
+      Gauss-Legendre nodes.  An embedded fourth-order Magnus matrix on the
+      same nodes holds the local error per unit time at or below ``tol``,
+      scaled by max(1, larger modulus of Phi's rows, by the C library's
+      hypot); the state's error is then relative to the state, whatever its
+      size.  A step's phase |m| |v| h is capped at one radian;
     * zero-width (sharp) switches, periodic ones included, are break points
       only: D and B are continuous across them, so the state passes
       through unchanged.  The two-valued instant is never sampled where
@@ -349,15 +344,16 @@ def integrate(
 
     Each piece's matrix acts on the two transverse pairs of the state;
     the parts of D and B along m pass through.  A profile without
-    ``switch_intervals`` is integrated by Dormand-Prince over the whole
-    span.  A Dormand-Prince step samples the profile five times: the
-    stage at the same node as the one before it reuses its medium, so
-    ``sample`` must be a pure function of t.  A ``tol``
+    ``switch_intervals`` is integrated by Magnus steps over the whole
+    span.  A varying piece samples the profile at its two ends, then three
+    times per step, so ``sample`` must be a pure function of t.  A ``tol``
     below float64 resolution raises :class:`StiffnessError` at once, and so
-    does a Dormand-Prince step below 1e-14 * max(1, |t|), a whole varying
+    does a Magnus step below 1e-14 * max(1, |t|), a whole varying
     interval no wider than that floor (a ramp narrow against its distance
-    from t = 0 cannot be resolved), a varying piece that needs more than
-    10,000,000 steps, or a periodic span with more switch instants than that.
+    from t = 0 cannot be resolved), a varying piece with an end where a
+    step of one radian is below that floor (raised before the first step),
+    a varying piece that needs more than 10,000,000 steps, or a periodic
+    span with more switch instants than that.
     A NaN or infinite state or ``t_end`` raises :class:`DomainError`, and so does
     a constant stretch whose phase |w h| exceeds 2 pi / float epsilon, about 2.8e16.
     """
@@ -382,9 +378,12 @@ def integrate(
     d1, d2, c1, c2, d3, b3 = _project(basis, initial.D.tolist(), initial.B.tolist())
     for start, end, varying in pieces:
         if varying:
-            p, q, r, s = _dormand_prince(profile.sample, mag, start, end, tol)
+            p, q, r, s = _magnus(profile.sample, mag, start, end, tol)
         else:
-            p, q, r, s = _propagator(mag, profile.sample(0.5 * (start + end)), end - start)
+            medium, h = profile.sample(0.5 * (start + end)), end - start
+            if not abs(phase := mag * abs(wave_speed(medium)) * h) <= _MAX_PHASE:  # NaN fails too
+                raise DomainError(f"phase w*h = {phase!r} of a constant piece exceeds 2 pi / float epsilon = {_MAX_PHASE!r}")
+            p, q, r, s = _expm(0.0, -mag / medium.mu * h, mag / medium.epsilon * h)  # exp(hA)
         d1, d2, c1, c2 = p * d1 + q * c1, p * d2 + q * c2, r * d1 + s * c1, r * d2 + s * c2  # both pairs
         if not all(map(cmath.isfinite, (d1, d2, c1, c2, d3, b3))):
             where = f"in the step from t={start} to t={end}" if varying else f"at t={end}"

@@ -232,6 +232,12 @@ class TestIntegrate:
         with pytest.raises(DomainError, match=r"phase w\*h = -7\.07\d+e\+129 of a constant piece exceeds 2 pi / float"):
             integrate(profile, [1e-30, 0.0, 0.0], initial, -0.5)
 
+    @pytest.mark.parametrize("medium", [MediumState(1e300, 1e-320), MediumState(1e-320, 1e300)], ids=["eps", "mu"])
+    def test_constant_piece_past_the_float_range_raises(self, medium):
+        # h |m| / mu (or / eps) overflows while the phase w h = 3.7e9 is in range: the state is not finite.
+        with pytest.raises(DomainError, match=r"mode state is not finite at t=0\.37"):
+            integrate(TemporalProfile.constant(medium), X_HAT, ModeState(Y_HAT, [0.0, 0.0, 1.0], 0.0), 0.37)
+
     def test_phase_past_the_rounding_bound_raises(self):
         # 2 pi / float epsilon = 2.8e16 rad: a constant piece of vacuum at |m| = 1 runs up to that phase and no further.
         initial = plane_wave_mode_state(vacuum_wave(), VACUUM, 0.0)
@@ -280,11 +286,35 @@ class TestIntegrate:
         assert np.max(np.abs(back.D - state.D)) <= 20 * TOL
 
     def test_ramp_blend_past_the_float_range_raises(self):
-        # Both stages at the largest float: the blend rounds up to inf inside the ramp, which sample rejects.
+        # Both stages at the largest float: the blend rounds up to inf at about one instant in seven inside
+        # the ramp, which sample rejects. At |m| = 1e6 the phase across the ramp is about 75 radians, so the
+        # integrator samples a few hundred instants there, whatever its nodes; at |m| = 1 it takes one step.
         stage = MediumState(1.7976931348623157e308, 1e-300)
         profile = TemporalProfile.ramp(stage, stage, t0=0.0, tau=1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="epsilon and mu must be finite"):
+            integrate(profile, 1e6 * X_HAT, ModeState(Y_HAT, [0.0, 0.0, 1.0], -1.0), 1.0)
+
+    def test_ramp_end_where_a_radian_is_below_the_step_floor_raises_at_entry(self):
+        # At mu = 1e-300 a radian of phase takes 2e-150 of time, far below the step floor 1e-14: the ramp
+        # raises after sampling its two ends, before its first step.
+        profile = Recorded(TemporalProfile.ramp(VACUUM, MediumState(4.0, 1e-300), t0=0.0, tau=0.5))
+        message = r"a step of one radian, 1 / \(\|m\| \|v\|\) = 2\.000e-150, is below the step floor 1e-14 \* max\(1, \|t\|\)"
+        with pytest.raises(StiffnessError, match=message) as excinfo:
             integrate(profile, X_HAT, ModeState(Y_HAT, [0.0, 0.0, 1.0], -1.0), 1.0)
+        assert excinfo.value.smallest_step == pytest.approx(2e-150)
+        assert profile.instants == [-0.625, -0.25, 0.25]  # the constant piece's midpoint, then the ramp's ends
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(m=st.tuples(*[st.floats(-1e150, 1e150).filter(lambda x: abs(x) > 1e-150)] * 3))
+    def test_modulus_is_the_sum_of_squares_in_order(self, m):
+        # Python floats, not ndarray.dot: a BLAS ddot may sum the three squares in another order or fused.
+        x, y, z = m
+        try:
+            got = oracle_module._modulus(np.array(m))[1]
+        except DomainError:
+            got = None
+        expected = math.sqrt(x * x + y * y + z * z)
+        assert got == (expected if sys.float_info.min <= expected * expected < math.inf else None)
 
 
 def ref_periodic_pieces(profile, lo, hi):
@@ -401,8 +431,8 @@ class TestMomentumLaw:
 
 
 def ref_decompose(state, medium, m):
-    """mode_decompose's amplitudes and polarization by np.cross and np.linalg.norm; its checks are left out."""
-    kappa = m / float(np.linalg.norm(m))
+    """mode_decompose's amplitudes and polarization by np.cross and np.linalg.norm, |m| as _modulus sums it; no checks."""
+    kappa = m / norm_in_order(m)
     E, cross = state.D / medium.epsilon, medium.wave_speed * np.cross(kappa, state.B)
     D_f, D_b = medium.epsilon * (0.5 * (E - cross)), medium.epsilon * (0.5 * (E + cross))
     norm_f, norm_b = float(np.linalg.norm(D_f)), float(np.linalg.norm(D_b))  # unscaled: no part is near 2**+-500
@@ -1037,7 +1067,7 @@ class TestDoubleNegativeSharpSwitches:
 
 class TestExactPropagation:
     class SampleOnly:
-        """Hides switch_intervals, so integrate runs Dormand-Prince everywhere."""
+        """Hides switch_intervals, so integrate runs Magnus steps everywhere."""
 
         def __init__(self, profile):
             self.sample = profile.sample
@@ -1047,7 +1077,7 @@ class TestExactPropagation:
         [TemporalProfile.constant(DENSE), TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=0.5)],
         ids=["constant", "ramp"],
     )
-    def test_agrees_with_dormand_prince_everywhere(self, profile):
+    def test_agrees_with_magnus_everywhere(self, profile):
         start = profile.sample(-4.0)
         wave = PlaneWave(Y_HAT.astype(complex), start.wave_speed, X_HAT, start.wave_speed)
         m = phase_vector(wave)
@@ -1072,7 +1102,7 @@ class TestExactPropagation:
         "intervals", [[(-1.0, 0.5), (0.0, 1.0)], [(-1.0, 1.0), (-0.5, 0.5)]], ids=["overlapping", "nested"]
     )
     def test_overlapping_intervals_merge_into_one(self, intervals):
-        # The varying pieces merge into the one declared interval, so Dormand-Prince takes the same steps.
+        # The varying pieces merge into the one declared interval, so the Magnus steps are the same.
         profile = TemporalProfile.ramp(VACUUM, DENSE, t0=0.0, tau=2.0)
         wave = vacuum_wave()
         m = phase_vector(wave)
@@ -1082,48 +1112,75 @@ class TestExactPropagation:
         assert (got.D.tolist(), got.B.tolist()) == (expected.D.tolist(), expected.B.tolist())
 
 
-# --- Reference: the 2x2 Dormand-Prince step over four real entries, one loop pass per stage. ---
-# oracle._dormand_prince writes the same arithmetic out by hand on Phi's four entries as floats.
-# It must take exactly these steps, reproduce these values and sample at these instants, once at
-# the repeated node c6 = c7 = 1.
-
-REF_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-REF_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-REF_ERR = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-ROWS = ((0, 1), (2, 3))  # the entries (p, q) and (r, s) of Phi = [[p, q], [r, s]]
+# --- Reference: the sixth-order Magnus step on sl(2) triples (c, x, y) = [[c, x], [y, -c]]. ---
+# oracle._magnus writes the same arithmetic out by hand, with the zero entries of the alphas dropped and
+# Phi's rows kept as the complex numbers p + iq and r + is. It must take exactly these steps, reproduce
+# these values and sample at these instants.
 
 
-def weighted(weights, values):
-    """sum_j w_j * values[j] over the nonzero weights, added left to right."""
-    terms = [w * x for w, x in zip(weights, values) if w != 0.0]
-    total = terms[0]
-    for term in terms[1:]:
-        total += term
-    return total
+def norm_in_order(m):
+    """|m| as the sum of the squares in order, on Python floats."""
+    x, y, z = np.asarray(m, dtype=float).tolist()
+    return math.sqrt(x * x + y * y + z * z)
 
 
-def ref_slopes(medium, mag, phi):
-    """A phi for A = [[0, -a], [b, 0]], a = |m|/mu, b = |m|/eps, on phi = [p, q, r, s] = [[p, q], [r, s]]."""
-    p, q, r, s = phi
-    a, b = mag / medium.mu, mag / medium.epsilon
-    return [-a * r, -a * s, b * p, b * q]
+def comm(P, Q):
+    """[P, Q] = PQ - QP of two sl(2) triples."""
+    (c1, x1, y1), (c2, x2, y2) = P, Q
+    return (x1 * y2 - x2 * y1, 2.0 * (c1 * x2 - c2 * x1), 2.0 * (c2 * y1 - c1 * y2))
 
 
-def ref_fundamental(sample, mag, t, t_end, tol):
+def ref_omegas(A1, A2, A3, h):
+    """Omega6 and the embedded Omega4 of a step of width h; A_i = (a, b) of A = [[0, a], [b, 0]] at node i."""
+    alpha1 = (0.0, h * A2[0], h * A2[1])
+    alpha2 = (0.0, *(math.sqrt(15.0) / 3.0 * h * (u3 - u1) for u1, u3 in zip(A1, A3)))
+    alpha3 = (0.0, *(10 / 3 * h * (u3 - 2.0 * u2 + u1) for u1, u2, u3 in zip(A1, A2, A3)))
+    C1 = comm(alpha1, alpha2)
+    C2 = tuple(-u / 60 for u in comm(alpha1, tuple(2.0 * u3 + c for u3, c in zip(alpha3, C1))))
+    left = tuple(-20.0 * u1 - u3 + c for u1, u3, c in zip(alpha1, alpha3, C1))
+    right = tuple(u2 + c for u2, c in zip(alpha2, C2))
+    base = tuple(u1 + u3 / 12 for u1, u3 in zip(alpha1, alpha3))
+    return tuple(u + v / 240 for u, v in zip(base, comm(left, right))), tuple(u - c / 12 for u, c in zip(base, C1))
+
+
+def matrix(omega):
+    """An sl(2) triple as the 2x2 matrix (p, q, r, s) = [[p, q], [r, s]]."""
+    c, x, y = omega
+    return c, x, y, -c
+
+
+def matmul(X, Y):
+    return X[0] * Y[0] + X[1] * Y[2], X[0] * Y[1] + X[1] * Y[3], X[2] * Y[0] + X[3] * Y[2], X[2] * Y[1] + X[3] * Y[3]
+
+
+def ref_expm(omega):
+    """exp(Omega) = C I + S Omega, since Omega**2 = (c**2 + xy) I."""
+    c, x, y = omega
+    d = c * c + x * y
+    w = math.sqrt(abs(d))
+    C, S = (math.cos(w), math.sin(w) / w) if d < 0.0 else (math.cosh(w), math.sinh(w) / w) if d > 0.0 else (1.0, 1.0)
+    return tuple(C * i + S * u for i, u in zip((1.0, 0.0, 0.0, 1.0), matrix(omega)))
+
+
+def row_moduli(phi, hypot=lambda u, v: abs(complex(u, v))):
+    """The moduli of Phi's rows (p, q) and (r, s), by the C library's hypot unless given."""
+    return hypot(phi[0], phi[1]), hypot(phi[2], phi[3])
+
+
+def ref_nodes(sample, mag, t, hs):
+    """(a, b) of A = [[0, -|m|/mu], [|m|/eps, 0]] at the three Gauss-Legendre nodes of the step from t."""
+    nodes = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
+    return [(-mag / medium.mu, mag / medium.epsilon) for medium in (sample(t + c * hs) for c in nodes)]
+
+
+def ref_fundamental(sample, mag, t, t_end, tol, hypot=lambda u, v: abs(complex(u, v))):
     direction = 1.0 if t_end > t else -1.0
-    medium = sample(t)
-    h = min(abs(t_end - t), 0.1 / (mag * abs(medium.wave_speed)))
+    v = abs(sample(t).wave_speed)
+    w = mag * max(v, abs(sample(t_end).wave_speed))
+    assert w * 1e-14 * max(1.0, abs(t), abs(t_end)) <= 1.0
+    h = min(abs(t_end - t), 0.1 / (mag * v))
     smallest = h
-    phi = [1.0, 0.0, 0.0, 1.0]
-    k1 = ref_slopes(medium, mag, phi)
+    phi, y_max = (1.0, 0.0, 0.0, 1.0), 1.0
     while True:
         remaining = abs(t_end - t)
         if remaining <= 1e-14 * max(1.0, abs(t_end)):
@@ -1133,17 +1190,19 @@ def ref_fundamental(sample, mag, t, t_end, tol):
             raise StiffnessError(f"step size underflow at t={t} (smallest step {smallest:.3e})")
         smallest = min(smallest, h_abs)
         hs = direction * h_abs
-        K = [k1]
-        for i in range(1, 7):
-            stage = [x + hs * weighted(REF_A[i], [k[j] for k in K]) for j, x in enumerate(phi)]
-            K.append(ref_slopes(sample(t + REF_C[i] * hs), mag, stage))
-        # The error and the scale are the larger modulus of Phi's two rows, each taken as a complex number.
-        err = h_abs * max(abs(complex(*(weighted(REF_ERR, [k[j] for k in K]) for j in row))) for row in ROWS)
-        budget = tol * h_abs * max(1.0, *(abs(complex(*(x[j] for j in row))) for x in (phi, stage) for row in ROWS))
+        omega6, omega4 = ref_omegas(*ref_nodes(sample, mag, t, hs), hs)
+        err = max(row_moduli(matmul(matrix(tuple(u - v for u, v in zip(omega6, omega4))), phi), hypot))
+        stepped = matmul(ref_expm(omega6), phi)
+        new_max = max(row_moduli(stepped, hypot))
+        budget = tol * h_abs * max(1.0, y_max, new_max)
         if err <= budget:
-            t, phi, k1 = t + hs, stage, K[6]
+            t, phi, y_max = t + hs, stepped, new_max
         factor = 0.9 * (budget / err) ** 0.2 if err > 0.0 else 5.0
         h = h_abs * min(5.0, max(0.2, factor))
+        c, x, y = omega6
+        phase = math.sqrt(abs(c * c + x * y))  # the step's |m| |v| h_abs: the next is held to one radian
+        if h * phase > h_abs:
+            h = h_abs / phase
 
 
 def ref_apply(phi, m_hat, D, B):
@@ -1157,7 +1216,7 @@ def ref_apply(phi, m_hat, D, B):
 
 def ref_integrate(profile, m, initial, t_end, tol):
     """integrate, with each piece's matrix applied in the basis-free vector form of ref_apply."""
-    mag = float(np.linalg.norm(m))
+    mag = norm_in_order(m)
     t = initial.t
     pieces = oracle_module._pieces(profile, min(t, t_end), max(t, t_end))
     if t_end < t:
@@ -1178,7 +1237,7 @@ class Recorded:
     """A profile that records the instants it is sampled at.
 
     ``sample_only`` hides everything but ``sample``, so the integrator runs
-    Dormand-Prince over the whole span.
+    Magnus steps over the whole span.
     """
 
     def __init__(self, profile, sample_only=False):
@@ -1198,8 +1257,8 @@ class RecordedByPiece(Recorded):
     """Recorded, with the instants of each lookup of ``sample`` in a list of their own.
 
     The integrators look ``sample`` up once per piece, so ``pieces`` holds one
-    list per piece: an exact piece's one instant, or a Dormand-Prince piece's
-    first instant followed by six per attempted step.
+    list per piece: an exact piece's one instant, or a Magnus piece's two
+    ends followed by three instants per attempted step.
     """
 
     def __init__(self, profile, sample_only=False):
@@ -1216,17 +1275,6 @@ class RecordedByPiece(Recorded):
             return sample(t)
 
         return recording
-
-
-def repeated_node_listed_once(piece):
-    """A reference piece's instants with each step's second c = 1 instant (stages 5 and 6) listed once."""
-    first, stages = piece[0], piece[1:]
-    assert len(stages) % 6 == 0
-    instants = [first]
-    for j in range(0, len(stages), 6):
-        assert stages[j + 4] == stages[j + 5]
-        instants += stages[j : j + 5]
-    return instants
 
 
 @st.composite
@@ -1284,22 +1332,38 @@ class TestFundamentalMatrix:
         for start, end in varying_pieces(profile, initial, t_end):
             ref_profile, new_profile = RecordedByPiece(profile, sample_only), Recorded(profile, sample_only)
             expected = ref_fundamental(ref_profile.sample, mag, start, end, tol)
-            got = oracle_module._dormand_prince(new_profile.sample, mag, start, end, tol)
+            got = oracle_module._magnus(new_profile.sample, mag, start, end, tol)
             assert bits(got) == bits(expected)
-            # The same instants, except that stage 7 reuses stage 6's medium: one sample fewer per attempted step.
             (piece,) = ref_profile.pieces
-            assert new_profile.instants == repeated_node_listed_once(piece)
+            assert new_profile.instants == piece
 
     def test_row_modulus_is_libm_hypot(self):
         # abs(complex(p, q)) is the C library's hypot; math.hypot can differ from it in the last bit, and here
-        # that changes the steps: with it this ramp gives p = 0.9421614745686041.
-        before = MediumState(0.6974823056175358, 0.7865559181741838)
-        after = MediumState(1.7327578303230207, 0.9825112556053248)
-        profile = TemporalProfile.ramp(before, after, t0=-0.5384265337152936, tau=0.6571026981975543)
-        args = (0.48004828579972236, -0.8669778828140707, -0.20987518461651644, 3.733847359191366e-11)
-        got = oracle_module._dormand_prince(profile.sample, *args)
-        assert got[0] == 0.9421614745686042
+        # that changes the steps: with it this ramp, integrated backward, gives p = 0.7982012323959816.
+        before = MediumState(1.9234663776712349, 1.3036009258017163)
+        after = MediumState(1.5236618827543924, 2.889663615715745)
+        profile = TemporalProfile.ramp(before, after, t0=-0.03255093347490989, tau=0.5958426831584501)
+        args = (1.7997885017033335, 0.26537040810431517, -0.33047227505413496, 5.386552079091063e-10)
+        got = oracle_module._magnus(profile.sample, *args)
+        assert got[0] == 0.7982012323959817
         assert bits(got) == bits(ref_fundamental(profile.sample, *args))
+        assert ref_fundamental(profile.sample, *args, hypot=math.hypot)[0] == 0.7982012323959816
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(omega=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    def test_exponential_matches_its_power_series(self, omega):
+        # Elliptic (c**2 + xy < 0), hyperbolic and nilpotent Omegas alike: the closed form against 60 terms of
+        # sum Omega**n / n!, a route that shares none of its cos, sin, cosh or sinh.
+        term = total = (1.0, 0.0, 0.0, 1.0)
+        for n in range(1, 60):
+            term = tuple(u / n for u in matmul(matrix(omega), term))
+            total = tuple(u + v for u, v in zip(total, term))
+        got = oracle_module._expm(*omega)
+        assert max(abs(u - v) for u, v in zip(got, total)) <= 1e-12 * max(1.0, *map(abs, total))
+        assert oracle_module._expm(0.0, 1.5, 0.0) == (1.0, 1.5, 0.0, 1.0)  # Omega**2 = 0: exp = I + Omega
+        # Past the float range the result is NaN, which the callers reject, not a ValueError or OverflowError.
+        for omega in ((0.0, -math.inf, 1e-300), (800.0, 0.0, 0.0), (math.nan, 0.0, 0.0)):
+            assert all(map(math.isnan, oracle_module._expm(*omega)))
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(case=integration_cases())
@@ -1315,7 +1379,7 @@ class TestFundamentalMatrix:
         scale = max(np.max(np.abs(expected.D)), np.max(np.abs(expected.B)))
         assert np.max(np.abs(got.D - expected.D)) <= 1e-13 * scale
         assert np.max(np.abs(got.B - expected.B)) <= 1e-13 * scale
-        assert new_profile.instants == [t for piece in ref_profile.pieces for t in repeated_node_listed_once(piece)]
+        assert new_profile.instants == [t for piece in ref_profile.pieces for t in piece]
 
     @pytest.mark.parametrize("sample_only", [False, True], ids=["ramp", "sample-only"])
     def test_same_underflow_message(self, sample_only):
@@ -1333,14 +1397,17 @@ class TestFundamentalMatrix:
     @given(case=integration_cases())
     def test_unit_determinant(self, case):
         # tr A = 0, so det Phi = 1 (Liouville's formula) through every ramp: the momentum law for every
-        # state of this |m| at once. Over 500 cases |det Phi - 1| stayed below 0.016 of the bound's scale,
-        # tol * max(1, span) * max(1, largest entry)**2.
+        # state of this |m| at once. Each step multiplies Phi by an exact exponential of a traceless matrix,
+        # so det Phi - 1 is rounding only: over 500 cases it stayed below 0.51 of the bound's scale,
+        # float epsilon * attempted steps * max(1, largest entry)**2.
         kind, profile, m, initial, t_end, tol = case
         mag = oracle_module._modulus(m)[1]
         for start, end in varying_pieces(profile, initial, t_end):
-            p, q, r, s = oracle_module._dormand_prince(profile.sample, mag, start, end, tol)
-            scale = tol * max(1.0, abs(end - start)) * max(1.0, p * p, q * q, r * r, s * s)
-            assert abs(p * s - q * r - 1.0) <= 0.1 * scale
+            recorded = Recorded(profile, kind == "sample-only")
+            p, q, r, s = oracle_module._magnus(recorded.sample, mag, start, end, tol)
+            steps = (len(recorded.instants) - 2) // 3  # after the two ends, three samples per attempted step
+            scale = sys.float_info.epsilon * steps * max(1.0, p * p, q * q, r * r, s * s)
+            assert abs(p * s - q * r - 1.0) <= 2.0 * scale
 
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(case=integration_cases(), along=st.tuples(UNIT, UNIT, UNIT, UNIT))
@@ -1355,3 +1422,40 @@ class TestFundamentalMatrix:
         scale = max(1.0, np.max(np.abs(final.D)), np.max(np.abs(final.B)))
         assert abs(np.dot(m_hat, final.D) - np.dot(m_hat, D)) <= 1e-14 * scale
         assert abs(np.dot(m_hat, final.B) - np.dot(m_hat, B)) <= 1e-14 * scale
+
+
+class TestMagnusOrder:
+    """Fixed-step orders of the Magnus step (sixth) and of its embedded error estimate (fourth)."""
+
+    PROFILE = TemporalProfile.ramp(MediumState(1.05, 1.0), MediumState(4.1, 1.3), t0=0.0, tau=0.5)
+    MAG = 1.3
+
+    def fixed(self, n, step):
+        (a, b), = self.PROFILE.switch_intervals()
+        phi = (1.0, 0.0, 0.0, 1.0)
+        for i in range(n):
+            phi = matmul(step(a + (b - a) * i / n, a + (b - a) * (i + 1) / n), phi)
+        return phi
+
+    def magnus(self, t, t_end):
+        # Narrower than the first step, 0.1 / (|m| |v|), and far inside tol = 1: one step of the private
+        # integrator, after its two samples at the ends.
+        recorded = Recorded(self.PROFILE)
+        phi = oracle_module._magnus(recorded.sample, self.MAG, t, t_end, 1.0)
+        assert len(recorded.instants) == 5
+        return phi
+
+    def omega4(self, t, t_end):
+        return ref_expm(ref_omegas(*ref_nodes(self.PROFILE.sample, self.MAG, t, t_end - t), t_end - t)[1])
+
+    def test_halving_the_step_count(self):
+        # The error against 2048 steps falls 64-83 times per halving for Omega6 (8 to 32 steps, 2.0e-8 to
+        # 3.6e-12) and 16.0-16.2 times for Omega4 (8 to 64 steps): sixth and fourth order. An order lower
+        # would give 32 and 8.
+        reference = self.fixed(2048, self.magnus)
+        errors = {
+            step: [max(abs(u - v) for u, v in zip(self.fixed(n, step), reference)) for n in counts]
+            for step, counts in ((self.magnus, (8, 16, 32)), (self.omega4, (8, 16, 32, 64)))
+        }
+        assert all(a >= 40.0 * b for a, b in zip(errors[self.magnus], errors[self.magnus][1:]))
+        assert all(a >= 12.0 * b for a, b in zip(errors[self.omega4], errors[self.omega4][1:]))
