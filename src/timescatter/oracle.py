@@ -238,52 +238,53 @@ def _expm(c: float, x: float, y: float):
 _NODE, _ROOT15_3 = math.sqrt(15.0) / 10.0, math.sqrt(15.0) / 3.0  # the Gauss-Legendre nodes are 1/2 -+ _NODE and 1/2
 
 
+def _mismatch(h, f0, f1, f2, f3, f4):
+    """m**2 / (|h| spread) for m = (5 f1 - 4 f2 + 5 f3 - 3 f0 - 3 f4) h / 18, Gauss's integral of f less Simpson's.
+
+    f0 to f4 are f at a step's start, nodes and end; spread is the largest |f_i - f2|.  A transition the nodes
+    stride over passes at about |m| / 9, and a resolved step falls as h**8, below the step's own error.
+    """
+    d0, d1, d3, d4 = f0 - f2, f1 - f2, f3 - f2, f4 - f2
+    spread = max(abs(d0), abs(d1), abs(d3), abs(d4))
+    m = 5.0 * (d1 + d3) - 3.0 * (d0 + d4)  # 18 m / h, at most 16 spreads
+    return abs(h) * m * (m / (324.0 * spread)) if spread else 0.0  # m and m / (324 spread) share a sign
+
+
 def _magnus(sample, mag, t, t_end, tol):
     """The fundamental matrix (p, q, r, s) = [[p, q], [r, s]] from t to t_end through a varying medium.
 
-    Adaptive sixth-order Magnus steps on Phi' = A Phi from Phi(t) = I, A = [[0, a], [b, 0]], a = -|m|/mu,
-    b = |m|/eps, with A_i at the Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)):
-    Phi <- exp(Omega6) Phi, Omega6 = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240 with
-    alpha1 = h A2, alpha2 = sqrt(15)/3 h (A3 - A1), alpha3 = 10/3 h (A3 - 2 A2 + A1), C1 = [alpha1, alpha2]
-    and C2 = -[alpha1, 2 alpha3 + C1] / 60.  The error estimate is (Omega6 - Omega4) Phi, Omega4 = alpha1 +
-    alpha3/12 - C1/12, by its rows' libm hypot; Phi's rows are the complex p + iq and r + is.  The next
-    step's phase |m| |v| h is capped at one radian, so that in a flat stretch the nodes cannot stride over
-    a transition the commutators do not see, and a ramp end where that step is below the floor raises.
+    Adaptive sixth-order Magnus steps on Phi' = A Phi, A = [[0, a], [b, 0]], a = -|m|/mu, b = |m|/eps, with A_i
+    at the Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)): Phi <- exp(Omega6) Phi,
+    Omega6 = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240, alpha1 = h A2, alpha2 =
+    sqrt(15)/3 h (A3 - A1), alpha3 = 10/3 h (A3 - 2 A2 + A1), C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 +
+    C1] / 60.  The error estimate adds to Omega6 - Omega4, Omega4 = alpha1 + alpha3/12 - C1/12, the _mismatch
+    of each entry of A, A4 at the step's end being the next A0, and the budget holds back half an ulp of t
+    times |A'| ~ |A3 - A1| / (2 sqrt(15)/10 h), what rounding t + c h may move.
     """
     direction = 1.0 if t_end > t else -1.0
     span, end_floor = abs(t_end - t), _MIN_STEP_REL * max(1.0, abs(t_end))
     if span <= end_floor:
-        raise StiffnessError(
-            f"varying interval from t={t} to t={t_end} is narrower than the step floor 1e-14 * max(1, |t|)",
-            smallest_step=0.0,
-        )
-    v = abs(wave_speed(sample(t)))
-    w = mag * max(v, abs(wave_speed(sample(t_end))))  # the larger angular frequency at the two ends
-    if w * _MIN_STEP_REL * max(1.0, abs(t), abs(t_end)) > 1.0:
-        raise StiffnessError(
-            f"a step of one radian, 1 / (|m| |v|) = {1.0 / w:.3e}, is below the step floor 1e-14 * max(1, |t|)"
-            f" at an end of the varying interval from t={t} to t={t_end}",
-            smallest_step=1.0 / w,
-        )
-    # Initial step: a fraction of the local oscillation period.
-    h = min(span, 0.1 / (mag * v))  # > 0, since _modulus bounds |m| below
-    smallest = h
-    P, R, y_max = 1.0 + 0.0j, 1.0j, 1.0
+        message = f"varying interval from t={t} to t={t_end} is narrower than the step floor 1e-14 * max(1, |t|)"
+        raise StiffnessError(message, smallest_step=0.0)
+    a0, b0 = -mag / (medium := sample(t)).mu, mag / medium.epsilon
+    # Initial step: 0.1 radian, or tol**(1/6) of the piece, as a step's error per unit time goes as (h / span)**6.
+    h = smallest = min(span * tol ** (1 / 6), 0.1 / (mag * abs(wave_speed(medium))))  # > 0: _modulus bounds |m|
+    ulp = 0.25 / _NODE * math.ulp(max(abs(t), abs(t_end)))  # times |A3 - A1|; the nodes lie between the ends
+    P, R, size_P, size_R = 1.0 + 0.0j, 1.0j, 1.0, 1.0  # Phi's rows and their moduli
     for _ in range(_MAX_STEPS):
         remaining = abs(t_end - t)
         if remaining <= end_floor:
             return P.real, P.imag, R.real, R.imag
         h_abs = min(h, remaining)
         if h_abs < _MIN_STEP_REL * max(abs(t), 1.0):
-            raise StiffnessError(
-                f"step size underflow at t={t} (smallest step {smallest:.3e})",
-                smallest_step=smallest,
-            )
+            raise StiffnessError(f"step size underflow at t={t} (smallest step {smallest:.3e})", smallest_step=smallest)
         smallest = min(smallest, h_abs)
-        hs = direction * h_abs
+        hs = (t_next := t + direction * h_abs) - t  # the step between the two floats, exactly
+        h_abs = abs(hs)
         a1, b1 = -mag / (medium := sample(t + (0.5 - _NODE) * hs)).mu, mag / medium.epsilon
         a2, b2 = -mag / (medium := sample(t + 0.5 * hs)).mu, mag / medium.epsilon
         a3, b3 = -mag / (medium := sample(t + (0.5 + _NODE) * hs)).mu, mag / medium.epsilon
+        a4, b4 = -mag / (medium := sample(t_next)).mu, mag / medium.epsilon
         x1, y1 = hs * a2, hs * b2
         x2, y2 = _ROOT15_3 * hs * (a3 - a1), _ROOT15_3 * hs * (b3 - b1)
         x3, y3 = 10 / 3 * hs * (a3 - 2.0 * a2 + a1), 10 / 3 * hs * (b3 - 2.0 * b2 + b1)
@@ -292,25 +293,24 @@ def _magnus(sample, mag, t, t_end, tol):
         lx, ly, rx, ry = -20.0 * x1 - x3, -20.0 * y1 - y3, x2 + k * x1 / 30, y2 - k * y1 / 30
         x, y = x1 + x3 / 12, y1 + y3 / 12
         c6, x6, y6 = (lx * ry - rx * ly) / 240, x + 2.0 * (k * rx - c * lx) / 240, y + 2.0 * (c * ly - k * ry) / 240
-        ec, ex, ey = c6 + k / 12, x6 - x, y6 - y  # Omega6 - Omega4
-        err = max(abs(ec * P + ex * R), abs(ey * P - ec * R))
+        ex, ey, ec = _mismatch(hs, a0, a1, a2, a3, a4), _mismatch(hs, b0, b1, b2, b3, b4), c6 + k / 12
+        # Omega6 - Omega4 is [[ec, x6 - x], [y6 - y, -ec]]; the mismatches add to its off-diagonal entries.
+        err = max(abs(ec * P + (x6 - x) * R) + ex * size_R, abs((y6 - y) * P - ec * R) + ey * size_P)
+        rounded = ulp * max(abs(a3 - a1) * size_R, abs(b3 - b1) * size_P)
         e1, e2, e3, e4 = _expm(c6, x6, y6)
         P6, R6 = e1 * P + e2 * R, e3 * P + e4 * R
-        new_max = max(abs(P6), abs(R6))
+        new_max = max(size_P6 := abs(P6), size_R6 := abs(R6))
         if not (err < math.inf and new_max < math.inf):
-            raise DomainError(f"mode state is not finite in the step from t={t} to t={t + hs}: rows {P6}, {R6}")
-        budget = tol * h_abs * max(1.0, y_max, new_max)
-        if err <= budget:
-            t, P, R, y_max = t + hs, P6, R6, new_max
-        factor = 0.9 * (budget / err) ** 0.2 if err > 0.0 else 5.0
+            raise DomainError(f"mode state is not finite in the step from t={t} to t={t_next}: rows {P6}, {R6}")
+        room = tol * h_abs * max(1.0, size_P, size_R, new_max) - rounded  # rounded does not shrink with h
+        if err <= room:
+            t, P, R, size_P, size_R, a0, b0 = t_next, P6, R6, size_P6, size_R6, a4, b4
+        factor = 0.2 if not room > 0.0 else 0.9 * (room / err) ** 0.2 if err > 0.0 else 5.0
         h = h_abs * min(5.0, max(0.2, factor))
         phase = math.sqrt(abs(c6 * c6 + x6 * y6))  # this step's |m| |v| h_abs
         if h * phase > h_abs:
             h = h_abs / phase
-    raise StiffnessError(
-        f"exceeded {_MAX_STEPS} steps (smallest step {smallest:.3e})",
-        smallest_step=smallest,
-    )
+    raise StiffnessError(f"exceeded {_MAX_STEPS} steps (smallest step {smallest:.3e})", smallest_step=smallest)
 
 
 def integrate(
@@ -331,11 +331,13 @@ def integrate(
     * nonzero-width intervals (ramps) run adaptive sixth-order Magnus
       steps on the fundamental matrix Phi, from Phi = I, each the closed-form
       exponential of a traceless 2x2 matrix built from A at the step's three
-      Gauss-Legendre nodes.  An embedded fourth-order Magnus matrix on the
-      same nodes holds the local error per unit time at or below ``tol``,
-      scaled by max(1, larger modulus of Phi's rows, by the C library's
-      hypot); the state's error is then relative to the state, whatever its
-      size.  A step's phase |m| |v| h is capped at one radian;
+      Gauss-Legendre nodes.  The embedded fourth-order Magnus matrix, plus
+      the mismatch of their integral of A against Simpson's from the step's
+      ends (a transition the nodes stride over), holds the local error per
+      unit time, less what rounding the node instants may add (|dA/dt|
+      ulp(t) / 2), at or below ``tol`` times max(1, the larger modulus of
+      Phi's rows by libm hypot): relative to the state.  Steps are held to
+      a phase |m| |v| h of one radian;
     * zero-width (sharp) switches, periodic ones included, are break points
       only: D and B are continuous across them, so the state passes
       through unchanged.  The two-valued instant is never sampled where
@@ -345,15 +347,13 @@ def integrate(
     Each piece's matrix acts on the two transverse pairs of the state;
     the parts of D and B along m pass through.  A profile without
     ``switch_intervals`` is integrated by Magnus steps over the whole
-    span.  A varying piece samples the profile at its two ends, then three
-    times per step, so ``sample`` must be a pure function of t.  A ``tol``
-    below float64 resolution raises :class:`StiffnessError` at once, and so
-    does a Magnus step below 1e-14 * max(1, |t|), a whole varying
-    interval no wider than that floor (a ramp narrow against its distance
-    from t = 0 cannot be resolved), a varying piece with an end where a
-    step of one radian is below that floor (raised before the first step),
-    a varying piece that needs more than 10,000,000 steps, or a periodic
-    span with more switch instants than that.
+    span.  A varying piece samples the profile at its start, then at three
+    nodes and the end of each step, so ``sample`` must be a pure function
+    of t.  A ``tol`` below float64 resolution raises :class:`StiffnessError`
+    at once, and so does a Magnus step below 1e-14 * max(1, |t|) (steps
+    shrink to it where node rounding alone exceeds ``tol``), a varying
+    interval no wider than that, one that needs more than 10,000,000 steps,
+    or a periodic span with more switch instants than that.
     A NaN or infinite state or ``t_end`` raises :class:`DomainError`, and so does
     a constant stretch whose phase |w h| exceeds 2 pi / float epsilon, about 2.8e16.
     """

@@ -1231,15 +1231,15 @@ class TestOracleRoute:
         }
 
     def test_first_width_to_fail_in_table_order_is_reported(self, tmp_path, capsys):
-        # At t0 = 1e12 every width underflows the step floor; the widest is integrated first.
-        config = make_config(command="oracle", t0=1e12, oracle={"tau": 0.05, "tau_list": [0.2, 0.1, 0.05]})
+        # At t0 = 1e11 every width underflows the step floor; the widest is integrated first.
+        config = make_config(command="oracle", t0=1e11, oracle={"tau": 0.05, "tau_list": [0.2, 0.1, 0.05]})
         assert run_main(tmp_path, config) == 3
         error = json.loads(capsys.readouterr().err)["error"]
         wave = parse_config(config).incident.plane_wave(MediumState(1, 1))
         failures = []
         for tau in (0.2, 0.05):
             with pytest.raises(StiffnessError) as failure:
-                numeric_rt(TemporalProfile.ramp(MediumState(1, 1), MediumState(4, 1), 1e12, tau * wave.period), wave)
+                numeric_rt(TemporalProfile.ramp(MediumState(1, 1), MediumState(4, 1), 1e11, tau * wave.period), wave)
             failures.append(str(failure.value))
         assert failures[0] != failures[1]
         assert (error["type"], error["message"]) == ("StiffnessError", failures[0])
