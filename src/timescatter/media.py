@@ -10,6 +10,7 @@ negative parameters is positive while the physical index is negative.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect
 from dataclasses import dataclass
 
@@ -129,7 +130,8 @@ class TemporalProfile:
       i, and sampling exactly at a switch raises :class:`AmbiguityError`;
     * ``tau > 0`` -- a C1 monotone ramp of epsilon and mu independently
       over [s - tau/2, s + tau/2] around each switch s.  Ramps must not
-      overlap or round to a point, and every stage must be a positive medium.
+      overlap or round to a point, and every stage must be a positive medium
+      with epsilon and mu at most half the largest float.
 
     A periodic profile (``period`` and ``duty`` set, ``None`` otherwise)
     has two sharp stages and starts at ``switches[0]``: before it the
@@ -160,6 +162,12 @@ class TemporalProfile:
             # A monotone interpolant between opposite-sign parameters
             # would pass through zero, violating MediumState invariants.
             raise DomainError("ramps need at least one switch and positive media in every stage")
+        for i, m in enumerate(stages if self.tau > 0.0 else ()):  # so that sample's blend lo*r + hi*s stays finite
+            if max(m.epsilon, m.mu) > 0.5 * sys.float_info.max:
+                raise DomainError(
+                    f"ramped stage {i} has epsilon={m.epsilon!r}, mu={m.mu!r}: above half the largest float,"
+                    " its ramp's blend can round past the float range"
+                )
         ramps = []  # for sample: each ramp's start s - tau/2, and epsilon and mu of the stages before and after it
         for s, lo, hi in zip(switches, stages, stages[1:]) if self.tau > 0.0 else ():
             if s - 0.5 * self.tau == s + 0.5 * self.tau:  # the ramp would integrate as a sharp switch

@@ -26,7 +26,8 @@ the transfer-matrix form of Morgenthaler, IRE Trans. MTT 6, 167 (1958).
 :func:`integrate` builds Phi from closed-form exponentials of traceless
 2x2 matrices (Omega**2 = -(det Omega) I), so det Phi = 1 to rounding: one
 exact step exp(hA) per constant stretch, and inside ramps adaptive
-sixth-order Magnus steps on three Gauss-Legendre nodes.  Sharp switches
+step-doubled sixth-order Magnus steps on Gauss-Legendre nodes, each held
+to half a radian of phase.  Sharp switches
 (steps, periodic time crystals) need no limit: D and B pass through
 them unchanged.  None of this uses the interface formulas of
 :mod:`.scatter` or :mod:`.cascade`, so the oracle checks them independently.
@@ -250,16 +251,32 @@ def _mismatch(h, f0, f1, f2, f3, f4):
     return abs(h) * m * (m / (324.0 * spread)) if spread else 0.0  # m and m / (324 spread) share a sign
 
 
+def _omega6(h, a1, a2, a3, b1, b2, b3):
+    """Omega6 = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240 as (c, x, y) = [[c, x], [y, -c]].
+
+    A = [[0, a_i], [b_i, 0]] at the nodes of a step of width h (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151
+    (2009)): alpha1 = h A2, alpha2 = sqrt(15)/3 h (A3 - A1), alpha3 = 10/3 h (A3 - 2 A2 + A1), C1 = [alpha1,
+    alpha2], C2 = -[alpha1, 2 alpha3 + C1] / 60.
+    """
+    x1, y1 = h * a2, h * b2
+    x2, y2 = _ROOT15_3 * h * (a3 - a1), _ROOT15_3 * h * (b3 - b1)
+    x3, y3 = 10 / 3 * h * (a3 - 2.0 * a2 + a1), 10 / 3 * h * (b3 - 2.0 * b2 + b1)
+    k = x1 * y2 - x2 * y1  # C1 = [[k, 0], [0, -k]]
+    c = -(x1 * y3 - x3 * y1) / 30  # C2 = [[c, k x1 / 30], [-k y1 / 30, -c]]
+    lx, ly, rx, ry = -20.0 * x1 - x3, -20.0 * y1 - y3, x2 + k * x1 / 30, y2 - k * y1 / 30
+    return (lx * ry - rx * ly) / 240, x1 + x3 / 12 + 2.0 * (k * rx - c * lx) / 240, y1 + y3 / 12 + 2.0 * (c * ly - k * ry) / 240
+
+
 def _magnus(sample, mag, t, t_end, tol):
     """The fundamental matrix (p, q, r, s) = [[p, q], [r, s]] from t to t_end through a varying medium.
 
-    Adaptive sixth-order Magnus steps on Phi' = A Phi, A = [[0, a], [b, 0]], a = -|m|/mu, b = |m|/eps, with A_i
-    at the Gauss-Legendre nodes (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)): Phi <- exp(Omega6) Phi,
-    Omega6 = alpha1 + alpha3/12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240, alpha1 = h A2, alpha2 =
-    sqrt(15)/3 h (A3 - A1), alpha3 = 10/3 h (A3 - 2 A2 + A1), C1 = [alpha1, alpha2], C2 = -[alpha1, 2 alpha3 +
-    C1] / 60.  The error estimate adds to Omega6 - Omega4, Omega4 = alpha1 + alpha3/12 - C1/12, the _mismatch
-    of each entry of A, A4 at the step's end being the next A0, and the budget holds back half an ulp of t
-    times |A'| ~ |A3 - A1| / (2 sqrt(15)/10 h), what rounding t + c h may move.
+    Step-doubled sixth-order Magnus steps on Phi' = A Phi, A = [[0, a], [b, 0]], a = -|m|/mu, b = |m|/eps
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.4): a step of width H samples A at nine nodes, the whole
+    step's middle one being its halves' junction, and at its end, the next step's start, and takes E_H =
+    exp Omega6 of the step and E2 = exp Omega6(second half) exp Omega6(first).  E2's error is d = (E2 - E_H) / 63;
+    the estimate |d Phi| adds the _mismatch of each half and entry of A, and the budget holds back half an ulp
+    of t times |A'| ~ |A3 - A1| / (2 sqrt(15)/10 H), what rounding t + c H may move.  An accepted step takes
+    Phi to (E2 + d) Phi / sqrt(det(E2 + d)), so det Phi = 1 to rounding; a non-positive det rejects the step.
     """
     direction = 1.0 if t_end > t else -1.0
     span, end_floor = abs(t_end - t), _MIN_STEP_REL * max(1.0, abs(t_end))
@@ -267,9 +284,10 @@ def _magnus(sample, mag, t, t_end, tol):
         message = f"varying interval from t={t} to t={t_end} is narrower than the step floor 1e-14 * max(1, |t|)"
         raise StiffnessError(message, smallest_step=0.0)
     a0, b0 = -mag / (medium := sample(t)).mu, mag / medium.epsilon
-    # Initial step: 0.1 radian, or tol**(1/6) of the piece, as a step's error per unit time goes as (h / span)**6.
-    h = smallest = min(span * tol ** (1 / 6), 0.1 / (mag * abs(wave_speed(medium))))  # > 0: _modulus bounds |m|
+    # Initial step: 0.1 radian, or tol**(1/8) of the piece, as the extrapolated step's error goes as (h / span)**8.
+    h = smallest = min(span * tol ** (1 / 8), 0.1 / (mag * abs(wave_speed(medium))))  # > 0: _modulus bounds |m|
     ulp = 0.25 / _NODE * math.ulp(max(abs(t), abs(t_end)))  # times |A3 - A1|; the nodes lie between the ends
+    lo, hi = 0.5 - _NODE, 0.5 + _NODE
     P, R, size_P, size_R = 1.0 + 0.0j, 1.0j, 1.0, 1.0  # Phi's rows and their moduli
     for _ in range(_MAX_STEPS):
         remaining = abs(t_end - t)
@@ -281,35 +299,36 @@ def _magnus(sample, mag, t, t_end, tol):
         smallest = min(smallest, h_abs)
         hs = (t_next := t + direction * h_abs) - t  # the step between the two floats, exactly
         h_abs = abs(hs)
-        a1, b1 = -mag / (medium := sample(t + (0.5 - _NODE) * hs)).mu, mag / medium.epsilon
-        a2, b2 = -mag / (medium := sample(t + 0.5 * hs)).mu, mag / medium.epsilon
-        a3, b3 = -mag / (medium := sample(t + (0.5 + _NODE) * hs)).mu, mag / medium.epsilon
-        a4, b4 = -mag / (medium := sample(t_next)).mu, mag / medium.epsilon
-        x1, y1 = hs * a2, hs * b2
-        x2, y2 = _ROOT15_3 * hs * (a3 - a1), _ROOT15_3 * hs * (b3 - b1)
-        x3, y3 = 10 / 3 * hs * (a3 - 2.0 * a2 + a1), 10 / 3 * hs * (b3 - 2.0 * b2 + b1)
-        k = x1 * y2 - x2 * y1
-        c = -(x1 * y3 - x3 * y1) / 30  # C2 = [[c, k x1 / 30], [-k y1 / 30, -c]]
-        lx, ly, rx, ry = -20.0 * x1 - x3, -20.0 * y1 - y3, x2 + k * x1 / 30, y2 - k * y1 / 30
-        x, y = x1 + x3 / 12, y1 + y3 / 12
-        c6, x6, y6 = (lx * ry - rx * ly) / 240, x + 2.0 * (k * rx - c * lx) / 240, y + 2.0 * (c * ly - k * ry) / 240
-        ex, ey, ec = _mismatch(hs, a0, a1, a2, a3, a4), _mismatch(hs, b0, b1, b2, b3, b4), c6 + k / 12
-        # Omega6 - Omega4 is [[ec, x6 - x], [y6 - y, -ec]]; the mismatches add to its off-diagonal entries.
-        err = max(abs(ec * P + (x6 - x) * R) + ex * size_R, abs((y6 - y) * P - ec * R) + ey * size_P)
-        rounded = ulp * max(abs(a3 - a1) * size_R, abs(b3 - b1) * size_P)
-        e1, e2, e3, e4 = _expm(c6, x6, y6)
-        P6, R6 = e1 * P + e2 * R, e3 * P + e4 * R
+        ha, hb = (tm := t + 0.5 * hs) - t, t_next - tm  # the halves, split at the whole step's middle node
+        nodes = (t + lo * hs, tm, t + hi * hs, t + lo * ha, t + 0.5 * ha, t + hi * ha)  # the whole step's, the first half's
+        media = [sample(u) for u in nodes + (tm + lo * hb, tm + 0.5 * hb, tm + hi * hb, t_next)]  # the second half's, the end
+        a, b = [-mag / medium.mu for medium in media], [mag / medium.epsilon for medium in media]
+        c6, x6, y6 = _omega6(hs, a[0], a[1], a[2], b[0], b[1], b[2])
+        h1, h2, h3, h4 = _expm(c6, x6, y6)
+        p, q, r, s = _expm(*_omega6(ha, a[3], a[4], a[5], b[3], b[4], b[5]))
+        e1, e2, e3, e4 = _expm(*_omega6(hb, a[6], a[7], a[8], b[6], b[7], b[8]))
+        e1, e2, e3, e4 = e1 * p + e2 * r, e1 * q + e2 * s, e3 * p + e4 * r, e3 * q + e4 * s  # E2
+        d1, d2, d3, d4 = (e1 - h1) / 63, (e2 - h2) / 63, (e3 - h3) / 63, (e4 - h4) / 63
+        ex = _mismatch(ha, a0, a[3], a[4], a[5], a[1]) + _mismatch(hb, a[1], a[6], a[7], a[8], a[9])
+        ey = _mismatch(ha, b0, b[3], b[4], b[5], b[1]) + _mismatch(hb, b[1], b[6], b[7], b[8], b[9])
+        # d's rows act on Phi's; the mismatches add to the off-diagonal entries.
+        err = max(abs(d1 * P + d2 * R) + ex * size_R, abs(d3 * P + d4 * R) + ey * size_P)
+        rounded = ulp * max(abs(a[2] - a[0]) * size_R, abs(b[2] - b[0]) * size_P)
+        e1, e2, e3, e4 = e1 + d1, e2 + d2, e3 + d3, e4 + d4  # E2 + d, the extrapolated step
+        det = e1 * e4 - e2 * e3  # 1 + O(d)
+        root = math.sqrt(det) if det > 0.0 else 1.0
+        P6, R6 = (e1 * P + e2 * R) / root, (e3 * P + e4 * R) / root
         new_max = max(size_P6 := abs(P6), size_R6 := abs(R6))
-        if not (err < math.inf and new_max < math.inf):
+        if not (err < math.inf and new_max < math.inf and det == det):
             raise DomainError(f"mode state is not finite in the step from t={t} to t={t_next}: rows {P6}, {R6}")
         room = tol * h_abs * max(1.0, size_P, size_R, new_max) - rounded  # rounded does not shrink with h
-        if err <= room:
-            t, P, R, size_P, size_R, a0, b0 = t_next, P6, R6, size_P6, size_R6, a4, b4
-        factor = 0.2 if not room > 0.0 else 0.9 * (room / err) ** 0.2 if err > 0.0 else 5.0
+        if err <= room and det > 0.0:
+            t, P, R, size_P, size_R, a0, b0 = t_next, P6, R6, size_P6, size_R6, a[9], b[9]
+        factor = 0.2 if not (room > 0.0 and det > 0.0) else 0.9 * (room / err) ** (1 / 7) if err > 0.0 else 5.0
         h = h_abs * min(5.0, max(0.2, factor))
         phase = math.sqrt(abs(c6 * c6 + x6 * y6))  # this step's |m| |v| h_abs
-        if h * phase > h_abs:
-            h = h_abs / phase
+        if h * phase > 0.5 * h_abs:
+            h = 0.5 * h_abs / phase
     raise StiffnessError(f"exceeded {_MAX_STEPS} steps (smallest step {smallest:.3e})", smallest_step=smallest)
 
 
@@ -328,16 +347,17 @@ def integrate(
     * constant stretches advance in one step with the exact 2x2
       propagator exp(hA) of the constant-coefficient ODE, for the medium
       sampled at the stretch's midpoint;
-    * nonzero-width intervals (ramps) run adaptive sixth-order Magnus
-      steps on the fundamental matrix Phi, from Phi = I, each the closed-form
-      exponential of a traceless 2x2 matrix built from A at the step's three
-      Gauss-Legendre nodes.  The embedded fourth-order Magnus matrix, plus
-      the mismatch of their integral of A against Simpson's from the step's
-      ends (a transition the nodes stride over), holds the local error per
-      unit time, less what rounding the node instants may add (|dA/dt|
+    * nonzero-width intervals (ramps) run adaptive step-doubled Magnus
+      steps on the fundamental matrix Phi, from Phi = I: closed-form
+      exponentials of sixth-order Magnus matrices (traceless 2x2, from A at
+      Gauss-Legendre nodes) over each step and its halves.  The halves'
+      product less the whole step's, over 63, is the error the step adds to
+      itself; it, plus each half's mismatch of Gauss's integral of A against
+      Simpson's (a transition the nodes stride over), holds the local error
+      per unit time, less what rounding the node instants may add (|dA/dt|
       ulp(t) / 2), at or below ``tol`` times max(1, the larger modulus of
       Phi's rows by libm hypot): relative to the state.  Steps are held to
-      a phase |m| |v| h of one radian;
+      a phase |m| |v| h of half a radian;
     * zero-width (sharp) switches, periodic ones included, are break points
       only: D and B are continuous across them, so the state passes
       through unchanged.  The two-valued instant is never sampled where
@@ -347,7 +367,7 @@ def integrate(
     Each piece's matrix acts on the two transverse pairs of the state;
     the parts of D and B along m pass through.  A profile without
     ``switch_intervals`` is integrated by Magnus steps over the whole
-    span.  A varying piece samples the profile at its start, then at three
+    span.  A varying piece samples the profile at its start, then at nine
     nodes and the end of each step, so ``sample`` must be a pure function
     of t.  A ``tol`` below float64 resolution raises :class:`StiffnessError`
     at once, and so does a Magnus step below 1e-14 * max(1, |t|) (steps

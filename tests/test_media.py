@@ -318,12 +318,15 @@ class TestUnifiedSample:
         assert profile.switch_intervals() == [(s - 0.5 * tau, s + 0.5 * tau) for s in switches]
 
     def test_blend_past_the_float_range_raises_as_the_class_call_does(self):
-        # Both stages at the largest float: inside the ramp their blend rounds up to inf, which MediumState rejects.
+        # Both stages at the largest float: inside the ramp their blend rounds up to inf at about one instant in
+        # seven, so the profile is refused when it is built, naming the stage. At half the largest float the
+        # blend stays finite at every instant.
         stage = MediumState(1.7976931348623157e308, 1e-300)
-        profile = TemporalProfile.ramp(stage, stage, t0=0.0, tau=1.0)
-        with pytest.raises(DomainError, match=r"^epsilon and mu must be finite, got \(inf, 1e-300\)$"):
-            profile.sample(0.49996000000000007)
-        assert profile.sample(0.0) == stage
+        with pytest.raises(DomainError, match=r"^ramped stage 0 has epsilon=1\.7976931348623157e\+308, mu=1e-300: "):
+            TemporalProfile.ramp(stage, stage, t0=0.0, tau=1.0)
+        half = MediumState(0.5 * 1.7976931348623157e308, 1e-300)
+        profile = TemporalProfile.ramp(half, half, t0=0.0, tau=1.0)
+        assert all(profile.sample(i / 10_000 - 0.5).epsilon < math.inf for i in range(10_001))
 
     @hyp.settings(max_examples=100, derandomize=True, deadline=None, database=None)
     @hyp.given(case=profile_cases())
