@@ -65,7 +65,7 @@ def phase_speed(epsilon, mu, branch, reject=reject):
     return branch / sqrt(abs(product))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class MediumState:
     """One-sided material sample at an instant.
 
@@ -77,15 +77,10 @@ class MediumState:
     mu: float
     branch: int = +1
 
-    def __init__(self, epsilon: float, mu: float, branch: int = +1):
-        # Written out, since the oracle builds one per stage. A finite positive product with the int
-        # branch 1 passes every check, so only other inputs run them. Each field is set once, straight
-        # into __dict__ (no field is a descriptor): object.__setattr__ would cost twice as much.
-        epsilon, mu = float(epsilon), float(mu)
-        if not (0.0 < epsilon * mu < math.inf and branch.__class__ is int and branch == 1):
-            check_medium(epsilon, mu, branch)
-        fields = self.__dict__
-        fields["epsilon"], fields["mu"], fields["branch"] = epsilon, mu, branch
+    def __post_init__(self):
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        object.__setattr__(self, "mu", float(self.mu))
+        check_medium(self.epsilon, self.mu, self.branch)
 
     @property
     def wave_speed(self) -> float:
@@ -241,7 +236,8 @@ class TemporalProfile:
         # r = 1 - s = (1 - u)^2 (1 + 2u): a blend lo*r + hi*s of positive terms, with no hi - lo to cancel.
         s, r = u * u * (3.0 - 2.0 * u), (1.0 - u) * (1.0 - u) * (1.0 + 2.0 * u)
         epsilon, mu = eps_lo * r + eps_hi * s, mu_lo * r + mu_hi * s
-        # MediumState(epsilon, mu) without the class call: __init__'s guard for two floats and branch 1, then __dict__.
+        # MediumState(epsilon, mu) without the class call: two finite floats with a positive finite product and
+        # branch 1 pass every check of __post_init__, so only other blends run them; then the fields into __dict__.
         if not 0.0 < epsilon * mu < math.inf:
             check_medium(epsilon, mu, 1)
         fields = (medium := object.__new__(MediumState)).__dict__

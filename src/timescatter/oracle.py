@@ -153,74 +153,69 @@ _MIN_STEP_REL = 1e-14
 _MAX_PHASE = 2 * math.pi / sys.float_info.epsilon  # past it, one rounding of w*h spans a whole period
 
 
-class _PeriodicPieces:
-    """A periodic profile's constant pieces from lo to hi, made one at a time: iter() up in time, reversed() down."""
-
-    def __init__(self, profile, lo: float, hi: float):
-        t0, period = profile.switches[0], profile.period
-        count = 2.0 * ((hi - max(lo, t0)) / period + 1.0)  # two switches per period, counted before the walk
-        if not count <= _MAX_STEPS:
-            raise StiffnessError(
-                f"the span from t={lo} to t={hi} holds about {count:.3g} periodic switch instants,"
-                f" more than the {_MAX_STEPS}-step cap",
-            )
-        n = max(0.0, (lo - t0) / period)  # whole periods before the span
-        if n == math.inf:
-            raise DomainError(f"t={lo} lies beyond the float range of periods {period} after t={t0}")
-        first = last = math.floor(n)
-        while t0 + last * period <= hi:  # the periods first to last - 1 start by hi
-            last += 1
-        self.span, self.periods = (lo, hi, t0, period, profile.duty * period), range(first, last)
-
-    def __iter__(self, backward=False):
-        (lo, hi, t0, period, duty), ks = self.span, self.periods[::-1] if backward else self.periods
-        cursor, end = (hi, lo) if backward else (lo, hi)
-        # Period starts and duty switches each move monotonically with k, so merging the two sorts every instant.
-        for x in heapq.merge((t0 + k * period for k in ks), (t0 + k * period + duty for k in ks), reverse=backward):
-            if lo < x < hi and x != cursor:  # the instant ends one constant piece and starts the next
-                yield min(cursor, x), max(cursor, x), False
-                cursor = x
-        if cursor != end:
-            yield min(cursor, end), max(cursor, end), False
-
-    def __reversed__(self):
-        return self.__iter__(backward=True)
+def _periodic_switches(profile, lo: float, hi: float, sign: int):
+    """A periodic profile's switch instants about [lo, hi], each times sign, made one at a time in increasing order."""
+    t0, period = profile.switches[0], profile.period
+    count = 2.0 * ((hi - max(lo, t0)) / period + 1.0)  # two switches per period, counted before the walk
+    if not count <= _MAX_STEPS:
+        raise StiffnessError(
+            f"the span from t={lo} to t={hi} holds about {count:.3g} periodic switch instants,"
+            f" more than the {_MAX_STEPS}-step cap",
+        )
+    n = max(0.0, (lo - t0) / period)  # whole periods before the span
+    if n == math.inf:
+        raise DomainError(f"t={lo} lies beyond the float range of periods {period} after t={t0}")
+    first = last = math.floor(n)
+    while t0 + last * period <= hi:  # the periods first to last - 1 start by hi
+        last += 1
+    ks, duty = range(first, last)[::sign], profile.duty * period
+    # Period starts and duty switches each move monotonically with k, so merging the two sorts every instant.
+    return heapq.merge((sign * (t0 + k * period) for k in ks), (sign * (t0 + k * period + duty) for k in ks))
 
 
-def _pieces(profile, lo: float, hi: float):
-    """Split [lo, hi] into (a, b, varying) pieces in increasing time.
+def _pieces(profile, t: float, t_end: float):
+    """The (start, end, varying) pieces of the span from t to t_end, made one at a time in the order it is crossed.
 
     Varying pieces are the nonzero-width switch intervals, merged where
     they overlap and clipped to the span.  Between them the medium is
-    constant.  A zero-width switch only ends one constant piece and
-    starts the next.  A profile that declares no switch intervals at all
-    may vary anywhere, so its whole span is one varying piece.
+    constant.  A zero-width switch, periodic ones included, only ends one
+    constant piece and starts the next.  A profile that declares no switch
+    intervals at all may vary anywhere, so its whole span is one varying
+    piece.  A backward span is walked in negated time, sign * t, which is
+    exact, so both directions cut the span at the same floats, and the
+    walk starts at t and ends at t_end to the bit.
     """
     getter = getattr(profile, "switch_intervals", None)
     if getter is None:
-        return [(lo, hi, True)]
+        yield t, t_end, True
+        return
+    sign = 1 if t_end > t else -1
+    lo, hi = sign * t, sign * t_end
     intervals = getter()
     if intervals is None:
-        return _PeriodicPieces(profile, lo, hi)
-    pieces, cursor = [], lo
-    for a, b in sorted(intervals):
+        intervals = ((x, x) for x in _periodic_switches(profile, min(t, t_end), max(t, t_end), sign))
+    else:  # + 0.0 makes -0.0 0.0, so both directions cut at the same bits; the span's own ends win ties
+        intervals = sorted((sign * (a + 0.0), sign * (b + 0.0))[::sign] for a, b in intervals)
+    cursor, held = lo, None  # held starts the varying piece that ends at cursor, which an overlap may still extend
+    for a, b in intervals:
         if b < lo or a > hi:
             continue
-        a, b = max(a, lo), min(b, hi)
-        if a < cursor:
-            # Overlaps the varying piece just before: extend it.
-            if b > cursor:
-                pieces[-1] = (pieces[-1][0], b, True)
-                cursor = b
+        a, b = min(hi, max(lo, a)), min(hi, b)  # clipped to the span
+        if a < cursor:  # overlaps the held piece: extend it
+            cursor = max(cursor, b)
             continue
+        if held is not None:
+            yield sign * held, sign * cursor, True
+            held = None
         if a > cursor:
-            pieces.append((cursor, a, False))
-        if b > a:
-            pieces.append((a, b, True))
-        cursor = b
+            yield sign * cursor, sign * a, False
+            cursor = a
+        if b > cursor:
+            held, cursor = cursor, b
+    if held is not None:
+        yield sign * held, sign * cursor, True
     if hi > cursor:
-        pieces.append((cursor, hi, False))
-    return pieces
+        yield sign * cursor, sign * hi, False
 
 
 def _expm(c: float, x: float, y: float):
@@ -342,7 +337,8 @@ def integrate(
     """Advance a mode state to t_end, in either time direction.
 
     ``profile`` is anything with a ``sample(t)`` method.  Its declared
-    ``switch_intervals()`` split the path into pieces:
+    ``switch_intervals()`` split the path into pieces, taken one at a time
+    in the order the path crosses them:
 
     * constant stretches advance in one step with the exact 2x2
       propagator exp(hA) of the constant-coefficient ODE, for the medium
@@ -391,12 +387,8 @@ def integrate(
         return initial
     m, mag = _modulus(m)
     basis = _basis(m, mag)
-    pieces = _pieces(profile, min(t, t_end), max(t, t_end))
-    if t_end < t:
-        pieces = ((b, a, varying) for a, b, varying in reversed(pieces))
-
     d1, d2, c1, c2, d3, b3 = _project(basis, initial.D.tolist(), initial.B.tolist())
-    for start, end, varying in pieces:
+    for start, end, varying in _pieces(profile, t, t_end):
         if varying:
             p, q, r, s = _magnus(profile.sample, mag, start, end, tol)
         else:

@@ -317,6 +317,14 @@ class TestUnifiedSample:
                 assert x == expected
         assert profile.switch_intervals() == [(s - 0.5 * tau, s + 0.5 * tau) for s in switches]
 
+    def test_blend_whose_product_overflows_is_a_valid_medium(self):
+        # epsilon*mu = 1.6e400 leaves the float range while each parameter stays finite: the sample runs the
+        # class's checks, which accept it, as MediumState(1e200, 1e200) is accepted.
+        profile = TemporalProfile.ramp(MediumState(1e200, 1e200), MediumState(2e200, 1e200), t0=0.0, tau=1.0)
+        medium = profile.sample(0.1)
+        assert medium == MediumState(medium.epsilon, 1e200) and 1e200 < medium.epsilon < 2e200
+        assert medium.epsilon * medium.mu == math.inf
+
     def test_blend_past_the_float_range_raises_as_the_class_call_does(self):
         # Both stages at the largest float: inside the ramp their blend rounds up to inf at about one instant in
         # seven, so the profile is refused when it is built, naming the stage. At half the largest float the

@@ -1,6 +1,7 @@
 """Mode-ODE integration oracle: eigenmodes, conservation, convergence."""
 
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -85,6 +86,12 @@ class TestModeRhs:
         dD, dB = mode_rhs(state, m, DENSE)
         assert abs(np.dot(dD, m)) <= 1e-14
         assert abs(np.dot(dB, m)) <= 1e-14
+
+    def test_derivative_past_the_float_range_raises(self):
+        # A finite state and medium whose dD = i m x B / mu overflows: |m| |B| / mu = 1e319.
+        state = ModeState([0.0, 0.0, 0.0], [0.0, 0.0, 1e308], 0.0)
+        with pytest.raises(DomainError, match=r"^mode derivatives are not finite for m=\[10\.0, 0\.0, 0\.0\] in medium"):
+            mode_rhs(state, np.array([10.0, 0.0, 0.0]), MediumState(1.0, 1e-10))
 
 
 class TestIntegrate:
@@ -285,6 +292,24 @@ class TestIntegrate:
         back = integrate(Breathing(), m, final, 0.0)
         assert np.max(np.abs(back.D - state.D)) <= 20 * TOL
 
+    def test_interval_outside_the_span_is_skipped(self):
+        # The switch at 10 lies past the span from -1 to 5: the walk makes the same two pieces, and integrate
+        # the same state, as for the profile without it.
+        m, initial = phase_vector(vacuum_wave()), plane_wave_mode_state(vacuum_wave(), VACUUM, -1.0)
+        three = TemporalProfile((VACUUM, DENSE, MediumState(2.0, 1.5)), (0.0, 10.0))
+        two = TemporalProfile.step(VACUUM, DENSE)
+        assert list(oracle_module._pieces(three, -1.0, 5.0)) == [(-1.0, 0.0, False), (0.0, 5.0, False)]
+        got, expected = integrate(three, m, initial, 5.0), integrate(two, m, initial, 5.0)
+        assert bits(got.D.view(float)) + bits(got.B.view(float)) == bits(expected.D.view(float)) + bits(expected.B.view(float))
+
+    def test_state_past_the_float_range_in_a_magnus_step_raises(self):
+        # The impedance sqrt(mu / eps) swings from 1e-300 to 1e300 across the ramp, and at |m| = 1e10 the first
+        # step's error estimate already overflows.
+        profile = TemporalProfile.ramp(MediumState(1e300, 1e-300), MediumState(1e-300, 1e300), t0=0.0, tau=1.0)
+        initial = ModeState(Y_HAT, [0.0, 0.0, 1.0], -0.5)
+        with pytest.raises(DomainError, match=r"^mode state is not finite in the step from t=-0\.5 to t=-0\.4999"):
+            integrate(profile, np.array([1e10, 0.0, 0.0]), initial, 0.5)
+
     def test_ramp_blend_past_the_float_range_raises(self):
         # Both stages at the largest float: the blend would round up to inf at some instants inside the ramp,
         # and whether a step sampled one turned on where the steps landed. The profile is refused when built.
@@ -344,9 +369,9 @@ class TestPeriodicWalk:
         lo = t0 + offset
         hi = lo + span * period
         expected = ref_periodic_pieces(profile, lo, hi)
-        pieces = oracle_module._pieces(profile, lo, hi)
-        assert [bits(piece[:2]) + [piece[2]] for piece in pieces] == [bits(p[:2]) + [p[2]] for p in expected]
-        assert [bits(p[:2]) for p in reversed(pieces)] == [bits(p[:2]) for p in reversed(expected)]
+        walk = lambda start, end: [bits(p[:2]) + [p[2]] for p in oracle_module._pieces(profile, start, end)]
+        assert walk(lo, hi) == [bits(p[:2]) + [p[2]] for p in expected]
+        assert walk(hi, lo) == [bits(p[1::-1]) + [p[2]] for p in reversed(expected)]  # each piece from end to start
 
     def peak_memory(self, periods, backward):
         wave, ends = vacuum_wave(), [-0.5, 2.0 * periods - 0.5]
@@ -364,6 +389,46 @@ class TestPeriodicWalk:
         # A list of every switch instant and piece peaked at 62-86 KB for 300 periods and 0.9-1.0 MB for 3,000.
         self.peak_memory(30, backward)  # first-call allocations are not the walk's
         assert self.peak_memory(3000, backward) <= 2 * self.peak_memory(300, backward)
+
+
+class Listed:
+    """A profile that lists the switch intervals it is given, as given: only the walk reads it."""
+
+    def __init__(self, intervals):
+        self.intervals = intervals
+
+    def switch_intervals(self):
+        return list(self.intervals)
+
+
+ENDS = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0]) | st.floats(-5.0, 5.0)  # ties, signed zeros, overlaps
+
+
+@st.composite
+def listed_profiles(draw):
+    """A ramp or sequence, or a duck-typed profile whose intervals overlap, nest, touch or fall outside [-2, 3]."""
+    if draw(st.booleans()):
+        return Listed([tuple(sorted(draw(st.tuples(ENDS, ENDS)))) for _ in range(draw(st.integers(0, 6)))])
+    stages, tau, switches = [VACUUM, DENSE, MediumState(2.0, 1.5)], draw(st.sampled_from([0.0, 0.5, 1.0, 4.0])), [draw(ENDS)]
+    if draw(st.booleans()):  # a third stage, at least 1.001 tau on: at 1.0 tau the sum can round below tau
+        switches.append(switches[0] + max(tau, 0.5) * draw(st.floats(1.001, 3.0)))
+    return TemporalProfile(tuple(stages[: len(switches) + 1]), tuple(switches), tau)
+
+
+class TestBackwardWalk:
+    """A span walked down in time is cut into the pieces of the walk up, in reverse, each from its end to its start."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(profile=listed_profiles(), ends=st.tuples(ENDS, ENDS).filter(lambda ends: ends[0] != ends[1]))
+    def test_reverse_of_the_forward_walk(self, profile, ends):
+        lo, hi = sorted(ends)
+        forward = list(oracle_module._pieces(profile, lo, hi))
+        backward = list(oracle_module._pieces(profile, hi, lo))
+        assert [bits(p[:2]) + [p[2]] for p in backward] == [bits(p[1::-1]) + [p[2]] for p in reversed(forward)]
+        # The forward pieces tile the span from its very ends, each of nonzero width.
+        assert bits(p[0] for p in forward) == bits([lo] + [p[1] for p in forward[:-1]])
+        assert bits(p[1] for p in forward) == bits([p[0] for p in forward[1:]] + [hi])
+        assert all(a < b for a, b, _ in forward)
 
 
 class TestNonFiniteTimes:
@@ -401,6 +466,15 @@ class TestNonFiniteTimes:
             integrate(profile, phase_vector(vacuum_wave()), initial, 1e9)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("t_end", [1.00001e308, 0.99999e308], ids=["forward", "backward"])
+    def test_periodic_span_past_the_float_range_of_periods_rejected(self, t_end):
+        # t - t0 = 2e308 overflows, so the span lies inf periods after t0 and no period count places it.
+        profile = TemporalProfile.periodic(VACUUM, DENSE, t0=-1e308, period=1e300, duty=0.5)
+        initial = plane_wave_mode_state(vacuum_wave(), VACUUM, 1e308)
+        message = rf"^t={re.escape(str(min(1e308, t_end)))} lies beyond the float range of periods 1e\+300 after t=-1e\+308$"
+        with pytest.raises(DomainError, match=message):
+            integrate(profile, phase_vector(vacuum_wave()), initial, t_end)
+
 
 class TestMomentumLaw:
     @settings(max_examples=20, derandomize=True, deadline=None, database=None)
@@ -411,9 +485,11 @@ class TestMomentumLaw:
     def test_momentum_drift_through_a_ramp_is_held_by_tol(self, before, after, omega, log_tau, log_tol):
         # The media are uniform in space, so Re(D x conj(B)) of one mode is exact for any eps(t), mu(t):
         # its time derivative i m (|D|**2/eps - |B|**2/mu) is imaginary. Its relative drift through a
-        # ramp of tau periods stays below c * tol * max(1, tau): 0.48 at most over 200 random ramps,
-        # so c = 2. With the Dormand-Prince entry a32 off by 1e-3, a one-period ramp from eps 1 to 4
-        # drifts 557 to 784 tol, at tol from 1e-6 to 1e-10.
+        # ramp of tau periods stays below c * tol * max(1, tau): 7.4e-5 at most over 200 random ramps,
+        # rounding only, so c = 2 holds with room to spare. It sums, over the two pairs, the Wronskian of a
+        # pair's real and imaginary parts, which each step's unit-determinant matrix keeps whatever its
+        # Omega: with Omega6's alpha3 / 12 term off by 1e-3, a one-period ramp from eps 1 to 4 still drifts
+        # at most 6.3e-4 tol, at tol from 1e-6 to 1e-10. This test holds the conservation law, not the order.
         before, after = MediumState(*before), MediumState(*after)
         wave = PlaneWave(Y_HAT.astype(complex), omega, X_HAT, before.wave_speed)
         tau, tol = 10.0**log_tau, 10.0**log_tol
@@ -809,10 +885,11 @@ class TestExactFiniteWidthReference:
         ],
     )
     def test_steps_do_not_stride_over_the_rise(self, eps_before, eps_after, omega1, rho_worst):
-        # Through the flat tails of tanh the steps grow past the rise's width. An estimate from the three
-        # Gauss-Legendre nodes alone let one step land across the rise with all its nodes on one side: at
-        # rho_worst these media erred by 65, 56 and 60 tol. The mismatch against Simpson's rule, from the
-        # step's ends, sees it: over rho_worst and this grid from 1 to 100 the worst is 3.0 tol.
+        # Through the flat tails of tanh the steps grow past the rise's width. An estimate from the doubled
+        # step's nine Gauss-Legendre nodes alone lets a step land across the rise with its nodes on either side
+        # of it: at rho_worst these media err by 12, 0.69 and 11 tol. The mismatch against Simpson's rule, from
+        # the halves' ends, sees it: at rho_worst they err by 0.0008, 0.012 and 0.0012 tol, and over rho_worst
+        # and this grid from 1 to 100 the worst is 1.1 tol.
         tol = 1e-8
         for rho in [rho_worst] + [10.0 ** (k / 4) for k in range(9)]:
             R_error, T_error = tanh_errors(eps_before, eps_after, omega1, rho, tol)
@@ -824,7 +901,7 @@ class TestExactFiniteWidthReference:
         tol=st.sampled_from([1e-6, 1e-8, 1e-10]),
     )
     def test_full_rho_range(self, contrast, rising, omega1, log_rho, tol):
-        # test_matches_tanh_profile's ranges at three tolerances and 300 draws: the worst is 4.4 tol (20-60
+        # test_matches_tanh_profile's ranges at three tolerances and 300 draws: the worst is 3.8 tol (10.4
         # tol when the estimate leaves out the mismatch against Simpson's rule).
         eps_before, eps_after = (1.0, contrast) if rising else (contrast, 1.0)
         R_error, T_error = tanh_errors(eps_before, eps_after, omega1, 10.0**log_rho, tol)
@@ -1301,12 +1378,8 @@ def ref_apply(phi, m_hat, D, B):
 def ref_integrate(profile, m, initial, t_end, tol):
     """integrate, with each piece's matrix applied in the basis-free vector form of ref_apply."""
     mag = norm_in_order(m)
-    t = initial.t
-    pieces = oracle_module._pieces(profile, min(t, t_end), max(t, t_end))
-    if t_end < t:
-        pieces = [(b, a, varying) for a, b, varying in reversed(pieces)]
     D, B = initial.D, initial.B
-    for start, end, varying in pieces:
+    for start, end, varying in oracle_module._pieces(profile, initial.t, t_end):
         if varying:
             phi = ref_fundamental(profile.sample, mag, start, end, tol)
         else:
@@ -1401,9 +1474,7 @@ def bits(values):
 
 
 def varying_pieces(profile, initial, t_end):
-    lo, hi = min(initial.t, t_end), max(initial.t, t_end)
-    pieces = [(a, b) for a, b, varying in oracle_module._pieces(profile, lo, hi) if varying]
-    return pieces if t_end > initial.t else [(b, a) for a, b in reversed(pieces)]
+    return [(a, b) for a, b, varying in oracle_module._pieces(profile, initial.t, t_end) if varying]
 
 
 class TestFundamentalMatrix:
