@@ -186,12 +186,9 @@ def _pieces(profile, t: float, t_end: float):
     walk starts at t and ends at t_end to the bit.
     """
     getter = getattr(profile, "switch_intervals", None)
-    if getter is None:
-        yield t, t_end, True
-        return
+    intervals = [(min(t, t_end), max(t, t_end))] if getter is None else getter()
     sign = 1 if t_end > t else -1
     lo, hi = sign * t, sign * t_end
-    intervals = getter()
     if intervals is None:
         intervals = ((x, x) for x in _periodic_switches(profile, min(t, t_end), max(t, t_end), sign))
     else:  # + 0.0 makes -0.0 0.0, so both directions cut at the same bits; the span's own ends win ties
