@@ -461,10 +461,11 @@ def _scattering_json(result: ScatteringResult) -> dict:
 
 # Row tables.  The rows of a sweep, a cascade trace or a convergence study
 # are kept as columns.  They render to the bytes json.dumps(indent=2) and
-# csv.writer give for the same row dicts: each column's texts are made
-# once and interleaved with the separators of the row shape.  The rest of
-# a JSON document still goes through json.dumps.
+# csv.writer give for the same row dicts, _BLOCK_ROWS rows at a time: each
+# column's texts are interleaved with the separators of the row shape.  The
+# rest of a JSON document still goes through json.dumps.
 
+_BLOCK_ROWS = 2048
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _TABLE_MARK = "\0row table\0"  # stands in for a table's rows in the json.dumps text
 
@@ -518,7 +519,8 @@ class RowTable(Sequence):
     come first: each value of an axis is stored once and repeats for every
     point of the axes after it.  A repeated axis key keeps its first place
     and takes its last axis's values.  The float columns named in
-    ``repeating`` hold few distinct values, each formatted once.
+    ``repeating`` hold few distinct values, each formatted once per block.
+    The write methods hold the texts of one block of rows at a time.
     """
 
     def __init__(self, columns: dict, axes=(), repeating=()):
@@ -552,51 +554,54 @@ class RowTable(Sequence):
         row.update((key, -row[key]) for key, mirror in self._mirrors.items() if mirror.sign < 0)
         return row
 
-    def _column_texts(self, key: str, as_json: bool, texts: dict) -> list:
-        """key's texts, one per row, kept in ``texts`` (the keys formatted so far) for a mirror to reuse."""
+    def _block_texts(self, key: str, rows: range, as_json: bool, texts: dict, axes: dict) -> list:
+        """key's texts for ``rows``, kept in ``texts`` for a mirror to reuse; an axis's, in ``axes`` for every block."""
         if key in texts:
             return texts[key]
+        values, repeat = self._columns[key]
         if key in self._mirrors:
             source, sign = self._mirrors[key]
-            column = self._column_texts(source, as_json, texts)
+            column = self._block_texts(source, rows, as_json, texts, axes)
             if sign < 0:
                 column = [text[1:] if text[0] == "-" else text if text[0] in "nN" else "-" + text for text in column]
+        elif len(values) < self._length:  # an axis: row i takes values[i // repeat % len(values)]
+            if key not in axes:
+                axes[key] = np.array(_texts(values, as_json), dtype=object)
+            column = axes[key][np.arange(rows.start, rows.stop) // repeat % len(values)].tolist()
         else:
-            values, repeat = self._columns[key]
-            column = _texts(values, as_json, key in self._repeating)
-            if repeat > 1:
-                column = [text for text in column for _ in range(repeat)]
-            if len(column) < self._length:  # an axis before the last repeats as a whole
-                column *= self._length // len(column)
+            column = _texts(values[rows.start:rows.stop], as_json, key in self._repeating)
         texts[key] = column
         return column
 
-    def _rows(self, keys: list, separators: list, as_json: bool) -> list:
-        """Each row as separators[0], its text under keys[0], separators[1], ..., separators[-1]."""
-        texts = {}
-        stride = 2 * len(keys) + 1
-        parts = [None] * (stride * self._length)
-        for j, separator in enumerate(separators):
-            parts[2 * j::stride] = [separator] * self._length
-        for j, key in enumerate(keys):
-            parts[2 * j + 1::stride] = self._column_texts(key, as_json, texts)
-        return parts
+    def _write_rows(self, keys: list, separators: list, as_json: bool, write, first: str):
+        """Write each row as separators[0] (``first`` in row 0), its text under keys[0], ..., separators[-1]."""
+        stride, axes = 2 * len(keys) + 1, {}
+        for start in range(0, self._length, _BLOCK_ROWS):
+            rows, texts = range(start, min(start + _BLOCK_ROWS, self._length)), {}
+            parts = [None] * (stride * len(rows))
+            for j, separator in enumerate(separators):
+                parts[2 * j::stride] = [separator] * len(rows)
+            for j, key in enumerate(keys):
+                parts[2 * j + 1::stride] = self._block_texts(key, rows, as_json, texts, axes)
+            if not start:
+                parts[0] = first
+            write("".join(parts))
 
-    def json_parts(self, pad: str, out: list):
-        """Append the rows as json.dumps(indent=2) writes a list at indent ``pad``."""
+    def write_json(self, pad: str, write):
+        """Write the rows as json.dumps(indent=2) writes a list at indent ``pad``."""
         if not self._length:
-            out.append("[]")
+            write("[]")
             return
         fields = [f"\n{pad}    {json.dumps(key)}: " for key in self._columns]
-        separators = [f"{pad}  {{{fields[0]}", *("," + field for field in fields[1:]), f"\n{pad}  }},\n"]
-        out.append("[\n")
-        out.extend(self._rows(list(self._columns), separators, True))
-        out[-1] = f"\n{pad}  }}\n{pad}]"  # the last row takes no comma
+        opening = f"{pad}  {{{fields[0]}"  # of each row, after the comma that ends the row before
+        separators = [",\n" + opening, *("," + field for field in fields[1:]), f"\n{pad}  }}"]
+        self._write_rows(list(self._columns), separators, True, write, "[\n" + opening)
+        write(f"\n{pad}]")
 
-    def csv_parts(self, header: list, out: list):
-        """Append the header and rows as csv.writer writes them, row by row; a repeated name repeats its column."""
-        out.append(",".join(map(_csv_field, header)) + "\r\n")
-        out.extend(self._rows(header, ["", *[","] * (len(header) - 1), "\r\n"], False))
+    def write_csv(self, header: list, write):
+        """Write the header and rows as csv.writer writes them, row by row; a repeated name repeats its column."""
+        write(",".join(map(_csv_field, header)) + "\r\n")
+        self._write_rows(header, ["", *[","] * (len(header) - 1), "\r\n"], False, write, "")
 
 
 def _sweep_rows(config: RunConfig) -> RowTable:
@@ -766,7 +771,10 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def render_json(payload: dict, timestamp: bool) -> str:
+def render_json(payload: dict, timestamp: bool, write=None) -> str:
+    """Pass the JSON text to ``write`` in pieces, a table a block of rows at a time; without it, return the text."""
+    out = []
+    write = write or out.append
     document = {"generated_at": _timestamp(), **payload} if timestamp else payload
     tables = []
 
@@ -778,24 +786,28 @@ def render_json(payload: dict, timestamp: bool) -> str:
         return _TABLE_MARK
 
     pieces = json.dumps(document, indent=2, default=hold).split(json.dumps(_TABLE_MARK))
-    out = [pieces[0]]
-    for table, piece in zip(tables, pieces[1:]):
-        line = out[-1][out[-1].rfind("\n") + 1:]
-        table.json_parts(line[: len(line) - len(line.lstrip())], out)
-        out.append(piece)
-    out.append("\n")
+    write(pieces[0])
+    for table, before, piece in zip(tables, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]
+        table.write_json(line[: len(line) - len(line.lstrip())], write)
+        write(piece)
+    write("\n")
     return "".join(out)
 
 
-def render_csv(payload: dict, timestamp: bool) -> str:
+def render_csv(payload: dict, timestamp: bool, write=None) -> str:
+    """Pass the CSV text to ``write`` in pieces, a table a block of rows at a time; without it, return the text."""
+    out = []
+    write = write or out.append
     columns, rows = _flatten_for_csv(payload)
-    out = [f"# generated_at={_timestamp()}\r\n"] if timestamp else []
+    if timestamp:
+        write(f"# generated_at={_timestamp()}\r\n")
     if isinstance(rows, RowTable):
-        rows.csv_parts(columns, out)
+        rows.write_csv(columns, write)
     else:  # one flat record, for which csv.writer is cheaper than a table's set-up
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\r\n").writerows([columns, rows])
-        out.append(buffer.getvalue())
+        write(buffer.getvalue())
     return "".join(out)
 
 
@@ -809,15 +821,12 @@ def _resolve_output_path(path: Optional[str]) -> Optional[str]:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a config and emit its artifact; returns 0 on success."""
+    """Execute a config, then open the output and write the artifact as it renders; returns 0 on success."""
     payload = execute(config)
-    if config.output_format == "json":
-        text = render_json(payload, config.timestamp)
-    else:
-        text = render_csv(payload, config.timestamp)
+    render = render_json if config.output_format == "json" else render_csv
     path = _resolve_output_path(config.output_path)
     if path is None:
-        sys.stdout.write(text)
+        render(payload, config.timestamp, sys.stdout.write)
     else:
         try:
             handle = open(path, "w", encoding="utf-8", newline="")
@@ -827,7 +836,7 @@ def run(config: RunConfig) -> int:
                 os.makedirs(directory, exist_ok=True)
             handle = open(path, "w", encoding="utf-8", newline="")
         with handle:
-            handle.write(text)
+            render(payload, config.timestamp, handle.write)
     return 0
 
 

@@ -790,6 +790,32 @@ class TestSweepGrid:
             "DomainError", "incident wave is not transversal (A.k != 0)",
         )
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sweep_of_several_blocks_writes_the_same_bytes_to_file_and_stdout(self, tmp_path, capsys, fmt):
+        # 3 x (half a block + 1) rows: the first block ends inside the second after.epsilon value's rows.
+        num = cli_module._BLOCK_ROWS // 2 + 1
+        axes = [
+            {"path": "after.epsilon", "values": [0.5, 2.0, 9.0]},
+            {"path": "after.mu", "start": 0.2, "stop": 7.0, "num": num, "spacing": "log"},
+        ]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config_text := sweep_config(axes), encoding="utf-8")
+        payload = execute(parse_config(config_text))
+        assert len(payload["rows"]) > cli_module._BLOCK_ROWS
+        expected = (render_json if fmt == "json" else render_csv)(payload, timestamp=False)
+        out = tmp_path / f"sweep.{fmt}"
+        assert main([str(config_path), "--format", fmt, "--no-timestamp", "--out", str(out)]) == 0
+        assert out.read_bytes() == expected.encode("utf-8")
+        assert main([str(config_path), "--format", fmt, "--no-timestamp"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_failed_sweep_creates_no_output_file(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        axes = [{"path": "after.epsilon", "start": 2.0, "stop": -2.0, "num": 9}]
+        assert run_main(tmp_path, sweep_config(axes, output={"path": str(out)})) == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "DomainError"
+        assert not out.exists()
+
     def test_grid_too_large_for_memory_exits_3(self, tmp_path, capsys):
         # Four axes of 1e5 values each are 1e20 points; numpy rejects the shape before allocating it.
         paths = ["after.epsilon", "after.mu", "before.epsilon", "before.mu"]

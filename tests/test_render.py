@@ -6,7 +6,9 @@ before row tables: ``json.dumps(indent=2)`` over the whole document and
 tables with 1-3 grid axes (a repeated axis path included) and columns of
 awkward floats, mirrored and repeating columns among them; the config
 tests run reduced forms of the benchmark's sweep and cascade configs
-through ``execute``.
+through ``execute``.  Every table is rendered at 1, 2 and 3 rows per block
+as well as at the CLI's block size, so blocks end inside an axis repeat
+and a mirror's source or an edge value falls in a later block.
 """
 
 import csv
@@ -38,6 +40,7 @@ PROPERTY = settings(
     database=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
+BLOCK_ROWS = [1, 2, 3, cli._BLOCK_ROWS]
 
 
 class FixedDatetime(datetime):
@@ -88,14 +91,24 @@ def table_of(document):
     raise AssertionError("no row table")
 
 
+def assert_renders(render, expected):
+    """At each block size, ``render(write)`` returns ``expected`` without a writer and writes it to one."""
+    for size in BLOCK_ROWS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_ROWS", size)
+            pieces = []
+            assert render(None) == expected
+            assert render(pieces.append) == "" and "".join(pieces) == expected
+
+
 def assert_renders_like_reference(payload, reference_rows=None):
     document = plain(payload)
     columns, rows = table_of(document)
     if reference_rows is not None:
         assert rows == reference_rows
     for timestamp in (False, True):
-        assert render_json(payload, timestamp) == reference_json(document, timestamp)
-        assert render_csv(payload, timestamp) == reference_csv(columns, rows, timestamp)
+        assert_renders(lambda write: render_json(payload, timestamp, write), reference_json(document, timestamp))
+        assert_renders(lambda write: render_csv(payload, timestamp, write), reference_csv(columns, rows, timestamp))
 
 
 @st.composite
@@ -211,8 +224,8 @@ def test_repeating_column_renders_like_its_plain_column(values):
 
 def test_empty_table_renders_as_empty_list():
     payload = {"command": "cascade", "trace": {"columns": ["x"], "rows": RowTable({"x": []})}}
-    assert render_json(payload, False) == reference_json(plain(payload), False)
-    assert render_csv(payload, False) == "x\r\n"
+    assert_renders(lambda write: render_json(payload, False, write), reference_json(plain(payload), False))
+    assert_renders(lambda write: render_csv(payload, False, write), "x\r\n")
 
 
 # Reduced forms of the benchmark's sweep-grid and crystal-cascade configs.
